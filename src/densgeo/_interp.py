@@ -57,6 +57,13 @@ class SplineEvaluator:
         )
 
 
+def spline_components(grid: PeriodicGrid, arrays, factor: int = 4):
+    """Callable evaluating several fields at the same points, stacked along
+    a new leading axis (one SplineEvaluator per field)."""
+    evals = [SplineEvaluator(grid, a, factor=factor) for a in arrays]
+    return lambda *points: np.array([ev(*points) for ev in evals])
+
+
 def trig_eval(grid: PeriodicGrid, values: np.ndarray, *points: np.ndarray) -> np.ndarray:
     """Evaluate the trigonometric interpolant exactly at arbitrary points."""
     spec = np.fft.fftn(values) / values.size

@@ -16,14 +16,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _interp
-from .errors import NonZeroMean, StepTooLarge, ValidationError
+from .errors import ValidationError
 from .grid import (
     PeriodicGrid,
     ScalarField,
+    check_courant,
     dealiased_product,
     derivative,
+    fixed_steps,
     integrate,
-    mean,
+    laplacian_inverse,
+    periodic_primitive,
+    rk4_step,
 )
 
 
@@ -40,16 +44,8 @@ def a_inverse(u: ScalarField) -> ScalarField:
     by the constant that moves the base-point value to zero.
     """
     _require_circle(u)
-    grid = u.grid
-    sup = float(np.max(np.abs(u.values)))
-    if abs(mean(u)) > 1e-10 * max(sup, 1e-300):
-        raise NonZeroMean("a_inverse requires a mean-zero input")
-    spec = np.fft.fft(u.values)
-    k = grid._k_full[0]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        spec = np.where(k != 0.0, spec / k**2, 0.0)
-    g = np.fft.ifft(spec).real
-    return ScalarField(grid, g - g[0])
+    g = -laplacian_inverse(u).values
+    return ScalarField(u.grid, g - g[0])
 
 
 @dataclass(frozen=True)
@@ -83,34 +79,22 @@ class AlphaConnection:
 
     def geodesic_step(self, u: ScalarField, dt: float) -> ScalarField:
         """One RK4 step of the geodesic equation, re-based so u(0) = 0."""
-        _check_cfl(u, dt)
-        new = _rk4_step(self.geodesic_rhs, u, dt)
-        return ScalarField(u.grid, new.values - new.values[0])
+        new = _field_step(self.geodesic_rhs, u, dt)
+        return ScalarField(u.grid, new - new[0])
 
     def evolve(self, u0: ScalarField, t_final: float, dt: float) -> ScalarField:
         """Fixed-step evolution to t_final (last step shortened to land exactly)."""
-        n_steps = max(1, int(np.ceil(t_final / dt - 1e-12)))
-        h = t_final / n_steps
+        n_steps, h = fixed_steps(t_final, dt)
         u = ScalarField(u0.grid, u0.values - u0.values[0])
         for _ in range(n_steps):
             u = self.geodesic_step(u, h)
         return u
 
 
-def _rk4_step(rhs, u: ScalarField, dt: float) -> ScalarField:
-    grid = u.grid
-    k1 = rhs(u).values
-    k2 = rhs(ScalarField(grid, u.values + 0.5 * dt * k1)).values
-    k3 = rhs(ScalarField(grid, u.values + 0.5 * dt * k2)).values
-    k4 = rhs(ScalarField(grid, u.values + dt * k3)).values
-    return ScalarField(grid, u.values + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4))
-
-
-def _check_cfl(u: ScalarField, dt: float) -> None:
-    grid = u.grid
-    courant = float(np.max(np.abs(u.values))) * dt * grid.shape[0] / grid.lengths[0]
-    if courant > 0.5:
-        raise StepTooLarge(f"advective Courant number {courant:.3f} exceeds 0.5")
+def _field_step(rhs, u: ScalarField, dt: float) -> np.ndarray:
+    """Values after one Courant-checked RK4 step of u_t = rhs(u)."""
+    check_courant(u.grid, [u.values], dt)
+    return rk4_step(lambda _, v: rhs(ScalarField(u.grid, v)).values, 0.0, u.values, dt)
 
 
 def alpha_one_explicit(u0: ScalarField, t: float) -> tuple[ScalarField, np.ndarray]:
@@ -130,8 +114,8 @@ def alpha_one_explicit(u0: ScalarField, t: float) -> tuple[ScalarField, np.ndarr
     w = derivative(u0).values
     growth = np.exp(t * w)
     g_total = grid.node_weight * np.sum(growth)  # ∫₀^L e^{t u0ₓ}
-    big_g = _primitive(grid, growth)  # ∫₀ˣ e^{t u0ₓ}
-    big_h = _primitive(grid, w * growth)  # ∫₀ˣ u0ₓ e^{t u0ₓ}
+    big_g = periodic_primitive(grid, growth)  # ∫₀ˣ e^{t u0ₓ}
+    big_h = periodic_primitive(grid, w * growth)  # ∫₀ˣ u0ₓ e^{t u0ₓ}
     h_total = grid.node_weight * np.sum(w * growth)
 
     eta = length * big_g / g_total  # slope-one circle map fixing 0
@@ -173,27 +157,9 @@ def alpha_one_residual(u0: ScalarField, t: float, dt_fd: float = 1e-4) -> float:
     return float(np.max(np.abs(residual)))
 
 
-def _primitive(grid: PeriodicGrid, values: np.ndarray) -> np.ndarray:
-    """∫₀ˣ values ds as mean·x plus the periodic primitive vanishing at 0."""
-    spec = np.fft.fft(values)
-    k = grid._k_full[0]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        prim = np.where(k != 0.0, spec / (1j * k), 0.0)
-    prim[grid.shape[0] // 2] = 0.0
-    osc = np.fft.ifft(prim).real
-    osc -= osc[0]
-    return float(np.mean(values)) * grid.coordinate(0) + osc
-
-
-_HELMHOLTZ_CACHE: dict = {}
-
-
 def _helmholtz_inverse(grid: PeriodicGrid, values: np.ndarray) -> np.ndarray:
     """(1 - ∂ₓ²)⁻¹ for the Camassa-Holm nonlocal form."""
-    key = (grid.shape, grid.lengths)
-    if key not in _HELMHOLTZ_CACHE:
-        _HELMHOLTZ_CACHE[key] = 1.0 + grid._k_full[0] ** 2
-    return np.fft.ifft(np.fft.fft(values) / _HELMHOLTZ_CACHE[key]).real
+    return np.fft.ifft(np.fft.fft(values) / (1.0 + grid._k_full[0] ** 2)).real
 
 
 def _burgers_rhs(u: ScalarField) -> ScalarField:
@@ -240,15 +206,13 @@ def classic_1d_step(equation: str, u: ScalarField, dt: float) -> ScalarField:
     if equation in ("hunter_saxton", "mu_burgers"):
         conn = AlphaConnection(0.0 if equation == "hunter_saxton" else -1.0)
         return conn.geodesic_step(u, dt)
-    _check_cfl(u, dt)
-    return _rk4_step(lambda v: classic_1d_rhs(equation, v), u, dt)
+    return ScalarField(u.grid, _field_step(lambda v: classic_1d_rhs(equation, v), u, dt))
 
 
 def evolve_classic(
     equation: str, u0: ScalarField, t_final: float, dt: float
 ) -> ScalarField:
-    n_steps = max(1, int(np.ceil(t_final / dt - 1e-12)))
-    h = t_final / n_steps
+    n_steps, h = fixed_steps(t_final, dt)
     u = u0
     for _ in range(n_steps):
         u = classic_1d_step(equation, u, h)

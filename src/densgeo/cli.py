@@ -12,9 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -112,20 +110,6 @@ def _emit(document: dict, args) -> None:
         sys.stdout.write(text)
 
 
-def worker_count(n_tasks: int) -> int:
-    """Thread fan-out for parameter sweeps, capped by DENSGEO_THREADS."""
-    cap = int(os.environ.get("DENSGEO_THREADS", "1") or "1")
-    return max(1, min(n_tasks, cap))
-
-
-def _sweep(fn, items):
-    workers = worker_count(len(items))
-    if workers == 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 # ---------------------------------------------------------------------------
 # input construction
 # ---------------------------------------------------------------------------
@@ -152,8 +136,11 @@ def _field_from_spec(spec: str, grid: PeriodicGrid) -> ScalarField:
             raise ValidationError(
                 f"file values shape {values.shape} does not match grid {grid.shape}"
             )
-        return ScalarField(grid, values)
-    return ScalarField(grid, evaluate_on_grid(spec, grid))
+    else:
+        values = evaluate_on_grid(spec, grid)
+    if not np.all(np.isfinite(values)):
+        raise ValidationError(f"field {spec!r} has non-finite values on the grid")
+    return ScalarField(grid, values)
 
 
 def _density_from_spec(spec: str, grid: PeriodicGrid, mass) -> Density:
@@ -226,6 +213,24 @@ def _make_hs(args, grid) -> hsflow.HsGeodesic:
     return hsflow.HsGeodesic.from_divergence(rho0)
 
 
+def _require_nontrivial(args, geo: hsflow.HsGeodesic) -> None:
+    if geo.kappa == 0.0:
+        raise ValidationError(f"{args.command} needs a non-trivial initial divergence")
+
+
+def _check_ranges(args) -> None:
+    """Reject sample counts, horizons and steps outside their domains."""
+    if getattr(args, "samples", 1) < 1:
+        raise ValidationError("--samples must be at least 1")
+    t_final = getattr(args, "t_final", None)
+    if t_final is not None and not 0.0 <= t_final < np.inf:
+        raise ValidationError("--t-final must be finite and non-negative")
+    if not 0.0 < getattr(args, "frac_of_tmax", 1.0) < np.inf:
+        raise ValidationError("--frac-of-tmax must be positive and finite")
+    if not 0.0 < getattr(args, "dt", 1.0) < np.inf:
+        raise ValidationError("--dt must be positive and finite")
+
+
 def _hs_horizon(args, geo) -> float:
     if args.t_final is not None:
         return float(args.t_final)
@@ -237,6 +242,7 @@ def _hs_horizon(args, geo) -> float:
 def _cmd_hs(args) -> dict:
     grid = _build_grid(args)
     geo = _make_hs(args, grid)
+    _require_nontrivial(args, geo)
     horizon = _hs_horizon(args, geo)
     if horizon >= geo.t_max:
         raise BeyondBlowup(
@@ -256,7 +262,7 @@ def _cmd_hs(args) -> dict:
             "energy": hsflow.flow_energy(geo, float(t)),
         }
 
-    series = _sweep(sample, list(ts))
+    series = [sample(t) for t in ts]
     energies = [row["energy"] for row in series]
     doc = {
         "meta": {"grid": _grid_meta(grid), "mass": geo.mass,
@@ -350,8 +356,7 @@ def _cmd_alpha(args) -> dict:
 def _cmd_invariants(args) -> dict:
     grid = _build_grid(args)
     geo = _make_hs(args, grid)
-    if geo.kappa == 0.0:
-        raise ValidationError("invariant drift needs a non-trivial initial divergence")
+    _require_nontrivial(args, geo)
     count = args.truncation or invariants.default_truncation(grid)
     period = 2.0 * np.pi / geo.kappa
     ts = np.linspace(0.0, period, args.samples)
@@ -363,7 +368,7 @@ def _cmd_invariants(args) -> dict:
         fdot = hsflow.sphere_velocity(geo, float(t))
         return invariants.project(point, fdot, count)
 
-    coords = _sweep(coords_at, list(ts))
+    coords = [coords_at(t) for t in ts]
     h_series = np.array([invariants.angular_momenta(c) for c in coords])
     hk_series = np.array([invariants.chain_Hk(c) for c in coords])
     hp_series = np.array([invariants.chain_Hproj(c) for c in coords])
@@ -526,6 +531,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_ranges(args)
         document = args.func(args)
     except DensgeoError as exc:
         error = {

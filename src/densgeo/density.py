@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import MassMismatch, NegativeDensity, NonPositiveInput
+from .errors import MassMismatch, NegativeDensity, NonFiniteInput, NonPositiveInput
 from .grid import PeriodicGrid, ScalarField, integrate
 
 # values within this band of zero are treated as exact zeros
@@ -35,6 +35,8 @@ class Density:
 
     def __post_init__(self):
         values = self.field.values
+        if not (np.all(np.isfinite(values)) and np.isfinite(self.mass)):
+            raise NonFiniteInput("density values and mass must be finite")
         if np.min(values) < -POSITIVITY_TOL * max(1.0, np.max(np.abs(values))):
             raise NegativeDensity("density values must be non-negative")
         total = integrate(self.field)
@@ -60,6 +62,8 @@ class SpherePoint:
     radius: float
 
     def __post_init__(self):
+        if not (np.all(np.isfinite(self.field.values)) and np.isfinite(self.radius)):
+            raise NonFiniteInput("sphere point values and radius must be finite")
         norm_sq = integrate(ScalarField(self.field.grid, self.field.values**2))
         if abs(norm_sq - self.radius**2) > 1e-10 * self.radius**2:
             raise ValueError(

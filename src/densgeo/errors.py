@@ -24,6 +24,10 @@ class NumericalError(DensgeoError):
     exit_code = 1
 
 
+class InvalidGrid(ValidationError, ValueError):
+    pass
+
+
 class GridMismatch(ValidationError):
     pass
 
@@ -37,6 +41,10 @@ class NegativeDensity(ValidationError):
 
 
 class NonPositiveInput(ValidationError):
+    pass
+
+
+class NonFiniteInput(ValidationError):
     pass
 
 

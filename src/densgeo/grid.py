@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GridMismatch, NonZeroMean
+from .errors import GridMismatch, InvalidGrid, NonZeroMean, StepTooLarge
 
 
 def _as_tuple(value, dim: int) -> tuple:
@@ -20,7 +20,7 @@ def _as_tuple(value, dim: int) -> tuple:
         return (value,) * dim
     value = tuple(value)
     if len(value) != dim:
-        raise ValueError(f"expected {dim} per-axis values, got {len(value)}")
+        raise InvalidGrid(f"expected {dim} per-axis values, got {len(value)}")
     return value
 
 
@@ -33,6 +33,9 @@ class PeriodicGrid:
         Nodes per axis; each must be even and at least 8.
     lengths : float or tuple of float
         Period per axis (default 1.0).
+
+    The read-only array ``identity`` of shape (dim, *shape) holds the node
+    coordinates, i.e. the identity map sampled at the nodes.
     """
 
     def __init__(self, points_per_axis, lengths=1.0):
@@ -41,13 +44,13 @@ class PeriodicGrid:
         self.shape = tuple(int(n) for n in points_per_axis)
         self.dim = len(self.shape)
         if self.dim not in (1, 2):
-            raise ValueError("only the circle (dim 1) and torus (dim 2) are supported")
+            raise InvalidGrid("only the circle (dim 1) and torus (dim 2) are supported")
         for n in self.shape:
             if n < 8 or n % 2 != 0:
-                raise ValueError("points_per_axis must be even and >= 8")
+                raise InvalidGrid("points_per_axis must be even and >= 8")
         self.lengths = tuple(float(L) for L in _as_tuple(lengths, self.dim))
-        if min(self.lengths) <= 0:
-            raise ValueError("lengths must be positive")
+        if not all(0.0 < L < np.inf for L in self.lengths):
+            raise InvalidGrid("lengths must be positive and finite")
         self.spacings = tuple(L / n for L, n in zip(self.lengths, self.shape))
         self.total_volume = float(np.prod(self.lengths))
         # quadrature weight per node (uniform rectangle rule)
@@ -57,7 +60,8 @@ class PeriodicGrid:
         self._axes = tuple(
             np.arange(n) * h for n, h in zip(self.shape, self.spacings)
         )
-        self._coords = np.meshgrid(*self._axes, indexing="ij")
+        self.identity = np.array(np.meshgrid(*self._axes, indexing="ij"))
+        self.identity.flags.writeable = False
 
         # wavenumbers: full set for the Laplacian, Nyquist-zeroed for first
         # derivatives (odd at the Nyquist frequency for even N)
@@ -76,6 +80,8 @@ class PeriodicGrid:
         for axis, k in enumerate(self._k_full):
             k2 = k2 + self._broadcast(k, axis) ** 2
         self._k2 = k2
+        # -|k|² with the zero mode (the only zero) set to 1 for safe division
+        self._neg_k2 = np.where(k2 > 0, -k2, 1.0)
 
         # 2/3-rule mask for dealiased products
         mask = np.ones(self.shape, dtype=bool)
@@ -95,7 +101,7 @@ class PeriodicGrid:
 
     def coordinate(self, axis: int = 0) -> np.ndarray:
         """Full-shape array of node coordinates along ``axis``."""
-        return self._coords[axis]
+        return self.identity[axis]
 
     def compatible(self, other: "PeriodicGrid") -> bool:
         return self.shape == other.shape and self.lengths == other.lengths
@@ -128,7 +134,7 @@ class ScalarField:
     @classmethod
     def from_function(cls, grid: PeriodicGrid, fn) -> "ScalarField":
         """Sample ``fn(x)`` (1D) or ``fn(x, y)`` (2D) at the nodes."""
-        values = fn(*[grid.coordinate(a) for a in range(grid.dim)])
+        values = fn(*grid.identity)
         return cls(grid, np.broadcast_to(values, grid.shape).copy())
 
     @classmethod
@@ -211,10 +217,23 @@ def laplacian_inverse(field: ScalarField) -> ScalarField:
     sup = np.max(np.abs(field.values))
     if abs(mean(field)) > 1e-10 * max(sup, 1e-300):
         raise NonZeroMean("laplacian_inverse requires a mean-zero input")
-    spectrum = np.fft.fftn(field.values)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        spectrum = np.where(grid._k2 > 0, spectrum / (-grid._k2), 0.0)
+    spectrum = np.fft.fftn(field.values) / grid._neg_k2
+    spectrum.flat[0] = 0.0
     return ScalarField(grid, np.fft.ifftn(spectrum).real)
+
+
+def periodic_primitive(grid: PeriodicGrid, values: np.ndarray) -> np.ndarray:
+    """∫₀ˣ values on the circle: mean·x plus the periodic primitive of
+    (values - mean) that vanishes at x = 0.  For positive values this is the
+    Moser lift, the increasing circle map η with η' = values, η(0) = 0."""
+    spec = np.fft.fft(values)
+    k = grid._k_full[0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        prim = np.where(k != 0.0, spec / (1j * k), 0.0)
+    prim[grid.shape[0] // 2] = 0.0
+    w = np.fft.ifft(prim).real
+    w -= w[0]
+    return float(np.mean(values)) * grid.coordinate(0) + w
 
 
 def directional_derivative(v: VectorField, f: ScalarField) -> ScalarField:
@@ -275,3 +294,29 @@ def random_band_limited(
                 )
                 values += a * np.cos(phase) + b * np.sin(phase)
     return ScalarField(grid, values)
+
+
+def fixed_steps(span: float, dt: float) -> tuple[int, float]:
+    """Step count n = max(1, ceil(span/dt)) and step span/n, so the last
+    step lands exactly on the horizon (a ratio within roundoff of an
+    integer is not rounded up)."""
+    n = max(1, int(np.ceil(span / dt - 1e-12)))
+    return n, span / n
+
+
+def rk4_step(f, t: float, y: np.ndarray, h: float) -> np.ndarray:
+    """One classical Runge-Kutta step of y' = f(t, y) on arrays."""
+    k1 = f(t, y)
+    k2 = f(t + 0.5 * h, y + 0.5 * h * k1)
+    k3 = f(t + 0.5 * h, y + 0.5 * h * k2)
+    k4 = f(t + h, y + h * k3)
+    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def check_courant(grid: PeriodicGrid, velocity, dt: float) -> None:
+    """Raise StepTooLarge when the advective Courant number of ``velocity``
+    (one array per component) over a step ``dt`` exceeds 0.5."""
+    sup = max(float(np.max(np.abs(c))) for c in velocity)
+    courant = sup * dt * max(n / L for n, L in zip(grid.shape, grid.lengths))
+    if courant > 0.5:
+        raise StepTooLarge(f"advective Courant number {courant:.3f} exceeds 0.5")

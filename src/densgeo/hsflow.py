@@ -30,13 +30,16 @@ from .grid import (
     ScalarField,
     VectorField,
     _deriv_values,
+    check_courant,
     dealiased_product,
     derivative,
     divergence,
+    fixed_steps,
     gradient,
     integrate,
     laplacian_inverse,
-    mean,
+    periodic_primitive,
+    rk4_step,
 )
 
 KAPPA_EPS = 1e-13
@@ -178,9 +181,6 @@ def evolve_density_global(g: HsGeodesic, t: float) -> tuple[SpherePoint, Density
 
 def velocity_from_rho(rho: ScalarField) -> VectorField:
     """Gradient representative u = ∇ Δ⁻¹ ρ of the velocities with div u = ρ."""
-    sup = float(np.max(np.abs(rho.values)))
-    if abs(mean(rho)) > 1e-10 * max(sup, 1e-300):
-        raise NonZeroMean("velocity reconstruction requires mean-zero divergence")
     return gradient(laplacian_inverse(rho))
 
 
@@ -208,18 +208,6 @@ def flow_energy(g: HsGeodesic, t: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _antiderivative_1d(grid: PeriodicGrid, values: np.ndarray) -> np.ndarray:
-    """Periodic part of ∫₀ˣ values, i.e. the primitive of (values - mean),
-    normalized to vanish at x = 0."""
-    spec = np.fft.fft(values)
-    k = grid._k_full[0]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        prim = np.where(k != 0.0, spec / (1j * k), 0.0)
-    prim[grid.shape[0] // 2] = 0.0
-    w = np.fft.ifft(prim).real
-    return w - w[0]
-
-
 def anchored_flow_1d(g: HsGeodesic, t: float) -> np.ndarray:
     """Flow positions η(t, x) = ∫₀ˣ Jac(t, s) ds of the base-point-fixing gauge.
 
@@ -228,9 +216,7 @@ def anchored_flow_1d(g: HsGeodesic, t: float) -> np.ndarray:
     """
     if g.grid.dim != 1:
         raise ValueError("anchored flow reconstruction is one-dimensional")
-    phi = jacobian_formula(g, t).values
-    slope = np.mean(phi)
-    return slope * g.grid.coordinate(0) + _antiderivative_1d(g.grid, phi)
+    return periodic_primitive(g.grid, jacobian_formula(g, t).values)
 
 
 def eulerian_rho(g: HsGeodesic, t: float) -> ScalarField:
@@ -253,9 +239,8 @@ def eulerian_velocity(g: HsGeodesic, t: float) -> ScalarField:
     """Transport velocity of the anchored gauge: the primitive of ρ(t, ·)
     vanishing at x = 0 (it differs from the mean-zero gradient representative
     by a time-dependent rigid rotation)."""
-    rho = eulerian_rho(g, t)
-    vals = rho.values - np.mean(rho.values)
-    return ScalarField(g.grid, _antiderivative_1d(g.grid, vals))
+    rho = eulerian_rho(g, t).values
+    return ScalarField(g.grid, periodic_primitive(g.grid, rho - np.mean(rho)))
 
 
 def equation_residual(g: HsGeodesic, t: float, dt_fd: float = 1e-5) -> float:
@@ -292,8 +277,7 @@ class FlowMap:
     diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        identity = np.array([self.grid.coordinate(a) for a in range(self.grid.dim)])
-        if not np.allclose(self.positions[0], identity, atol=1e-12):
+        if not np.allclose(self.positions[0], self.grid.identity, atol=1e-12):
             raise ValueError("flow must start at the identity")
         if not np.allclose(self.jacobians[0], 1.0, atol=1e-12):
             raise ValueError("initial Jacobian must be 1")
@@ -302,8 +286,7 @@ class FlowMap:
 def map_jacobian(grid: PeriodicGrid, positions: np.ndarray) -> np.ndarray:
     """Jacobian determinant of a grid map by spectral differentiation of its
     periodic displacement."""
-    identity = np.array([grid.coordinate(a) for a in range(grid.dim)])
-    disp = positions - identity
+    disp = positions - grid.identity
     if grid.dim == 1:
         return 1.0 + _deriv_values(grid, disp[0], 0)
     d00 = 1.0 + _deriv_values(grid, disp[0], 0)
@@ -318,38 +301,20 @@ def jacobian_by_ode(g: HsGeodesic, t_final: float, dt: float) -> ScalarField:
     with RK4, driving it by the closed-form characteristic values."""
     if t_final >= g.t_max:
         raise BeyondBlowup(f"t_final = {t_final} reaches the blowup time {g.t_max}")
-    n_steps = max(1, int(np.ceil(t_final / dt)))
-    h = t_final / n_steps
     jac = np.ones(g.grid.shape)
-    rho0 = g.rho0.values
-    t = 0.0
-    for _ in range(n_steps):
-        r1 = _rho_lagrangian(g, t, rho0)
-        r2 = _rho_lagrangian(g, t + 0.5 * h, rho0)
-        r4 = _rho_lagrangian(g, t + h, rho0)
-        k1 = r1 * jac
-        k2 = r2 * (jac + 0.5 * h * k1)
-        k3 = r2 * (jac + 0.5 * h * k2)
-        k4 = r4 * (jac + h * k3)
-        jac = jac + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t += h
+    if g.kappa < KAPPA_EPS:
+        return ScalarField(g.grid, jac)
+    # ρ(t, η) = 2κ tan(θ0 - κt) as in _rho_lagrangian, with θ0 computed once
+    kappa = g.kappa
+    theta0 = np.arctan(g.rho0.values / (2.0 * kappa))
+
+    def rate(t, j):
+        return 2.0 * kappa * np.tan(theta0 - kappa * t) * j
+
+    n_steps, h = fixed_steps(t_final, dt)
+    for step in range(n_steps):
+        jac = rk4_step(rate, step * h, jac, h)
     return ScalarField(g.grid, jac)
-
-
-class _FlowState:
-    """RK4 state of the coupled particle/Jacobian/back-to-label system."""
-
-    __slots__ = ("eta", "jac", "back")
-
-    def __init__(self, eta, jac, back):
-        self.eta = eta
-        self.jac = jac
-        self.back = back
-
-    def axpy(self, h, d):
-        return _FlowState(
-            self.eta + h * d.eta, self.jac + h * d.jac, self.back + h * d.back
-        )
 
 
 def integrate_flow(
@@ -374,81 +339,63 @@ def integrate_flow(
     if t_final >= g.t_max:
         raise BeyondBlowup(f"t_final = {t_final} reaches the blowup time {g.t_max}")
     grid = g.grid
-    identity = np.array([grid.coordinate(a) for a in range(grid.dim)])
+    d = grid.dim
     rho0_eval = _interp.SplineEvaluator(grid, g.rho0.values, factor=pad_factor)
 
-    max_inv_h = max(n / L for n, L in zip(grid.shape, grid.lengths))
+    def recovered_rho(t: float, back: np.ndarray) -> np.ndarray:
+        rho = _rho_lagrangian(g, t, rho0_eval(*(grid.identity + back)))
+        return rho - np.mean(rho)
 
-    def stage_derivative(t: float, state: _FlowState, check_cfl: bool = False):
-        labels = identity + state.back
-        rho_rec = _rho_lagrangian(g, t, rho0_eval(*labels))
-        rho_rec = rho_rec - np.mean(rho_rec)
-        u = gradient(laplacian_inverse(ScalarField(grid, rho_rec)))
-        if check_cfl:
-            sup_u = max(float(np.max(np.abs(c.values))) for c in u.components)
-            courant = sup_u * dt * max_inv_h
-            if courant > 0.5:
-                raise StepTooLarge(
-                    f"advective Courant number {courant:.3f} exceeds 0.5"
-                )
-        u_evals = [
-            _interp.SplineEvaluator(grid, c.values, factor=pad_factor)
-            for c in u.components
-        ]
-        eta_dot = np.array([ev(*state.eta) for ev in u_evals])
-        jac_dot = _rho_lagrangian(g, t, g.rho0.values) * state.jac
-        back_dot = np.empty_like(state.back)
-        for i in range(grid.dim):
-            adv = np.zeros(grid.shape)
-            for j in range(grid.dim):
-                term = dealiased_product(
-                    u.components[j],
-                    ScalarField(grid, _deriv_values(grid, state.back[i], j)),
-                )
-                adv += term.values
-            back_dot[i] = -u.components[i].values - adv
-        return _FlowState(eta_dot, jac_dot, back_dot), rho_rec, u_evals
+    # state rows: positions η (d rows), Jacobian (1 row), back-to-label map (d rows)
+    def rate(t: float, y: np.ndarray) -> np.ndarray:
+        eta, jac, back = y[:d], y[d], y[d + 1 :]
+        u = gradient(laplacian_inverse(ScalarField(grid, recovered_rho(t, back))))
+        speeds = [c.values for c in u.components]
+        check_courant(grid, speeds, dt)
+        out = np.empty_like(y)
+        out[:d] = _interp.spline_components(grid, speeds, pad_factor)(*eta)
+        out[d] = _rho_lagrangian(g, t, g.rho0.values) * jac
+        for i in range(d):
+            adv = sum(
+                dealiased_product(
+                    u.components[j], ScalarField(grid, _deriv_values(grid, back[i], j))
+                ).values
+                for j in range(d)
+            )
+            out[d + 1 + i] = -u.components[i].values - adv
+        return out
 
-    n_steps = max(1, int(np.ceil(t_final / dt)))
-    h = t_final / n_steps
+    n_steps, h = fixed_steps(t_final, dt)
     store_every = max(1, n_steps // max(1, n_store))
-    state = _FlowState(
-        identity.copy(), np.ones(grid.shape), np.zeros((grid.dim,) + grid.shape)
+    y = np.concatenate(
+        [grid.identity, np.ones((1,) + grid.shape), np.zeros_like(grid.identity)]
     )
 
     times = [0.0]
-    positions = [identity.copy()]
+    positions = [grid.identity]
     jacobians = [np.ones(grid.shape)]
     residuals = [0.0]
     mass_drifts = [0.0]
 
-    t = 0.0
     for step in range(1, n_steps + 1):
-        k1, _, _ = stage_derivative(t, state, check_cfl=True)
-        k2, _, _ = stage_derivative(t + 0.5 * h, state.axpy(0.5 * h, k1))
-        k3, _, _ = stage_derivative(t + 0.5 * h, state.axpy(0.5 * h, k2))
-        k4, _, _ = stage_derivative(t + h, state.axpy(h, k3))
-        state = _FlowState(
-            state.eta + (h / 6.0) * (k1.eta + 2 * k2.eta + 2 * k3.eta + k4.eta),
-            state.jac + (h / 6.0) * (k1.jac + 2 * k2.jac + 2 * k3.jac + k4.jac),
-            state.back + (h / 6.0) * (k1.back + 2 * k2.back + 2 * k3.back + k4.back),
-        )
+        y = rk4_step(rate, (step - 1) * h, y, h)
         t = step * h
         drift = abs(
-            grid.node_weight * np.sum(state.jac) - grid.total_volume
+            grid.node_weight * np.sum(y[d]) - grid.total_volume
         ) / grid.total_volume
         if drift > 1e-3:
             raise StepTooLarge(
                 f"Jacobian mass drift {drift:.3e} at t = {t:.6f}; reduce dt"
             )
         if step % store_every == 0 or step == n_steps:
-            _, rho_rec, _ = stage_derivative(t, state)
-            rec_eval = _interp.SplineEvaluator(grid, rho_rec, factor=pad_factor)
+            rec_eval = _interp.SplineEvaluator(
+                grid, recovered_rho(t, y[d + 1 :]), factor=pad_factor
+            )
             lag = _rho_lagrangian(g, t, g.rho0.values)
-            residuals.append(float(np.max(np.abs(rec_eval(*state.eta) - lag))))
+            residuals.append(float(np.max(np.abs(rec_eval(*y[:d]) - lag))))
             times.append(t)
-            positions.append(state.eta.copy())
-            jacobians.append(state.jac.copy())
+            positions.append(y[:d].copy())
+            jacobians.append(y[d].copy())
             mass_drifts.append(drift)
 
     return FlowMap(

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .density import SpherePoint
-from .errors import NotTangent
+from .errors import InvalidGrid, NotTangent
 from .grid import PeriodicGrid, ScalarField
 
 
@@ -26,7 +26,7 @@ def fourier_basis(grid: PeriodicGrid, count: int) -> np.ndarray:
     cosine/sine pairs ordered by squared frequency.
     """
     if count > min(grid.shape) // 2 - 1:
-        raise ValueError("basis size exceeds the resolvable mode count")
+        raise InvalidGrid("basis size exceeds the resolvable mode count")
     volume = grid.total_volume
     fields = [np.full(grid.shape, 1.0 / np.sqrt(volume))]
     amp = np.sqrt(2.0 / volume)

@@ -19,7 +19,15 @@ from .errors import (
     MassMismatch,
     NonPositiveJacobian,
 )
-from .grid import PeriodicGrid, ScalarField, gradient, laplacian_inverse
+from .grid import (
+    PeriodicGrid,
+    ScalarField,
+    fixed_steps,
+    gradient,
+    laplacian_inverse,
+    rk4_step,
+)
+from .grid import periodic_primitive as moser_primitive_1d
 from .hsflow import FlowMap, map_jacobian
 
 _FD_STENCIL = np.array([1.0, -8.0, 8.0, -1.0]) / 12.0
@@ -60,19 +68,6 @@ def _validate_phi(grid: PeriodicGrid, values: np.ndarray, t: float) -> None:
         )
 
 
-def moser_primitive_1d(grid: PeriodicGrid, phi_values: np.ndarray) -> np.ndarray:
-    """Circle lift η(x) = ∫₀ˣ φ: the unique increasing map with η' = φ, η(0) = 0."""
-    spec = np.fft.fft(phi_values)
-    k = grid._k_full[0]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        prim = np.where(k != 0.0, spec / (1j * k), 0.0)
-    prim[grid.shape[0] // 2] = 0.0
-    w = np.fft.ifft(prim).real
-    w -= w[0]
-    slope = float(np.mean(phi_values))
-    return slope * grid.coordinate(0) + w
-
-
 def invert_map(
     grid: PeriodicGrid,
     positions: np.ndarray,
@@ -88,17 +83,12 @@ def invert_map(
     x <- x + damping (y - map(x)) on the trigonometric interpolant of the
     periodic displacement.  Diverges (by design) when the map degenerates.
     """
-    identity = np.array([grid.coordinate(a) for a in range(grid.dim)])
-    disp = positions - identity
-    evals = [
-        _interp.SplineEvaluator(grid, disp[a], factor=pad_factor)
-        for a in range(grid.dim)
-    ]
-    x = identity.copy() if initial is None else initial.copy()
+    disp = _interp.spline_components(grid, positions - grid.identity, pad_factor)
+    x = grid.identity if initial is None else initial
     scale = max(grid.lengths)
     for _ in range(max_iter):
-        mapped = x + np.array([ev(*x) for ev in evals])
-        update = damping * (identity - mapped)
+        mapped = x + disp(*x)
+        update = damping * (grid.identity - mapped)
         x = x + update
         if np.max(np.abs(update)) < tol * scale:
             return x
@@ -160,31 +150,20 @@ def _poisson_velocity(grid, phi_values, dphi_values):
 
 
 def _lift_flow_2d(phi_at, dphi_at, t_grid, grid, dt, pad_factor):
-    identity = np.array([grid.coordinate(a) for a in range(grid.dim)])
-    xi = identity.copy()
+    xi = grid.identity
 
     def velocity_at(t, points):
         comps = _poisson_velocity(grid, phi_at(t), dphi_at(t))
-        evals = [
-            _interp.SplineEvaluator(grid, c, factor=pad_factor) for c in comps
-        ]
-        return np.array([ev(*points) for ev in evals])
+        return _interp.spline_components(grid, comps, pad_factor)(*points)
 
-    positions = [identity.copy()]
+    positions = [grid.identity]
     jacobians = [np.ones(grid.shape)]
     eta_guess = None
     t = float(t_grid[0])
     for t_next in t_grid[1:]:
-        span = t_next - t
-        n_steps = max(1, int(np.ceil(span / dt)))
-        h = span / n_steps
+        n_steps, h = fixed_steps(t_next - t, dt)
         for step in range(n_steps):
-            s = t + step * h
-            k1 = velocity_at(s, xi)
-            k2 = velocity_at(s + 0.5 * h, xi + 0.5 * h * k1)
-            k3 = velocity_at(s + 0.5 * h, xi + 0.5 * h * k2)
-            k4 = velocity_at(s + h, xi + h * k3)
-            xi = xi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            xi = rk4_step(velocity_at, t + step * h, xi, h)
         t = t_next
         eta = invert_map(grid, xi, initial=eta_guess, pad_factor=pad_factor)
         eta_guess = eta
@@ -206,7 +185,6 @@ def transport_map(source: Density, target: Density, dt: float = 1e-3) -> FlowMap
     if np.min(source.values) <= 0.0 or np.min(target.values) <= 0.0:
         raise NonPositiveJacobian("transport requires strictly positive densities")
     grid = source.grid
-    identity = np.array([grid.coordinate(a) for a in range(grid.dim)])
 
     if grid.dim == 1:
         # cumulative-distribution construction: F_tgt(η) = F_src, both CDFs
@@ -225,7 +203,7 @@ def transport_map(source: Density, target: Density, dt: float = 1e-3) -> FlowMap
     return FlowMap(
         grid,
         np.array([0.0, 1.0]),
-        [identity, positions],
+        [grid.identity, positions],
         [np.ones(grid.shape), jac],
         diagnostics={"pushforward_residual": residual},
     )
@@ -238,28 +216,21 @@ def _flow_transport(source: Density, target: Density, dt: float) -> np.ndarray:
     torus; on the circle it produces a rotated representative of the
     cumulative-distribution map)."""
     grid = source.grid
-    identity = np.array([grid.coordinate(a) for a in range(grid.dim)])
     f = laplacian_inverse(ScalarField(grid, source.values - target.values))
     grad_f = gradient(f)
-    grad_evals = [_interp.SplineEvaluator(grid, c.values) for c in grad_f.components]
+    grad_at = _interp.spline_components(grid, [c.values for c in grad_f.components])
     src_eval = _interp.SplineEvaluator(grid, source.values)
     tgt_eval = _interp.SplineEvaluator(grid, target.values)
 
     def velocity(t, points):
-        num = np.array([ev(*points) for ev in grad_evals])
+        num = grad_at(*points)
         den = (1.0 - t) * src_eval(*points) + t * tgt_eval(*points)
         return num / den
 
-    zeta = identity.copy()
-    n_steps = max(1, int(np.ceil(1.0 / dt)))
-    h = 1.0 / n_steps
+    zeta = grid.identity
+    n_steps, h = fixed_steps(1.0, dt)
     for step in range(n_steps):
-        s = step * h
-        k1 = velocity(s, zeta)
-        k2 = velocity(s + 0.5 * h, zeta + 0.5 * h * k1)
-        k3 = velocity(s + 0.5 * h, zeta + 0.5 * h * k2)
-        k4 = velocity(s + h, zeta + h * k3)
-        zeta = zeta + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        zeta = rk4_step(velocity, step * h, zeta, h)
     return zeta
 
 
@@ -268,10 +239,5 @@ def compose_maps(
 ) -> np.ndarray:
     """Composition (outer ∘ inner) of two grid maps via the periodic
     displacement of the outer map."""
-    identity = np.array([grid.coordinate(a) for a in range(grid.dim)])
-    disp = outer - identity
-    evals = [
-        _interp.SplineEvaluator(grid, disp[a], factor=pad_factor)
-        for a in range(grid.dim)
-    ]
-    return inner + np.array([ev(*inner) for ev in evals])
+    disp = _interp.spline_components(grid, outer - grid.identity, pad_factor)
+    return inner + disp(*inner)

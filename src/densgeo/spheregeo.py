@@ -119,16 +119,14 @@ def dirichlet_gradient(d: Density) -> ScalarField:
     return ScalarField(d.grid, -lap.values)
 
 
-def heat_flow(d0: Density, t_final: float, dt: float | None = None) -> Density:
+def heat_flow(d0: Density, t_final: float) -> Density:
     """Evolve ∂ρ/∂t = Δρ, the gradient flow of the Dirichlet energy.
 
-    Integrated exactly mode by mode (ρ(t) = exp(tΔ) ρ0), so ``dt`` is
-    accepted for interface symmetry but ignored; there is no stability
-    bound.  The zero mode is untouched, so mass is conserved exactly.
+    Integrated exactly mode by mode (ρ(t) = exp(tΔ) ρ0), so there is no
+    step size and no stability bound.  The zero mode is untouched, so mass
+    is conserved exactly.
     """
-    del dt
     grid = d0.grid
     spectrum = np.fft.fftn(d0.values) * np.exp(-grid._k2 * t_final)
     values = np.fft.ifftn(spectrum).real
-    # diffusion can undershoot zero by roundoff only; clamp is a no-op otherwise
     return Density(ScalarField(grid, values), d0.mass)

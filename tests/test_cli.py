@@ -166,17 +166,6 @@ class TestDeterminism:
         )
         assert first == second
 
-    def test_thread_cap_does_not_change_output(self, capsys, monkeypatch):
-        args = (
-            "invariants", "--div-u0", "sin(2*pi*x)", "--grid", "64",
-            "--samples", "8", "--truncation", "7",
-        )
-        monkeypatch.setenv("DENSGEO_THREADS", "1")
-        _, serial = run_cli(capsys, *args)
-        monkeypatch.setenv("DENSGEO_THREADS", "4")
-        _, threaded = run_cli(capsys, *args)
-        assert serial == threaded
-
 
 class TestErrorHandling:
     def test_validation_error_exits_2(self, capsys):
@@ -184,6 +173,31 @@ class TestErrorHandling:
         assert code == 2
         doc = json.loads(out)
         assert doc["error"]["exit_code"] == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("dist", "--a", "uniform", "--b", "uniform", "--grid", "7"),
+            ("dist", "--a", "uniform", "--b", "uniform", "--length", "0"),
+            ("invariants", "--div-u0", "sin(2*pi*x)", "--grid", "64",
+             "--truncation", "500"),
+            ("dist", "--a", "uniform", "--b", "1/(x-x)"),
+            ("hs", "--div-u0", "0"),
+            ("hs", "--div-u0", "sin(2*pi*x)", "--samples", "0"),
+            ("hs", "--div-u0", "sin(2*pi*x)", "--frac-of-tmax", "0"),
+            ("heat-demo", "--rho0", "1+0.3*cos(2*pi*x)", "--t-final", "-1"),
+        ],
+    )
+    def test_invalid_input_exits_2_with_error_object(self, capsys, argv):
+        code, out = run_cli(capsys, *argv)
+        assert code == 2
+
+        def reject(token):
+            raise ValueError(f"bare {token} is not JSON")
+
+        error = json.loads(out, parse_constant=reject)["error"]
+        assert error["exit_code"] == 2
+        assert error["type"] and error["message"]
 
     def test_numerical_error_exits_1(self, capsys):
         # a Courant number far past the monitor threshold

@@ -4,13 +4,19 @@ from scipy.special import i0
 
 from densgeo.density import (
     Density,
+    SpherePoint,
     density_from_values,
     normalize,
     sqrt_map,
     square_map,
     uniform_density,
 )
-from densgeo.errors import MassMismatch, NegativeDensity, NonPositiveInput
+from densgeo.errors import (
+    MassMismatch,
+    NegativeDensity,
+    NonFiniteInput,
+    NonPositiveInput,
+)
 from densgeo.grid import (
     PeriodicGrid,
     ScalarField,
@@ -48,6 +54,17 @@ class TestSqrtMap:
         x = grid.coordinate(0)
         with pytest.raises(NegativeDensity):
             density_from_values(grid, 0.1 + np.sin(2 * np.pi * x))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_values_rejected(bad):
+    grid = PeriodicGrid(64)
+    values = np.ones(64)
+    values[3] = bad
+    with pytest.raises(NonFiniteInput):
+        Density(ScalarField(grid, values), 1.0)
+    with pytest.raises(NonFiniteInput):
+        SpherePoint(ScalarField(grid, values), 1.0)
 
 
 class TestSquareMap:

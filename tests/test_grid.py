@@ -1,17 +1,23 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from densgeo.errors import NonZeroMean
 from densgeo.grid import (
     PeriodicGrid,
     ScalarField,
     VectorField,
+    derivative,
     divergence,
     gradient,
     integrate,
     l2_inner,
     laplacian_inverse,
+    periodic_primitive,
     random_band_limited,
+    rk4_step,
 )
 from helpers import divergence_free_field, lie_bracket
 
@@ -110,6 +116,46 @@ class TestValidation:
         grid = PeriodicGrid(16)
         with pytest.raises(ValueError):
             ScalarField(grid, np.zeros(8))
+
+    def test_identity_is_read_only_node_coordinates(self):
+        grid = PeriodicGrid((8, 16), (1.0, 2.0))
+        assert grid.identity.shape == (2, 8, 16)
+        assert np.array_equal(grid.identity[1], grid.coordinate(1))
+        with pytest.raises(ValueError):
+            grid.identity[0, 0, 0] = 1.0
+
+
+class TestPeriodicPrimitive:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        values=hnp.arrays(
+            float, st.sampled_from([8, 16, 64]), elements=st.floats(-1.0, 1.0)
+        ),
+        length=st.floats(0.5, 4.0),
+    )
+    def test_vanishes_at_zero_and_differentiates_back(self, values, length):
+        grid = PeriodicGrid(values.size, length)
+        spec = np.fft.fft(values)
+        spec[values.size // 2] = 0.0  # the Nyquist mode has no real primitive
+        values = np.fft.ifft(spec).real
+        prim = periodic_primitive(grid, values)
+        assert prim[0] == 0.0
+        periodic = ScalarField(grid, prim - np.mean(values) * grid.coordinate(0))
+        err = np.max(np.abs(derivative(periodic).values - (values - np.mean(values))))
+        assert err <= 1e-11
+
+
+def test_rk4_step_is_fourth_order():
+    rates = np.array([-2.0, -0.5, 1.0])
+
+    def error(n_steps):
+        y, h = np.ones(3), 1.0 / n_steps
+        for step in range(n_steps):
+            y = rk4_step(lambda t, v: rates * v, step * h, y, h)
+        return np.abs(y - np.exp(rates))
+
+    orders = np.log2(error(16) / error(32))
+    assert np.all((3.9 < orders) & (orders < 4.1))
 
 
 class TestMetricDescent:
