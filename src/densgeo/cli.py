@@ -116,7 +116,10 @@ def _emit(document: dict, args) -> None:
 
 
 def _build_grid(args) -> PeriodicGrid:
-    lengths = tuple(float(v) for v in str(args.length).split(","))
+    try:
+        lengths = tuple(float(v) for v in str(args.length).split(","))
+    except ValueError:
+        raise ValidationError(f"--length must be numbers, got {args.length!r}") from None
     if len(lengths) == 1:
         lengths = lengths * args.dim
     if len(lengths) != args.dim:
@@ -129,9 +132,11 @@ def _field_from_spec(spec: str, grid: PeriodicGrid) -> ScalarField:
     """Node values from an expression, or from a JSON file of node values."""
     path = spec[1:] if spec.startswith("@") else spec
     if spec.startswith("@") or path.endswith(".json"):
-        with open(path) as fh:
-            payload = json.load(fh)
-        values = np.asarray(payload["values"], dtype=float)
+        try:
+            with open(path) as fh:
+                values = np.asarray(json.load(fh)["values"], dtype=float)
+        except (OSError, ValueError, TypeError, KeyError) as exc:
+            raise ValidationError(f"cannot read node values from {path!r}: {exc!r}") from None
         if values.shape != grid.shape:
             raise ValidationError(
                 f"file values shape {values.shape} does not match grid {grid.shape}"
@@ -229,6 +234,12 @@ def _check_ranges(args) -> None:
         raise ValidationError("--frac-of-tmax must be positive and finite")
     if not 0.0 < getattr(args, "dt", 1.0) < np.inf:
         raise ValidationError("--dt must be positive and finite")
+    for name in ("alpha", "t"):
+        if not np.isfinite(getattr(args, name, 0.0)):
+            raise ValidationError(f"--{name} must be finite")
+    # the drift table needs at least one chain element, i.e. two modes
+    if getattr(args, "truncation", None) is not None and args.truncation < 2:
+        raise ValidationError("--truncation must be at least 2")
 
 
 def _hs_horizon(args, geo) -> float:
@@ -294,7 +305,10 @@ def _cmd_moser_lift(args) -> dict:
     horizon = _hs_horizon(args, geo)
     t_grid = np.linspace(0.0, horizon, args.samples)
     flow = moser.lift_flow(
-        lambda t: hsflow.jacobian_formula(geo, t), t_grid, grid, dt=args.dt
+        lambda t: hsflow.jacobian_formula(geo, t), t_grid, grid, dt=args.dt,
+        # φ = f² on the great circle f, so ∂ₜφ = 2 f ∂ₜf in closed form
+        dphi=lambda t: 2.0 * (hsflow.sphere_path(geo, t).values
+                              * hsflow.sphere_velocity(geo, t).values),
     )
     series = []
     for i, t in enumerate(t_grid):
@@ -357,7 +371,9 @@ def _cmd_invariants(args) -> dict:
     grid = _build_grid(args)
     geo = _make_hs(args, grid)
     _require_nontrivial(args, geo)
-    count = args.truncation or invariants.default_truncation(grid)
+    count = args.truncation
+    if count is None:  # an explicit count was range-checked in _check_ranges
+        count = invariants.default_truncation(grid)
     period = 2.0 * np.pi / geo.kappa
     ts = np.linspace(0.0, period, args.samples)
 
@@ -396,8 +412,13 @@ def _cmd_invariants(args) -> dict:
 
 def _cmd_simplex_demo(args) -> dict:
     if args.t_range:
-        lo, hi, n = args.t_range.split(",")
-        ts = np.linspace(float(lo), float(hi), int(n))
+        try:
+            lo, hi, n = args.t_range.split(",")
+            ts = np.linspace(float(lo), float(hi), int(n))
+        except ValueError:
+            ts = np.array([])
+        if ts.size == 0 or not np.all(np.isfinite(ts)):
+            raise ValidationError("--t-range must be lo,hi,count: finite bounds, count >= 1")
     else:
         ts = np.array([args.t])
     series = []

@@ -126,5 +126,7 @@ def evaluate_on_grid(text: str, grid: PeriodicGrid) -> np.ndarray:
     env["y"] = grid.coordinate(1) if grid.dim > 1 else 0.0
     if grid.dim == 1 and re.search(r"\by\b", text):
         raise ValidationError("expression uses y on a one-dimensional grid")
-    values = parse_expression(text)(env)
+    # overflow and 0/0 surface as non-finite values, which callers reject
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        values = parse_expression(text)(env)
     return np.broadcast_to(np.asarray(values, dtype=float), grid.shape).copy()

@@ -2,9 +2,11 @@
 and transport maps between densities.
 
 On the circle the lift is the exact primitive η(t, x) = ∫₀ˣ φ(t, s) ds.  On
-the torus a vector field X = ∇f/φ with Δf = -∂φ/∂t is flowed forward from
-the identity and the resulting map is inverted node-wise by a damped fixed
-point; the inverse is the lift.
+the torus the lift is the inverse of the flow of X = ∇f/φ with
+Δf = -∂φ/∂t.  That inverse is never formed by inverting a map: its periodic
+displacement d solves ∂ₜd + (X·∇)d + X = 0 and is advected on the grid by
+pseudo-spectral RK4.  The torus transport map advects the same equation
+backward in time along the linear density interpolation.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from .errors import (
 from .grid import (
     PeriodicGrid,
     ScalarField,
+    check_courant,
     fixed_steps,
     gradient,
     laplacian_inverse,
@@ -108,6 +111,10 @@ def lift_flow(
 ) -> FlowMap:
     """Family of diffeomorphisms η(t) with Jac_μ η(t) = φ(t), φ(0) = 1.
 
+    On the circle η(t) is the exact primitive of φ(t).  On the torus η(t)
+    is the inverse of the flow of X = ∇f/φ, Δf = -∂φ/∂t, whose displacement
+    is advected on the grid by RK4 (see ``_advect_inverse``).
+
     Parameters
     ----------
     phi : callable or sequence
@@ -116,10 +123,14 @@ def lift_flow(
     t_grid : array_like
         Increasing times at which the flow is returned; t_grid[0] = 0.
     dt : float
-        RK4 step for the torus construction (ignored on the circle, where
-        the primitive is exact).
+        Largest RK4 step of the torus construction (ignored on the circle,
+        where the primitive is exact).  StepTooLarge is raised when X makes
+        a step's advective Courant number exceed 0.5.
     dphi : callable, optional
         Time derivative of phi; finite differences of phi otherwise.
+    pad_factor : int
+        Kept for compatibility and ignored: no construction evaluates a
+        field off the grid.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid[0] != 0.0:
@@ -138,7 +149,7 @@ def lift_flow(
         jacobians = [map_jacobian(grid, pos) for pos in positions]
         return FlowMap(grid, t_grid, positions, jacobians)
 
-    return _lift_flow_2d(phi_at, dphi_at, t_grid, grid, dt, pad_factor)
+    return _lift_flow_2d(phi_at, dphi_at, t_grid, grid, dt)
 
 
 def _poisson_velocity(grid, phi_values, dphi_values):
@@ -146,27 +157,51 @@ def _poisson_velocity(grid, phi_values, dphi_values):
     rhs = dphi_values - np.mean(dphi_values)  # mean is zero up to FD noise
     f = laplacian_inverse(ScalarField(grid, -rhs))
     grad_f = gradient(f)
-    return [c.values / phi_values for c in grad_f.components]
+    return np.array([c.values / phi_values for c in grad_f.components])
 
 
-def _lift_flow_2d(phi_at, dphi_at, t_grid, grid, dt, pad_factor):
-    xi = grid.identity
+def _advect_inverse(grid, velocity, t0, t1, dt, disp):
+    """Advect the displacement d of an inverse map on the grid from t0 to
+    t1 (backward when t1 < t0): ∂ₜd + (X·∇)d + X = 0, X = velocity(t).
 
-    def velocity_at(t, points):
-        comps = _poisson_velocity(grid, phi_at(t), dphi_at(t))
-        return _interp.spline_components(grid, comps, pad_factor)(*points)
+    With ξ the flow of X from t0, id + d(t) = (id + d(t0)) ∘ ξ(t)⁻¹, so
+    from d = 0 the result is the displacement of ξ(t1)⁻¹.  Each stage
+    takes the gradient of d spectrally from one real FFT.
+    """
+    n_steps, h = fixed_steps(abs(t1 - t0), dt)
+    h = h if t1 >= t0 else -h
+    axes = tuple(range(1, grid.dim + 1))
+    # Nyquist-zeroed wavenumbers, the last axis cut to the half spectrum
+    ks = [1j * grid._broadcast(k, axis) for axis, k in enumerate(grid._k_deriv)]
+    ks[-1] = ks[-1][..., : grid.shape[-1] // 2 + 1]
 
+    def rate(t, d):
+        x = velocity(t)
+        check_courant(grid, x, abs(h))
+        spec = np.fft.rfftn(d, axes=axes)
+        out = -x
+        for axis, k in enumerate(ks):
+            out -= x[axis] * np.fft.irfftn(spec * k, s=grid.shape, axes=axes)
+        return out
+
+    for step in range(n_steps):
+        disp = rk4_step(rate, t0 + step * h, disp, h)
+    return disp
+
+
+def _lift_flow_2d(phi_at, dphi_at, t_grid, grid, dt):
+    """Lift η(t) = ξ(t)⁻¹ of the flow ξ of X = ∇f/φ, advected as a
+    displacement on the grid interval by interval."""
+
+    def velocity(t):
+        return _poisson_velocity(grid, phi_at(t), dphi_at(t))
+
+    disp = np.zeros_like(grid.identity)
     positions = [grid.identity]
     jacobians = [np.ones(grid.shape)]
-    eta_guess = None
-    t = float(t_grid[0])
-    for t_next in t_grid[1:]:
-        n_steps, h = fixed_steps(t_next - t, dt)
-        for step in range(n_steps):
-            xi = rk4_step(velocity_at, t + step * h, xi, h)
-        t = t_next
-        eta = invert_map(grid, xi, initial=eta_guess, pad_factor=pad_factor)
-        eta_guess = eta
+    for t, t_next in zip(t_grid[:-1], t_grid[1:]):
+        disp = _advect_inverse(grid, velocity, t, t_next, dt, disp)
+        eta = grid.identity + disp
         positions.append(eta)
         jacobians.append(map_jacobian(grid, eta))
     return FlowMap(grid, t_grid, positions, jacobians)
@@ -210,28 +245,26 @@ def transport_map(source: Density, target: Density, dt: float = 1e-3) -> FlowMap
 
 
 def _flow_transport(source: Density, target: Density, dt: float) -> np.ndarray:
-    """Dynamic Moser construction: flow X = ∇f/ρ_t along the linear density
-    interpolation from t = 0 to 1, with the single Poisson solve
-    Δf = source - target.  Works in any supported dimension (used for the
-    torus; on the circle it produces a rotated representative of the
-    cumulative-distribution map)."""
+    """Dynamic Moser construction: the time-1 map ζ₁ of the flow of
+    X_s = ∇f/ρ_s along the linear density interpolation ρ_s, with the
+    single Poisson solve Δf = source - target.
+
+    Z_s = ζ₁ ∘ ζ_s⁻¹ solves ∂_s Z + (X_s·∇)Z = 0 with Z_1 = id, so ζ₁ = Z_0
+    is the displacement advected backward from s = 1 to s = 0.  Works in
+    any supported dimension (used for the torus; on the circle it produces
+    a rotated representative of the cumulative-distribution map)."""
     grid = source.grid
-    f = laplacian_inverse(ScalarField(grid, source.values - target.values))
-    grad_f = gradient(f)
-    grad_at = _interp.spline_components(grid, [c.values for c in grad_f.components])
-    src_eval = _interp.SplineEvaluator(grid, source.values)
-    tgt_eval = _interp.SplineEvaluator(grid, target.values)
+    # the masses agree (checked by the caller), so the mean of the difference
+    # is roundoff, which is large relative to a near-zero difference
+    rhs = source.values - target.values
+    f = laplacian_inverse(ScalarField(grid, rhs - np.mean(rhs)))
+    grad_f = np.array([c.values for c in gradient(f).components])
 
-    def velocity(t, points):
-        num = grad_at(*points)
-        den = (1.0 - t) * src_eval(*points) + t * tgt_eval(*points)
-        return num / den
+    def velocity(s):
+        return grad_f / ((1.0 - s) * source.values + s * target.values)
 
-    zeta = grid.identity
-    n_steps, h = fixed_steps(1.0, dt)
-    for step in range(n_steps):
-        zeta = rk4_step(velocity, step * h, zeta, h)
-    return zeta
+    disp = _advect_inverse(grid, velocity, 1.0, 0.0, dt, np.zeros_like(grid.identity))
+    return grid.identity + disp
 
 
 def compose_maps(

@@ -186,6 +186,17 @@ class TestErrorHandling:
             ("hs", "--div-u0", "sin(2*pi*x)", "--samples", "0"),
             ("hs", "--div-u0", "sin(2*pi*x)", "--frac-of-tmax", "0"),
             ("heat-demo", "--rho0", "1+0.3*cos(2*pi*x)", "--t-final", "-1"),
+            ("simplex-demo", "--t-range", "0,1"),
+            ("simplex-demo", "--t", "nan"),
+            ("dist", "--a", "uniform", "--b", "@no-such-file.json"),
+            ("dist", "--a", "uniform", "--b", "uniform", "--length", "abc"),
+            ("invariants", "--div-u0", "sin(2*pi*x)", "--grid", "64",
+             "--truncation", "1"),
+            ("invariants", "--div-u0", "sin(2*pi*x)", "--grid", "64",
+             "--truncation", "-3"),
+            ("invariants", "--div-u0", "sin(2*pi*x)", "--grid", "64",
+             "--truncation", "0"),
+            ("alpha", "--alpha", "nan", "--u0", "sin(2*pi*x)", "--grid", "64"),
         ],
     )
     def test_invalid_input_exits_2_with_error_object(self, capsys, argv):

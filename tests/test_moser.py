@@ -1,15 +1,23 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from densgeo import _interp
+from densgeo import _interp, moser
 from densgeo.density import Density, uniform_density
 from densgeo.errors import (
     InversionDiverged,
     MassDrift,
     MassMismatch,
     NonPositiveJacobian,
+    StepTooLarge,
 )
-from densgeo.grid import PeriodicGrid, ScalarField, laplacian_inverse
+from densgeo.grid import (
+    PeriodicGrid,
+    ScalarField,
+    laplacian_inverse,
+    random_band_limited,
+)
 from densgeo.hsflow import HsGeodesic, jacobian_formula, map_jacobian
 from densgeo.moser import (
     compose_maps,
@@ -248,3 +256,72 @@ class TestTransport:
         )[0] + eta_x[0]  # F_tgt(η(0)) since F_src(0) = 0
         expected = _interp.invert_monotone(grid1, f_tgt, x1 + c)
         assert np.max(np.abs(eta_x - expected)) <= 1e-8
+
+
+def wavy_target(grid, amp=0.2):
+    x, y = grid.coordinate(0), grid.coordinate(1)
+    values = 1 + amp * np.sin(2 * np.pi * x) * np.cos(2 * np.pi * y)
+    return Density(ScalarField(grid, values), 1.0)
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """Counts of SplineEvaluator builds and invert_map calls."""
+    counts = {"spline": 0, "invert": 0}
+
+    class CountingEvaluator(_interp.SplineEvaluator):
+        def __init__(self, *args, **kwargs):
+            counts["spline"] += 1
+            super().__init__(*args, **kwargs)
+
+    def counting_invert(*args, **kwargs):
+        counts["invert"] += 1
+        return invert_map(*args, **kwargs)
+
+    monkeypatch.setattr(_interp, "SplineEvaluator", CountingEvaluator)
+    monkeypatch.setattr(moser, "invert_map", counting_invert)
+    return counts
+
+
+class TestGridAdvection:
+    def test_lift_builds_no_spline_and_inverts_nothing(self, counted):
+        geo = torus_geodesic(32)
+        lift_flow(lambda t: jacobian_formula(geo, t), [0.0, 0.05, 0.1], geo.grid,
+                  dt=1e-2)
+        assert counted == {"spline": 0, "invert": 0}
+
+    def test_transport_builds_only_the_residual_evaluator(self, counted):
+        grid = PeriodicGrid((48, 48))
+        transport_map(uniform_density(grid), wavy_target(grid), dt=2e-2)
+        assert counted == {"spline": 1, "invert": 0}
+
+    def test_lift_rejects_too_large_step(self):
+        geo = torus_geodesic(32)
+        with pytest.raises(StepTooLarge):
+            lift_flow(lambda t: jacobian_formula(geo, t), [0.0, 0.4], geo.grid,
+                      dt=0.4)
+
+    def test_transport_rejects_too_large_step(self):
+        grid = PeriodicGrid((48, 48))
+        with pytest.raises(StepTooLarge):
+            transport_map(uniform_density(grid), wavy_target(grid, 0.5), dt=1.0)
+
+    # degree 2 keeps the transport map resolved to 1e-8 on 48²; from degree
+    # 3 at amplitude 0.2 the residual floor is set by the grid, not by dt
+    @settings(max_examples=15, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        degree=st.integers(1, 2),
+        amps=st.tuples(st.floats(0.0, 0.2), st.floats(0.0, 0.2)),
+    )
+    @example(seed=0, degree=1, amps=(0.0, 1e-13))  # difference's mean is roundoff
+    def test_random_pushforward_residual(self, seed, degree, amps):
+        grid = PeriodicGrid((48, 48))
+        rng = np.random.default_rng(seed)
+
+        def density(amp):
+            wave = random_band_limited(grid, degree, rng).values
+            return Density(ScalarField(grid, 1 + amp * wave / np.max(np.abs(wave))), 1.0)
+
+        flow = transport_map(density(amps[0]), density(amps[1]), dt=2e-2)
+        assert flow.diagnostics["pushforward_residual"] <= 1e-8
