@@ -2,8 +2,10 @@
 
 Two routes: exact trigonometric-interpolant evaluation (O(N) per point,
 used for one-shot oracles and Newton solves) and a fast path that zero-pads
-the spectrum onto a finer grid and evaluates a quintic B-spline there
-(used inside time-stepping loops).
+the real half spectrum onto a finer grid and evaluates a quintic B-spline
+there (used inside time-stepping loops).  Padding and the spline act on the
+trailing grid axes only, so one evaluator serves a (m, *shape) stack of
+fields sampled at the same points.
 """
 
 from __future__ import annotations
@@ -12,56 +14,67 @@ import numpy as np
 from scipy import ndimage
 
 from .errors import InversionDiverged
-from .grid import PeriodicGrid
+from .grid import PeriodicGrid, fourier
+
+# spectral refinement under the quintic spline: inside the integrators, and
+# for one-shot evaluation of a field above EXACT_EVAL_LIMIT nodes
+PAD_FACTOR = 4
+FIELD_PAD_FACTOR = 8
 
 
 def pad_values(grid: PeriodicGrid, values: np.ndarray, factor: int) -> np.ndarray:
-    """Resample onto a ``factor`` times finer grid by spectral zero-padding."""
-    spec = np.fft.fftn(values)
-    for axis in range(grid.dim):
-        spec = _pad_axis(spec, axis, grid.shape[axis] * factor)
-    fine = np.fft.ifftn(spec).real
-    return fine * (factor ** grid.dim)
+    """Resample a field or a stack onto a ``factor`` times finer grid by
+    zero-padding the real half spectrum over the trailing grid axes."""
+    axes = tuple(range(-grid.dim, 0))
+    spec = np.fft.rfftn(values, axes=axes)
+    fine_shape = tuple(n * factor for n in grid.shape)
+    for axis, n, n_fine in zip(axes, grid.shape, fine_shape):
+        spec = _pad_axis(spec, axis, n, n_fine)
+    return np.fft.irfftn(spec, s=fine_shape, axes=axes) * factor**grid.dim
 
 
-def _pad_axis(spec: np.ndarray, axis: int, n_fine: int) -> np.ndarray:
+def _pad_axis(spec: np.ndarray, axis: int, n: int, n_fine: int) -> np.ndarray:
+    """Zero-pad one spectral axis from n to n_fine modes, splitting the
+    Nyquist coefficient between ±n/2 so the fine signal stays real.  The
+    half-spectrum axis (length n/2 + 1) keeps only its modes 0..n_fine/2."""
     spec = np.moveaxis(spec, axis, -1)
-    n = spec.shape[-1]
     half = n // 2
-    out = np.zeros(spec.shape[:-1] + (n_fine,), dtype=complex)
+    full = spec.shape[-1] == n
+    out = np.zeros(spec.shape[:-1] + (n_fine if full else n_fine // 2 + 1,), dtype=complex)
     out[..., :half] = spec[..., :half]
-    out[..., n_fine - half + 1 :] = spec[..., half + 1 :]
-    # split the Nyquist coefficient so the fine signal stays real
     out[..., half] = 0.5 * spec[..., half]
-    out[..., n_fine - half] += 0.5 * spec[..., half]
+    if full:
+        out[..., n_fine - half + 1 :] = spec[..., half + 1 :]
+        out[..., n_fine - half] = 0.5 * spec[..., half]
     return np.moveaxis(out, -1, axis)
 
 
 class SplineEvaluator:
-    """Quintic spline on a spectrally padded grid, periodic wrap-around."""
+    """Quintic spline on a spectrally padded grid, periodic wrap-around, of
+    one field (*shape) or a stack (m, *shape)."""
 
-    def __init__(self, grid: PeriodicGrid, values: np.ndarray, factor: int = 4):
+    def __init__(self, grid: PeriodicGrid, values: np.ndarray, factor: int = PAD_FACTOR):
         self.grid = grid
         self.factor = factor
-        fine = pad_values(grid, values, factor)
-        self._coeffs = ndimage.spline_filter(fine, order=5, mode="grid-wrap")
+        coeffs = pad_values(grid, values, factor)
+        for axis in range(-grid.dim, 0):
+            coeffs = ndimage.spline_filter1d(coeffs, order=5, axis=axis, mode="grid-wrap")
+        self._coeffs = coeffs
         self._spacings = tuple(h / factor for h in grid.spacings)
 
     def __call__(self, *points: np.ndarray) -> np.ndarray:
-        """Evaluate at physical coordinates (one array per axis)."""
-        coords = [
-            np.asarray(p) / h for p, h in zip(points, self._spacings)
-        ]
-        return ndimage.map_coordinates(
-            self._coeffs, coords, order=5, mode="grid-wrap", prefilter=False
-        )
+        """Evaluate at physical coordinates (one array per axis); a stack
+        gives the fields along a new leading axis."""
+        coords = [np.asarray(p) / h for p, h in zip(points, self._spacings)]
 
+        def evaluate(coeffs):
+            return ndimage.map_coordinates(
+                coeffs, coords, order=5, mode="grid-wrap", prefilter=False
+            )
 
-def spline_components(grid: PeriodicGrid, arrays, factor: int = 4):
-    """Callable evaluating several fields at the same points, stacked along
-    a new leading axis (one SplineEvaluator per field)."""
-    evals = [SplineEvaluator(grid, a, factor=factor) for a in arrays]
-    return lambda *points: np.array([ev(*points) for ev in evals])
+        if self._coeffs.ndim == self.grid.dim:
+            return evaluate(self._coeffs)
+        return np.array([evaluate(c) for c in self._coeffs])
 
 
 def trig_eval(grid: PeriodicGrid, values: np.ndarray, *points: np.ndarray) -> np.ndarray:
@@ -85,11 +98,11 @@ def trig_eval(grid: PeriodicGrid, values: np.ndarray, *points: np.ndarray) -> np
 EXACT_EVAL_LIMIT = 1024
 
 
-def field_evaluator(grid: PeriodicGrid, values: np.ndarray, factor: int = 8):
+def field_evaluator(grid: PeriodicGrid, values: np.ndarray):
     """Callable evaluating the trigonometric interpolant at scattered points."""
     if values.size <= EXACT_EVAL_LIMIT:
         return lambda *pts: trig_eval(grid, values, *pts)
-    return SplineEvaluator(grid, values, factor=factor)
+    return SplineEvaluator(grid, values, factor=FIELD_PAD_FACTOR)
 
 
 def invert_monotone(
@@ -111,7 +124,7 @@ def invert_monotone(
     n = grid.shape[0]
     x_nodes = grid.coordinate(0)
     w = eta_values - x_nodes
-    wprime = np.fft.ifft(np.fft.fft(w) * 1j * grid._k_deriv[0]).real
+    wprime = fourier(grid, w, grid.ik[0])
     w_at = field_evaluator(grid, w)
     wprime_at = field_evaluator(grid, wprime)
 

@@ -24,6 +24,7 @@ from .grid import (
     dealiased_product,
     derivative,
     fixed_steps,
+    fourier,
     integrate,
     laplacian_inverse,
     periodic_primitive,
@@ -144,11 +145,8 @@ def alpha_one_residual(u0: ScalarField, t: float, dt_fd: float = 1e-4) -> float:
     u_c, _ = alpha_one_explicit(u0, t)
     u_p, _ = alpha_one_explicit(u0, t + dt_fd)
     u_t = (u_p.values - u_m.values) / (2.0 * dt_fd)
-    spec = np.fft.fft(u_t)
-    cutoff = grid.shape[0] // 8
-    idx = np.abs(np.fft.fftfreq(grid.shape[0], d=1.0 / grid.shape[0]))
-    spec[idx > cutoff] = 0.0
-    utxx = second(ScalarField(grid, np.fft.ifft(spec).real)).values
+    low_pass = np.arange(grid.shape[0] // 2 + 1) <= grid.shape[0] // 8
+    utxx = second(ScalarField(grid, fourier(grid, u_t, low_pass))).values
     residual = (
         utxx
         + derivative(u_c).values * second(u_c).values
@@ -159,7 +157,7 @@ def alpha_one_residual(u0: ScalarField, t: float, dt_fd: float = 1e-4) -> float:
 
 def _helmholtz_inverse(grid: PeriodicGrid, values: np.ndarray) -> np.ndarray:
     """(1 - ∂ₓ²)⁻¹ for the Camassa-Holm nonlocal form."""
-    return np.fft.ifft(np.fft.fft(values) / (1.0 + grid._k_full[0] ** 2)).real
+    return fourier(grid, values, 1.0 / (1.0 + grid.k2))
 
 
 def _burgers_rhs(u: ScalarField) -> ScalarField:

@@ -5,20 +5,22 @@ CSV for flattened time series) with the shape
 {meta: {grid, mass, params}, results: {...}, diagnostics: {...}}.
 Floating-point values are serialized with 17 significant digits, so
 identical inputs and --seed produce byte-identical output.  Validation
-failures exit 2 with an error object; numerical failures exit 1.
+failures exit 2 with an error object; numerical failures exit 1, and so does
+a NaN or infinite result (NonFiniteResult), so the output is strict JSON.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
 
 from . import circle, hsflow, invariants, moser, simplex, spheregeo
 from .density import Density, SpherePoint, normalize, uniform_density
-from .errors import BeyondBlowup, DensgeoError, ValidationError
+from .errors import BeyondBlowup, DensgeoError, NonFiniteResult, ValidationError
 from .exprparse import evaluate_on_grid
 from .grid import (
     PeriodicGrid,
@@ -36,12 +38,8 @@ from .grid import (
 
 
 def _format_float(x: float) -> str:
-    if x != x:
-        return "NaN"
-    if x == float("inf"):
-        return "Infinity"
-    if x == float("-inf"):
-        return "-Infinity"
+    if not math.isfinite(x):
+        raise NonFiniteResult(f"the result contains the non-finite value {x}")
     return format(float(x), ".17g")
 
 
@@ -552,8 +550,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _check_ranges(args)
-        document = args.func(args)
+        # non-finite values end as an error object (NonFiniteResult), so
+        # numpy's overflow and invalid-value warnings would only repeat it
+        with np.errstate(all="ignore"):
+            _check_ranges(args)
+            _emit(args.func(args), args)
     except DensgeoError as exc:
         error = {
             "error": {
@@ -564,7 +565,6 @@ def main(argv=None) -> int:
         }
         sys.stdout.write(dumps(error) + "\n")
         return exc.exit_code
-    _emit(document, args)
     return 0
 
 

@@ -78,3 +78,7 @@ class StepTooLarge(NumericalError):
 
 class InversionDiverged(NumericalError):
     pass
+
+
+class NonFiniteResult(NumericalError):
+    """A result to be reported is NaN or infinite."""

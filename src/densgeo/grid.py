@@ -1,9 +1,14 @@
 """Uniform periodic grids on the circle and flat torus with spectral calculus.
 
 Nodes are x_j = j * L / N per axis, so quadrature is the rectangle rule,
-which is spectrally exact for periodic integrands.  Differentiation is done
-with the FFT; the Nyquist mode is zeroed on differentiation so derivatives
-of real fields stay real.
+which is spectrally exact for periodic integrands.  Every spectral operator
+is a Fourier multiplier applied by one primitive, ``fourier``: a real FFT
+over the trailing ``grid.dim`` axes, a product with a half-spectrum
+multiplier, and the inverse real FFT.  Leading axes of the values and of
+the multiplier broadcast, so a stack of fields, or a stack of multipliers
+such as the gradient's ``ik``, costs one call and one forward transform per
+field.  The multipliers are built once per grid; the Nyquist mode is zeroed
+in first derivatives so derivatives of real fields stay real.
 """
 
 from __future__ import annotations
@@ -35,7 +40,10 @@ class PeriodicGrid:
         Period per axis (default 1.0).
 
     The read-only array ``identity`` of shape (dim, *shape) holds the node
-    coordinates, i.e. the identity map sampled at the nodes.
+    coordinates, i.e. the identity map sampled at the nodes.  The Fourier
+    multipliers ``ik`` (dim, *half), ``k2``, ``inv_laplacian`` and
+    ``dealias_mask`` live on the real FFT's half spectrum and are applied
+    with ``fourier``.
     """
 
     def __init__(self, points_per_axis, lengths=1.0):
@@ -63,37 +71,26 @@ class PeriodicGrid:
         self.identity = np.array(np.meshgrid(*self._axes, indexing="ij"))
         self.identity.flags.writeable = False
 
-        # wavenumbers: full set for the Laplacian, Nyquist-zeroed for first
-        # derivatives (odd at the Nyquist frequency for even N)
+        # full wavenumbers (exact trigonometric evaluation), and the real
+        # FFT's half spectrum: the last axis keeps the modes 0..N/2
         self._k_full = tuple(
             2.0 * np.pi * np.fft.fftfreq(n, d=h)
             for n, h in zip(self.shape, self.spacings)
         )
-        self._k_deriv = []
-        for k, n in zip(self._k_full, self.shape):
-            kd = k.copy()
-            kd[n // 2] = 0.0
-            self._k_deriv.append(kd)
-        self._k_deriv = tuple(self._k_deriv)
-
-        k2 = np.zeros(self.shape)
-        for axis, k in enumerate(self._k_full):
-            k2 = k2 + self._broadcast(k, axis) ** 2
-        self._k2 = k2
-        # -|k|² with the zero mode (the only zero) set to 1 for safe division
-        self._neg_k2 = np.where(k2 > 0, -k2, 1.0)
-
-        # 2/3-rule mask for dealiased products
-        mask = np.ones(self.shape, dtype=bool)
-        for axis, (k, n, h) in enumerate(zip(self._k_full, self.shape, self.spacings)):
-            kcut = (2.0 / 3.0) * np.pi / h  # 2/3 of the Nyquist wavenumber
-            mask &= self._broadcast(np.abs(k) <= kcut + 1e-12, axis)
-        self._dealias_mask = mask
-
-    def _broadcast(self, values_1d: np.ndarray, axis: int) -> np.ndarray:
-        shape = [1] * self.dim
-        shape[axis] = self.shape[axis]
-        return values_1d.reshape(shape)
+        half = self._k_full[:-1] + (
+            2.0 * np.pi * np.fft.rfftfreq(self.shape[-1], d=self.spacings[-1]),
+        )
+        k = np.array(np.meshgrid(*half, indexing="ij"))
+        # half-spectrum multipliers: |k|², Δ⁻¹ (0 on the zero mode), the
+        # 2/3-rule dealias mask, and ik with the Nyquist mode of each axis
+        # zeroed (odd there for even N)
+        self.k2 = np.sum(k**2, axis=0)
+        self.inv_laplacian = -1.0 / np.where(self.k2 > 0.0, self.k2, np.inf)
+        cut = [(2.0 / 3.0) * np.pi / h + 1e-12 for h in self.spacings]
+        self.dealias_mask = np.all([np.abs(ka) <= c for ka, c in zip(k, cut)], axis=0)
+        for axis, n in enumerate(self.shape):
+            np.moveaxis(k[axis], axis, 0)[n // 2] = 0.0
+        self.ik = 1j * k
 
     def axis_nodes(self, axis: int = 0) -> np.ndarray:
         """Node coordinates along one axis."""
@@ -177,79 +174,85 @@ def l2_inner(f: ScalarField, g: ScalarField) -> float:
     return float(f.grid.node_weight * np.sum(f.values * g.values))
 
 
-def _deriv_values(grid: PeriodicGrid, values: np.ndarray, axis: int) -> np.ndarray:
-    spectrum = np.fft.fftn(values)
-    spectrum *= 1j * grid._broadcast(grid._k_deriv[axis], axis)
-    return np.fft.ifftn(spectrum).real
+def fourier(grid: PeriodicGrid, values: np.ndarray, multiplier) -> np.ndarray:
+    """Apply a half-spectrum Fourier multiplier over the trailing ``grid.dim``
+    axes of ``values``; leading axes of both arguments broadcast."""
+    if grid.dim == 1:  # the n-dimensional wrappers cost a third more at N = 512
+        return np.fft.irfft(np.fft.rfft(values) * multiplier, n=grid.shape[0])
+    spectrum = np.fft.rfftn(values, axes=(-2, -1))
+    return np.fft.irfftn(spectrum * multiplier, s=grid.shape, axes=(-2, -1))
+
+
+def gradient_values(grid: PeriodicGrid, values: np.ndarray) -> np.ndarray:
+    """Spectral gradient of a field (*shape) or a stack (m, *shape), with
+    the derivative axis inserted before the grid axes: (..., dim, *shape).
+    One forward transform per field."""
+    return fourier(grid, np.expand_dims(values, -grid.dim - 1), grid.ik)
+
+
+def check_mean_zero(field: ScalarField, what: str) -> None:
+    """Raise NonZeroMean unless the mean of ``field`` is roundoff relative
+    to its sup norm."""
+    sup = np.max(np.abs(field.values))
+    if abs(mean(field)) > 1e-10 * max(sup, 1e-300):
+        raise NonZeroMean(f"{what} requires a mean-zero input")
 
 
 def derivative(field: ScalarField, axis: int = 0) -> ScalarField:
     """Spectral partial derivative along one axis."""
-    return ScalarField(field.grid, _deriv_values(field.grid, field.values, axis))
+    grid = field.grid
+    return ScalarField(grid, fourier(grid, field.values, grid.ik[axis]))
 
 
 def gradient(field: ScalarField) -> VectorField:
-    grid = field.grid
-    comps = tuple(
-        ScalarField(grid, _deriv_values(grid, field.values, axis))
-        for axis in range(grid.dim)
-    )
-    return VectorField(grid, comps)
+    return VectorField.from_arrays(field.grid, *gradient_values(field.grid, field.values))
 
 
 def divergence(v: VectorField) -> ScalarField:
     grid = v.grid
-    out = np.zeros(grid.shape)
-    for axis, comp in enumerate(v.components):
-        out += _deriv_values(grid, comp.values, axis)
-    return ScalarField(grid, out)
+    comps = np.array([c.values for c in v.components])
+    return ScalarField(grid, np.sum(fourier(grid, comps, grid.ik), axis=0))
 
 
 def laplacian(field: ScalarField) -> ScalarField:
     grid = field.grid
-    spectrum = np.fft.fftn(field.values) * (-grid._k2)
-    return ScalarField(grid, np.fft.ifftn(spectrum).real)
+    return ScalarField(grid, fourier(grid, field.values, -grid.k2))
 
 
 def laplacian_inverse(field: ScalarField) -> ScalarField:
     """Zero-mean solution f of Δf = input; the input must have zero mean."""
+    check_mean_zero(field, "laplacian_inverse")
     grid = field.grid
-    sup = np.max(np.abs(field.values))
-    if abs(mean(field)) > 1e-10 * max(sup, 1e-300):
-        raise NonZeroMean("laplacian_inverse requires a mean-zero input")
-    spectrum = np.fft.fftn(field.values) / grid._neg_k2
-    spectrum.flat[0] = 0.0
-    return ScalarField(grid, np.fft.ifftn(spectrum).real)
+    return ScalarField(grid, fourier(grid, field.values, grid.inv_laplacian))
+
+
+def laplacian_inverse_gradient(field: ScalarField) -> np.ndarray:
+    """∇f for the zero-mean solution of Δf = input, shape (dim, *shape): the
+    gradient velocity whose divergence is the (mean-zero) input."""
+    check_mean_zero(field, "laplacian_inverse")
+    grid = field.grid
+    return fourier(grid, field.values, grid.ik * grid.inv_laplacian)
 
 
 def periodic_primitive(grid: PeriodicGrid, values: np.ndarray) -> np.ndarray:
     """∫₀ˣ values on the circle: mean·x plus the periodic primitive of
     (values - mean) that vanishes at x = 0.  For positive values this is the
     Moser lift, the increasing circle map η with η' = values, η(0) = 0."""
-    spec = np.fft.fft(values)
-    k = grid._k_full[0]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        prim = np.where(k != 0.0, spec / (1j * k), 0.0)
-    prim[grid.shape[0] // 2] = 0.0
-    w = np.fft.ifft(prim).real
-    w -= w[0]
-    return float(np.mean(values)) * grid.coordinate(0) + w
+    w = fourier(grid, values, grid.ik[0] * grid.inv_laplacian)  # 1/(ik)
+    return float(np.mean(values)) * grid.coordinate(0) + (w - w[0])
 
 
 def directional_derivative(v: VectorField, f: ScalarField) -> ScalarField:
     """Advection term (v · ∇) f."""
     v.grid.check_compatible(f.grid)
-    out = np.zeros(v.grid.shape)
-    for axis, comp in enumerate(v.components):
-        out += comp.values * _deriv_values(f.grid, f.values, axis)
-    return ScalarField(f.grid, out)
+    comps = np.array([c.values for c in v.components])
+    return ScalarField(f.grid, np.sum(comps * gradient_values(f.grid, f.values), axis=0))
 
 
 def dealias(field: ScalarField) -> ScalarField:
     """Truncate to the 2/3-rule wavenumber ball (for quadratic products)."""
-    spectrum = np.fft.fftn(field.values)
-    spectrum[~field.grid._dealias_mask] = 0.0
-    return ScalarField(field.grid, np.fft.ifftn(spectrum).real)
+    grid = field.grid
+    return ScalarField(grid, fourier(grid, field.values, grid.dealias_mask))
 
 
 def dealiased_product(f: ScalarField, g: ScalarField) -> ScalarField:
@@ -315,8 +318,8 @@ def rk4_step(f, t: float, y: np.ndarray, h: float) -> np.ndarray:
 
 def check_courant(grid: PeriodicGrid, velocity, dt: float) -> None:
     """Raise StepTooLarge when the advective Courant number of ``velocity``
-    (one array per component) over a step ``dt`` exceeds 0.5."""
+    (one array per component) over a step ``dt`` exceeds 0.5 or is NaN."""
     sup = max(float(np.max(np.abs(c))) for c in velocity)
     courant = sup * dt * max(n / L for n, L in zip(grid.shape, grid.lengths))
-    if courant > 0.5:
-        raise StepTooLarge(f"advective Courant number {courant:.3f} exceeds 0.5")
+    if not courant <= 0.5:  # NaN velocities fail here too
+        raise StepTooLarge(f"advective Courant number {courant:.3f} is not at most 0.5")

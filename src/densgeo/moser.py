@@ -26,8 +26,8 @@ from .grid import (
     ScalarField,
     check_courant,
     fixed_steps,
-    gradient,
-    laplacian_inverse,
+    gradient_values,
+    laplacian_inverse_gradient,
     rk4_step,
 )
 from .grid import periodic_primitive as moser_primitive_1d
@@ -78,7 +78,6 @@ def invert_map(
     damping: float = 0.8,
     max_iter: int = 50,
     tol: float = 1e-12,
-    pad_factor: int = 4,
 ) -> np.ndarray:
     """Node-wise inverse of a near-identity grid map by damped fixed point.
 
@@ -86,7 +85,7 @@ def invert_map(
     x <- x + damping (y - map(x)) on the trigonometric interpolant of the
     periodic displacement.  Diverges (by design) when the map degenerates.
     """
-    disp = _interp.spline_components(grid, positions - grid.identity, pad_factor)
+    disp = _interp.SplineEvaluator(grid, positions - grid.identity)
     x = grid.identity if initial is None else initial
     scale = max(grid.lengths)
     for _ in range(max_iter):
@@ -155,9 +154,7 @@ def lift_flow(
 def _poisson_velocity(grid, phi_values, dphi_values):
     """Moser vector field X = ∇f/φ with Δf = -∂φ/∂t."""
     rhs = dphi_values - np.mean(dphi_values)  # mean is zero up to FD noise
-    f = laplacian_inverse(ScalarField(grid, -rhs))
-    grad_f = gradient(f)
-    return np.array([c.values / phi_values for c in grad_f.components])
+    return laplacian_inverse_gradient(ScalarField(grid, -rhs)) / phi_values
 
 
 def _advect_inverse(grid, velocity, t0, t1, dt, disp):
@@ -166,23 +163,20 @@ def _advect_inverse(grid, velocity, t0, t1, dt, disp):
 
     With ξ the flow of X from t0, id + d(t) = (id + d(t0)) ∘ ξ(t)⁻¹, so
     from d = 0 the result is the displacement of ξ(t1)⁻¹.  Each stage
-    takes the gradient of d spectrally from one real FFT.
+    takes the stacked gradient of d spectrally; the velocity is evaluated
+    once per distinct stage time (RK4's middle stages share t + h/2).
     """
     n_steps, h = fixed_steps(abs(t1 - t0), dt)
     h = h if t1 >= t0 else -h
-    axes = tuple(range(1, grid.dim + 1))
-    # Nyquist-zeroed wavenumbers, the last axis cut to the half spectrum
-    ks = [1j * grid._broadcast(k, axis) for axis, k in enumerate(grid._k_deriv)]
-    ks[-1] = ks[-1][..., : grid.shape[-1] // 2 + 1]
+    last = [None, None]  # the latest stage time and its velocity
 
     def rate(t, d):
-        x = velocity(t)
-        check_courant(grid, x, abs(h))
-        spec = np.fft.rfftn(d, axes=axes)
-        out = -x
-        for axis, k in enumerate(ks):
-            out -= x[axis] * np.fft.irfftn(spec * k, s=grid.shape, axes=axes)
-        return out
+        if last[0] != t:
+            last[:] = t, velocity(t)
+            check_courant(grid, last[1], abs(h))
+        x = last[1]
+        # ∂ₜdᵢ = -Xᵢ - Σₐ Xₐ ∂ₐdᵢ
+        return -x - np.sum(x * gradient_values(grid, d), axis=1)
 
     for step in range(n_steps):
         disp = rk4_step(rate, t0 + step * h, disp, h)
@@ -257,8 +251,7 @@ def _flow_transport(source: Density, target: Density, dt: float) -> np.ndarray:
     # the masses agree (checked by the caller), so the mean of the difference
     # is roundoff, which is large relative to a near-zero difference
     rhs = source.values - target.values
-    f = laplacian_inverse(ScalarField(grid, rhs - np.mean(rhs)))
-    grad_f = np.array([c.values for c in gradient(f).components])
+    grad_f = laplacian_inverse_gradient(ScalarField(grid, rhs - np.mean(rhs)))
 
     def velocity(s):
         return grad_f / ((1.0 - s) * source.values + s * target.values)
@@ -267,10 +260,7 @@ def _flow_transport(source: Density, target: Density, dt: float) -> np.ndarray:
     return grid.identity + disp
 
 
-def compose_maps(
-    grid: PeriodicGrid, outer: np.ndarray, inner: np.ndarray, pad_factor: int = 4
-) -> np.ndarray:
+def compose_maps(grid: PeriodicGrid, outer: np.ndarray, inner: np.ndarray) -> np.ndarray:
     """Composition (outer ∘ inner) of two grid maps via the periodic
     displacement of the outer map."""
-    disp = _interp.spline_components(grid, outer - grid.identity, pad_factor)
-    return inner + disp(*inner)
+    return inner + _interp.SplineEvaluator(grid, outer - grid.identity)(*inner)

@@ -20,6 +20,7 @@ from .grid import (
     ScalarField,
     VectorField,
     divergence,
+    fourier,
     integrate,
     l2_inner,
     laplacian,
@@ -127,6 +128,5 @@ def heat_flow(d0: Density, t_final: float) -> Density:
     is conserved exactly.
     """
     grid = d0.grid
-    spectrum = np.fft.fftn(d0.values) * np.exp(-grid._k2 * t_final)
-    values = np.fft.ifftn(spectrum).real
+    values = fourier(grid, d0.values, np.exp(-grid.k2 * t_final))
     return Density(ScalarField(grid, values), d0.mass)

@@ -3,9 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from densgeo.cli import main
+from densgeo.cli import dumps, main
 from densgeo.exprparse import evaluate_on_grid, parse_expression
-from densgeo.errors import ValidationError
+from densgeo.errors import NonFiniteResult, ValidationError
 from densgeo.grid import PeriodicGrid
 
 
@@ -13,6 +13,15 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+def strict_error(out):
+    """The error object of an output that must parse as strict JSON."""
+
+    def reject(token):
+        raise ValueError(f"bare {token} is not JSON")
+
+    return json.loads(out, parse_constant=reject)["error"]
 
 
 class TestExpressionGrammar:
@@ -202,13 +211,25 @@ class TestErrorHandling:
     def test_invalid_input_exits_2_with_error_object(self, capsys, argv):
         code, out = run_cli(capsys, *argv)
         assert code == 2
-
-        def reject(token):
-            raise ValueError(f"bare {token} is not JSON")
-
-        error = json.loads(out, parse_constant=reject)["error"]
+        error = strict_error(out)
         assert error["exit_code"] == 2
         assert error["type"] and error["message"]
+
+    def test_non_finite_result_exits_1_with_error_object(self, capsys):
+        # the velocity overflows to NaN; it used to print bare NaN tokens
+        code, out = run_cli(
+            capsys, "alpha", "--alpha", "1e308", "--u0", "sin(2*pi*x)/(2*pi)",
+            "--t-final", "0.001", "--grid", "64",
+        )
+        assert code == 1
+        error = strict_error(out)
+        assert error["exit_code"] == 1
+        assert error["type"] and error["message"]
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_is_not_serialized(self, value):
+        with pytest.raises(NonFiniteResult):
+            dumps({"results": {"series": [1.0, value]}})
 
     def test_numerical_error_exits_1(self, capsys):
         # a Courant number far past the monitor threshold

@@ -4,16 +4,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from densgeo.errors import NonZeroMean
+from densgeo import _interp
+from densgeo.errors import NonZeroMean, StepTooLarge
 from densgeo.grid import (
     PeriodicGrid,
     ScalarField,
     VectorField,
+    check_courant,
+    dealias,
     derivative,
     divergence,
     gradient,
+    gradient_values,
     integrate,
     l2_inner,
+    laplacian,
     laplacian_inverse,
     periodic_primitive,
     random_band_limited,
@@ -143,6 +148,120 @@ class TestPeriodicPrimitive:
         periodic = ScalarField(grid, prim - np.mean(values) * grid.coordinate(0))
         err = np.max(np.abs(derivative(periodic).values - (values - np.mean(values))))
         assert err <= 1e-11
+
+
+def _reference_k(grid, zero_nyquist):
+    """Full complex-FFT wavenumbers broadcast over the grid, one per axis."""
+    ks = []
+    for n, length in zip(grid.shape, grid.lengths):
+        k = 2.0 * np.pi * np.fft.fftfreq(n, d=length / n)
+        if zero_nyquist:
+            k[n // 2] = 0.0
+        ks.append(k)
+    return np.meshgrid(*ks, indexing="ij")
+
+
+def _reference_multiply(values, multiplier):
+    return np.fft.ifftn(np.fft.fftn(values) * multiplier).real
+
+
+def _reference_pad(grid, values, factor):
+    """Zero-padding of the full complex spectrum, Nyquist split in two."""
+    spec = np.fft.fftn(values)
+    for axis, n in enumerate(grid.shape):
+        spec = np.moveaxis(spec, axis, -1)
+        n_fine, half = n * factor, n // 2
+        out = np.zeros(spec.shape[:-1] + (n_fine,), dtype=complex)
+        out[..., :half] = spec[..., :half]
+        out[..., n_fine - half + 1 :] = spec[..., half + 1 :]
+        out[..., half] = 0.5 * spec[..., half]
+        out[..., n_fine - half] += 0.5 * spec[..., half]
+        spec = np.moveaxis(out, -1, axis)
+    return np.fft.ifftn(spec).real * factor**grid.dim
+
+
+def _assert_close(actual, reference):
+    assert actual.shape == reference.shape
+    assert np.max(np.abs(actual - reference)) <= 1e-12 * np.max(np.abs(reference))
+
+
+class TestRealFFTLayer:
+    """The half-spectrum multipliers against complex-FFT references."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        shape=st.sampled_from([(8,), (16,), (64,), (16, 24), (24, 16), (8, 32)]),
+        lengths=st.tuples(st.floats(0.5, 4.0), st.floats(0.5, 4.0)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_operators_match_complex_reference(self, shape, lengths, seed):
+        grid = PeriodicGrid(shape, lengths[: len(shape)])
+        rng = np.random.default_rng(seed)
+        values = rng.standard_normal(shape)
+        field = ScalarField(grid, values)
+        kd = _reference_k(grid, zero_nyquist=True)
+        k2 = sum(k**2 for k in _reference_k(grid, zero_nyquist=False))
+
+        ref_grad = np.array([_reference_multiply(values, 1j * k) for k in kd])
+        for axis in range(grid.dim):
+            _assert_close(derivative(field, axis).values, ref_grad[axis])
+        _assert_close(np.array([c.values for c in gradient(field).components]), ref_grad)
+
+        comps = rng.standard_normal((grid.dim,) + shape)
+        ref_div = sum(_reference_multiply(c, 1j * k) for c, k in zip(comps, kd))
+        _assert_close(divergence(VectorField.from_arrays(grid, *comps)).values, ref_div)
+
+        _assert_close(laplacian(field).values, _reference_multiply(values, -k2))
+        zero_mean = values - np.mean(values)
+        inverse = np.where(k2 > 0, -1.0 / np.where(k2 > 0, k2, 1.0), 0.0)
+        _assert_close(
+            laplacian_inverse(ScalarField(grid, zero_mean)).values,
+            _reference_multiply(zero_mean, inverse),
+        )
+
+        cut = [np.abs(k) <= (2.0 / 3.0) * np.pi / h + 1e-12
+               for k, h in zip(_reference_k(grid, False), grid.spacings)]
+        ref_dealias = _reference_multiply(values, np.all(cut, axis=0))
+        _assert_close(dealias(field).values, ref_dealias)
+
+        stack = rng.standard_normal((3,) + shape)
+        ref_stack = np.array(
+            [[_reference_multiply(v, 1j * k) for k in kd] for v in stack]
+        )
+        _assert_close(gradient_values(grid, stack), ref_stack)
+        for factor in (2, 4):
+            _assert_close(_interp.pad_values(grid, values, factor),
+                          _reference_pad(grid, values, factor))
+            _assert_close(_interp.pad_values(grid, stack, factor),
+                          np.array([_reference_pad(grid, v, factor) for v in stack]))
+
+        if grid.dim == 1:
+            k = kd[0]
+            primitive = np.where(k != 0.0, 1.0 / np.where(k != 0.0, 1j * k, 1.0), 0.0)
+            w = _reference_multiply(values, primitive)
+            reference = np.mean(values) * grid.coordinate(0) + (w - w[0])
+            _assert_close(periodic_primitive(grid, values), reference)
+
+
+@pytest.mark.parametrize("shape", [(64,), (16, 24)])
+def test_stacked_spline_evaluator_equals_per_field(shape):
+    grid = PeriodicGrid(shape, (1.5, 0.75)[: len(shape)])
+    rng = np.random.default_rng(5)
+    stack = np.array([random_band_limited(grid, 5, rng).values for _ in range(3)])
+    points = [rng.uniform(-1.0, 2.0, 50) for _ in shape]
+    stacked = _interp.SplineEvaluator(grid, stack, factor=4)(*points)
+    per_field = np.array(
+        [_interp.SplineEvaluator(grid, v, factor=4)(*points) for v in stack]
+    )
+    assert stacked.shape == (3, 50)
+    np.testing.assert_array_equal(stacked, per_field)
+
+
+def test_check_courant_rejects_nan_velocity():
+    grid = PeriodicGrid(16)
+    check_courant(grid, [np.full(16, 1.0)], 1e-3)
+    with pytest.raises(StepTooLarge):
+        check_courant(grid, [np.full(16, np.nan)], 1e-3)
 
 
 def test_rk4_step_is_fourth_order():
