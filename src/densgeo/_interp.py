@@ -3,12 +3,17 @@
 Two routes: exact trigonometric-interpolant evaluation (O(N) per point,
 used for one-shot oracles and Newton solves) and a fast path that zero-pads
 the real half spectrum onto a finer grid and evaluates a quintic B-spline
-there (used inside time-stepping loops).  Padding and the spline act on the
-trailing grid axes only, so one evaluator serves a (m, *shape) stack of
-fields sampled at the same points.
+there (used inside time-stepping loops).  On a periodic grid the spline's
+prefilter is a Fourier multiplier, applied to the padded spectrum, so a
+spline build is one real-FFT pair and scipy only evaluates the spline
+(``map_coordinates``).  Padding and the spline act on the trailing grid
+axes only, so one evaluator serves a (m, *shape) stack of fields sampled
+at the same points.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 from scipy import ndimage
@@ -22,22 +27,36 @@ PAD_FACTOR = 4
 FIELD_PAD_FACTOR = 8
 
 
-def pad_values(grid: PeriodicGrid, values: np.ndarray, factor: int) -> np.ndarray:
+def pad_values(grid: PeriodicGrid, values: np.ndarray, factor: int, prefilter=False) -> np.ndarray:
     """Resample a field or a stack onto a ``factor`` times finer grid by
-    zero-padding the real half spectrum over the trailing grid axes."""
-    axes = tuple(range(-grid.dim, 0))
-    spec = np.fft.rfftn(values, axes=axes)
-    fine_shape = tuple(n * factor for n in grid.shape)
-    for axis, n, n_fine in zip(axes, grid.shape, fine_shape):
-        spec = _pad_axis(spec, axis, n, n_fine)
-    return np.fft.irfftn(spec, s=fine_shape, axes=axes) * factor**grid.dim
+    zero-padding the real half spectrum over the trailing grid axes; with
+    ``prefilter``, the quintic B-spline coefficients of the fine samples."""
+    spec = np.fft.rfftn(values, axes=tuple(range(-grid.dim, 0))) * factor**grid.dim
+    for axis, n in zip(range(-grid.dim, 0), grid.shape):
+        spec = _pad_axis(spec, axis, n, n * factor, prefilter)
+        # invert each axis before padding the next: the leading axis then
+        # transforms a coarse-by-fine array
+        spec = np.fft.irfft(spec, n=n * factor) if axis == -1 else np.fft.ifft(spec, axis=axis)
+    return spec
 
 
-def _pad_axis(spec: np.ndarray, axis: int, n: int, n_fine: int) -> np.ndarray:
+@lru_cache(maxsize=16)
+def _quintic_prefilter(n: int) -> np.ndarray:
+    """Prefilter of the periodic quintic B-spline on n nodes at the FFT modes
+    0..n-1: the reciprocal symbol of its samples (1, 26, 66, 26, 1)/120
+    (Unser, Aldroubi & Eden 1993)."""
+    omega = 2.0 * np.pi * np.arange(n) / n
+    inverse = 120.0 / (66.0 + 52.0 * np.cos(omega) + 2.0 * np.cos(2.0 * omega))
+    inverse.flags.writeable = False
+    return inverse
+
+
+def _pad_axis(spec: np.ndarray, axis: int, n: int, n_fine: int, prefilter: bool) -> np.ndarray:
     """Zero-pad one spectral axis from n to n_fine modes, splitting the
-    Nyquist coefficient between ±n/2 so the fine signal stays real.  The
-    half-spectrum axis (length n/2 + 1) keeps only its modes 0..n_fine/2."""
-    spec = np.moveaxis(spec, axis, -1)
+    Nyquist coefficient between ±n/2 so the fine signal stays real, and
+    optionally apply the spline prefilter.  The half-spectrum axis (length
+    n/2 + 1) keeps only its modes 0..n_fine/2."""
+    spec = spec.swapaxes(axis, -1)
     half = n // 2
     full = spec.shape[-1] == n
     out = np.zeros(spec.shape[:-1] + (n_fine if full else n_fine // 2 + 1,), dtype=complex)
@@ -46,35 +65,30 @@ def _pad_axis(spec: np.ndarray, axis: int, n: int, n_fine: int) -> np.ndarray:
     if full:
         out[..., n_fine - half + 1 :] = spec[..., half + 1 :]
         out[..., n_fine - half] = 0.5 * spec[..., half]
-    return np.moveaxis(out, -1, axis)
+    if prefilter:
+        out *= _quintic_prefilter(n_fine)[: out.shape[-1]]
+    return out.swapaxes(-1, axis)
 
 
 class SplineEvaluator:
     """Quintic spline on a spectrally padded grid, periodic wrap-around, of
-    one field (*shape) or a stack (m, *shape)."""
+    one field (*shape) or a stack (m, *shape).  The coefficients come from
+    ``pad_values`` with the prefilter, and ``map_coordinates`` evaluates them."""
 
     def __init__(self, grid: PeriodicGrid, values: np.ndarray, factor: int = PAD_FACTOR):
         self.grid = grid
         self.factor = factor
-        coeffs = pad_values(grid, values, factor)
-        for axis in range(-grid.dim, 0):
-            coeffs = ndimage.spline_filter1d(coeffs, order=5, axis=axis, mode="grid-wrap")
-        self._coeffs = coeffs
+        self._coeffs = pad_values(grid, values, factor, prefilter=True)
         self._spacings = tuple(h / factor for h in grid.spacings)
 
     def __call__(self, *points: np.ndarray) -> np.ndarray:
         """Evaluate at physical coordinates (one array per axis); a stack
         gives the fields along a new leading axis."""
         coords = [np.asarray(p) / h for p, h in zip(points, self._spacings)]
-
-        def evaluate(coeffs):
-            return ndimage.map_coordinates(
-                coeffs, coords, order=5, mode="grid-wrap", prefilter=False
-            )
-
-        if self._coeffs.ndim == self.grid.dim:
-            return evaluate(self._coeffs)
-        return np.array([evaluate(c) for c in self._coeffs])
+        stack = self._coeffs.reshape((-1,) + self._coeffs.shape[-self.grid.dim :])
+        values = [ndimage.map_coordinates(c, coords, order=5, mode="grid-wrap", prefilter=False)
+                  for c in stack]
+        return values[0] if self._coeffs.ndim == self.grid.dim else np.array(values)
 
 
 def trig_eval(grid: PeriodicGrid, values: np.ndarray, *points: np.ndarray) -> np.ndarray:

@@ -5,8 +5,9 @@ CSV for flattened time series) with the shape
 {meta: {grid, mass, params}, results: {...}, diagnostics: {...}}.
 Floating-point values are serialized with 17 significant digits, so
 identical inputs and --seed produce byte-identical output.  Validation
-failures exit 2 with an error object; numerical failures exit 1, and so does
-a NaN or infinite result (NonFiniteResult), so the output is strict JSON.
+failures, argument-parsing rejections included, exit 2 with an error object;
+numerical failures exit 1, and so does a NaN or infinite result
+(NonFiniteResult), so the output is strict JSON.
 """
 
 from __future__ import annotations
@@ -102,8 +103,11 @@ def _emit(document: dict, args) -> None:
         _to_csv(document) if args.format == "csv" else dumps(document) + "\n"
     )
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValidationError(f"cannot write --out {args.out!r}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
 
@@ -474,8 +478,14 @@ def _add_common(parser, mass=True):
     parser.add_argument("--seed", type=int, default=0)
 
 
+class _Parser(argparse.ArgumentParser):
+    # subparsers share the class: every rejection exits 2 with an error object
+    def error(self, message):
+        raise ValidationError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="densgeo",
         description="Spherical geometry of densities: distances, explicit "
         "geodesics and blowup, Moser lifts, conserved quantities, and the "
@@ -547,9 +557,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         # non-finite values end as an error object (NonFiniteResult), so
         # numpy's overflow and invalid-value warnings would only repeat it
         with np.errstate(all="ignore"):

@@ -39,6 +39,8 @@ class Density:
             raise NonFiniteInput("density values and mass must be finite")
         if np.min(values) < -POSITIVITY_TOL * max(1.0, np.max(np.abs(values))):
             raise NegativeDensity("density values must be non-negative")
+        if not self.mass > 0.0:
+            raise NonPositiveInput(f"density mass must be positive, got {self.mass!r}")
         total = integrate(self.field)
         if abs(total - self.mass) > 1e-10 * abs(self.mass):
             raise MassMismatch(

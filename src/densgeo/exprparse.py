@@ -20,6 +20,7 @@ _TOKEN = re.compile(
 )
 
 _FUNCTIONS = {"sin": np.sin, "cos": np.cos, "exp": np.exp}
+_BINARY = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide}
 _CONSTANTS = {"pi": np.pi}
 
 
@@ -31,12 +32,8 @@ def _tokenize(text: str):
         if not match:
             raise ValidationError(f"bad character in expression at: {text[pos:]!r}")
         pos = match.end()
-        if match.lastgroup == "num":
-            tokens.append(("num", float(match.group("num"))))
-        elif match.lastgroup == "name":
-            tokens.append(("name", match.group("name")))
-        else:
-            tokens.append(("op", match.group("op")))
+        kind = match.lastgroup
+        tokens.append((kind, float(match.group(kind)) if kind == "num" else match.group(kind)))
     tokens.append(("end", None))
     return tokens
 
@@ -60,21 +57,18 @@ class _Parser:
             raise ValidationError(f"expected {op!r} in expression")
 
     def expression(self):
-        node = self.term()
-        while self.peek() == ("op", "+") or self.peek() == ("op", "-"):
-            _, op = self.next()
-            right = self.term()
-            node = (lambda l, r: (lambda env: l(env) + r(env)))(node, right) \
-                if op == "+" else (lambda l, r: (lambda env: l(env) - r(env)))(node, right)
-        return node
+        return self.chain(self.term, "+-")
 
     def term(self):
-        node = self.factor()
-        while self.peek() == ("op", "*") or self.peek() == ("op", "/"):
-            _, op = self.next()
-            right = self.factor()
-            node = (lambda l, r: (lambda env: l(env) * r(env)))(node, right) \
-                if op == "*" else (lambda l, r: (lambda env: l(env) / r(env)))(node, right)
+        return self.chain(self.factor, "*/")
+
+    def chain(self, operand, ops):
+        """Left-associative run of the binary operators in ``ops``; numpy
+        ufuncs, so 1/0 gives inf (rejected by callers) even on constants."""
+        node = operand()
+        while self.peek()[0] == "op" and self.peek()[1] in ops:
+            fn = _BINARY[self.next()[1]]
+            node = (lambda f, l, r: lambda env: f(l(env), r(env)))(fn, node, operand())
         return node
 
     def factor(self):

@@ -65,10 +65,8 @@ class PeriodicGrid:
         self.node_weight = float(np.prod(self.spacings))
         self.node_count = int(np.prod(self.shape))
 
-        self._axes = tuple(
-            np.arange(n) * h for n, h in zip(self.shape, self.spacings)
-        )
-        self.identity = np.array(np.meshgrid(*self._axes, indexing="ij"))
+        axes = [np.arange(n) * h for n, h in zip(self.shape, self.spacings)]
+        self.identity = np.array(np.meshgrid(*axes, indexing="ij"))
         self.identity.flags.writeable = False
 
         # full wavenumbers (exact trigonometric evaluation), and the real
@@ -92,19 +90,12 @@ class PeriodicGrid:
             np.moveaxis(k[axis], axis, 0)[n // 2] = 0.0
         self.ik = 1j * k
 
-    def axis_nodes(self, axis: int = 0) -> np.ndarray:
-        """Node coordinates along one axis."""
-        return self._axes[axis]
-
     def coordinate(self, axis: int = 0) -> np.ndarray:
         """Full-shape array of node coordinates along ``axis``."""
         return self.identity[axis]
 
-    def compatible(self, other: "PeriodicGrid") -> bool:
-        return self.shape == other.shape and self.lengths == other.lengths
-
     def check_compatible(self, other: "PeriodicGrid") -> None:
-        if not self.compatible(other):
+        if (self.shape, self.lengths) != (other.shape, other.lengths):
             raise GridMismatch(
                 f"grids differ: {self.shape}/{self.lengths} vs {other.shape}/{other.lengths}"
             )
@@ -127,12 +118,6 @@ class ScalarField:
                 f"values shape {values.shape} does not match grid {self.grid.shape}"
             )
         object.__setattr__(self, "values", values)
-
-    @classmethod
-    def from_function(cls, grid: PeriodicGrid, fn) -> "ScalarField":
-        """Sample ``fn(x)`` (1D) or ``fn(x, y)`` (2D) at the nodes."""
-        values = fn(*grid.identity)
-        return cls(grid, np.broadcast_to(values, grid.shape).copy())
 
     @classmethod
     def constant(cls, grid: PeriodicGrid, value: float) -> "ScalarField":

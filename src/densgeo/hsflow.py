@@ -98,7 +98,7 @@ def _refined_minimum(rho0: ScalarField) -> float:
     values = rho0.values
     idx = np.unravel_index(np.argmin(values), grid.shape)
     grid_min = float(values[idx])
-    x0 = np.array([grid.axis_nodes(a)[idx[a]] for a in range(grid.dim)])
+    x0 = grid.identity[(slice(None),) + idx]
 
     firsts = [derivative(rho0, a) for a in range(grid.dim)]
     g_vec = np.array(
@@ -137,12 +137,7 @@ def rho_along_flow(g: HsGeodesic, t: float) -> ScalarField:
 
 def jacobian_formula(g: HsGeodesic, t: float) -> ScalarField:
     """Flow Jacobian (cos κt + (ρ0/2κ) sin κt)², valid for all real t."""
-    if g.kappa < KAPPA_EPS:
-        return ScalarField(g.grid, np.ones(g.grid.shape))
-    values = (
-        np.cos(g.kappa * t) + g.rho0.values / (2.0 * g.kappa) * np.sin(g.kappa * t)
-    ) ** 2
-    return ScalarField(g.grid, values)
+    return ScalarField(g.grid, sphere_path(g, t).values ** 2)
 
 
 def sphere_path(g: HsGeodesic, t: float) -> ScalarField:

@@ -206,6 +206,10 @@ class TestErrorHandling:
             ("invariants", "--div-u0", "sin(2*pi*x)", "--grid", "64",
              "--truncation", "0"),
             ("alpha", "--alpha", "nan", "--u0", "sin(2*pi*x)", "--grid", "64"),
+            ("dist", "--a", "uniform", "--b", "1", "--grid", "64", "--mass", "0"),
+            ("dist", "--a", "0*x", "--b", "0*x", "--grid", "64"),
+            ("heat-demo", "--rho0", "0*x", "--grid", "64"),
+            ("dist", "--a", "uniform", "--b", "1/0", "--grid", "64"),
         ],
     )
     def test_invalid_input_exits_2_with_error_object(self, capsys, argv):
@@ -214,6 +218,39 @@ class TestErrorHandling:
         error = strict_error(out)
         assert error["exit_code"] == 2
         assert error["type"] and error["message"]
+
+    def test_unwritable_out_exits_2_with_error_object(self, capsys, tmp_path):
+        target = tmp_path / "missing-dir" / "o.json"
+        code, out = run_cli(
+            capsys, "dist", "--a", "uniform", "--b", "1+0.5*sin(2*pi*x)",
+            "--grid", "64", "--out", str(target),
+        )
+        assert code == 2
+        assert strict_error(out)["type"] == "ValidationError"
+        assert not target.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("dist", "--a", "uniform", "--b", "uniform", "--grid", "abc"),
+            ("hs", "--grid", "64"),
+            ("no-such-command", "--grid", "64"),
+        ],
+        ids=["bad-int", "missing-required", "unknown-subcommand"],
+    )
+    def test_parser_rejection_exits_2_with_error_object(self, capsys, argv):
+        code, out = run_cli(capsys, *argv)
+        assert code == 2
+        error = strict_error(out)
+        assert error["type"] == "ValidationError"
+        assert error["exit_code"] == 2 and error["message"]
+
+    @pytest.mark.parametrize("argv", [("--help",), ("dist", "--help")])
+    def test_help_exits_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 0
+        assert "usage:" in capsys.readouterr().out
 
     def test_non_finite_result_exits_1_with_error_object(self, capsys):
         # the velocity overflows to NaN; it used to print bare NaN tokens

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy import ndimage
 
 from densgeo import _interp
 from densgeo.errors import NonZeroMean, StepTooLarge
@@ -255,6 +256,38 @@ def test_stacked_spline_evaluator_equals_per_field(shape):
     )
     assert stacked.shape == (3, 50)
     np.testing.assert_array_equal(stacked, per_field)
+
+
+def _reference_coefficients(grid, values, factor):
+    """Quintic B-spline coefficients of the padded samples by scipy's
+    recursive prefilter, one grid axis at a time."""
+    coeffs = _interp.pad_values(grid, values, factor)
+    for axis in range(-grid.dim, 0):
+        coeffs = ndimage.spline_filter1d(coeffs, order=5, axis=axis, mode="grid-wrap")
+    return coeffs
+
+
+@pytest.mark.parametrize("factor", [2, 4, 8])
+@pytest.mark.parametrize(
+    "shape, lengths",
+    [((8,), (1.0,)), ((64,), (2.5,)), ((512,), (0.7,)),
+     ((16, 24), (1.5, 0.75)), ((24, 16), (3.0, 0.6))],
+)
+def test_spline_prefilter_matches_scipy(shape, lengths, factor):
+    grid = PeriodicGrid(shape, lengths)
+    rng = np.random.default_rng(factor)
+    fine_nodes = np.meshgrid(
+        *[np.arange(n * factor) * (h / factor) for n, h in zip(shape, grid.spacings)],
+        indexing="ij",
+    )
+    for values in (rng.standard_normal(shape), rng.standard_normal((3,) + shape)):
+        spline = _interp.SplineEvaluator(grid, values, factor=factor)
+        reference = _reference_coefficients(grid, values, factor)
+        assert spline._coeffs.shape == reference.shape
+        error = np.max(np.abs(spline._coeffs - reference))
+        assert error <= 1e-13 * np.max(np.abs(reference))
+        # the spline interpolates the padded samples at the fine nodes
+        _assert_close(spline(*fine_nodes), _interp.pad_values(grid, values, factor))
 
 
 def test_check_courant_rejects_nan_velocity():

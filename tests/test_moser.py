@@ -15,6 +15,7 @@ from densgeo.errors import (
 from densgeo.grid import (
     PeriodicGrid,
     ScalarField,
+    fourier,
     laplacian_inverse,
     random_band_limited,
 )
@@ -198,6 +199,45 @@ class TestInversion:
         )
         with pytest.raises(InversionDiverged):
             invert_map(grid, positions, max_iter=50)
+
+    # near identity: a displacement of degree k with sup at most
+    # 0.05 min(L) / k, so each entry of its gradient stays below about 0.45
+    # and the damped fixed point contracts
+    @settings(max_examples=25, deadline=None)
+    @given(
+        shape=st.sampled_from([(32, 32), (24, 16), (16, 24)]),
+        lengths=st.tuples(st.floats(0.5, 4.0), st.floats(0.5, 4.0)),
+        degree=st.integers(1, 3),
+        amp=st.floats(0.0, 0.05),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_invert_map_round_trip(self, shape, lengths, degree, amp, seed):
+        grid = PeriodicGrid(shape, lengths)
+        rng = np.random.default_rng(seed)
+        scale = amp * min(lengths) / degree
+        waves = [random_band_limited(grid, degree, rng).values for _ in range(2)]
+        eta = grid.identity + np.array([scale * w / np.max(np.abs(w)) for w in waves])
+        round_trip = compose_maps(grid, eta, invert_map(grid, eta))
+        assert np.max(np.abs(round_trip - grid.identity)) <= 1e-10
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        length=st.floats(0.5, 4.0),
+        degree=st.integers(1, 16),
+        slope=st.floats(0.0, 0.9),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_invert_monotone_round_trip(self, length, degree, slope, seed):
+        grid = PeriodicGrid(2048, length)
+        assert grid.node_count > _interp.EXACT_EVAL_LIMIT  # Newton on the spline
+        rng = np.random.default_rng(seed)
+        w = random_band_limited(grid, degree, rng).values
+        # |w'| <= slope < 1 at the nodes, so x + w(x) is increasing
+        w *= slope / np.max(np.abs(fourier(grid, w, grid.ik[0])))
+        targets = rng.uniform(-length, 2.0 * length, 200)
+        x = _interp.invert_monotone(grid, grid.coordinate(0) + w, targets)
+        residual = x + _interp.trig_eval(grid, w, x) - targets
+        assert np.max(np.abs(residual)) <= 1e-12 * length
 
 
 class TestTransport:
