@@ -7,6 +7,11 @@ tangent data is gauged by u(0) = 0.  The inverse second-derivative operator
 uses the base-point normalization g(0) = 0 (not zero mean); with it the
 Christoffel terms vanish at x = 0 and the gauge is preserved exactly by
 the geodesic evolution.
+
+Every right-hand side comes from the transform method with the 2/3 rule
+(Orszag 1971): an equation is a table of dealiased half-spectrum multipliers,
+one per quadratic product it uses from (u uₓ, uₓ², u²), applied to one
+stacked transform of those products; an evaluation costs four FFT calls.
 """
 
 from __future__ import annotations
@@ -73,15 +78,18 @@ class AlphaConnection:
         )
 
     def geodesic_rhs(self, u: ScalarField) -> ScalarField:
-        """Right side of u_t = -(u uₓ + Γ(u, u)); vanishes at x = 0 when u does."""
-        advect = dealiased_product(u, derivative(u))
-        gamma = self.christoffel(u, u)
-        return ScalarField(u.grid, -advect.values - gamma.values)
+        """Right side of u_t = -(u uₓ + Γ(u, u)), with Γ re-based to vanish at
+        x = 0; Γ's row is dropped where it is zero (α = -1)."""
+        mask = u.grid.dealias_mask
+        coeff = 0.5 * (1.0 + self.alpha)
+        if coeff == 0.0:
+            return _transform_rhs(u, np.array([mask]))
+        gamma = -coeff * u.grid.inv_laplacian * u.grid.ik[0] * mask  # A⁻¹∂ₓ
+        return _transform_rhs(u, np.array([mask, gamma]), rebase=True)
 
     def geodesic_step(self, u: ScalarField, dt: float) -> ScalarField:
         """One RK4 step of the geodesic equation, re-based so u(0) = 0."""
-        new = _field_step(self.geodesic_rhs, u, dt)
-        return ScalarField(u.grid, new - new[0])
+        return _field_step(self.geodesic_rhs, u, dt, rebase=True)
 
     def evolve(self, u0: ScalarField, t_final: float, dt: float) -> ScalarField:
         """Fixed-step evolution to t_final (last step shortened to land exactly)."""
@@ -92,10 +100,25 @@ class AlphaConnection:
         return u
 
 
-def _field_step(rhs, u: ScalarField, dt: float) -> np.ndarray:
-    """Values after one Courant-checked RK4 step of u_t = rhs(u)."""
+def _transform_rhs(u: ScalarField, multipliers: np.ndarray, rebase=False) -> ScalarField:
+    """-Σᵣ mᵣ(pᵣ) over the leading products p = (u uₓ, uₓ², u²), one row per
+    half-spectrum multiplier mᵣ; ``rebase`` shifts every row after the
+    first to vanish at x = 0 (the g(0) = 0 normalization of Γ)."""
+    _require_circle(u)
+    grid = u.grid
+    ux = fourier(grid, u.values, grid.ik[0])
+    products = [u.values * ux, ux * ux, u.values * u.values][: len(multipliers)]
+    terms = fourier(grid, np.array(products), multipliers)
+    if rebase:
+        terms[1:] -= terms[1:, :1]
+    return ScalarField(grid, -np.sum(terms, axis=0))
+
+
+def _field_step(rhs, u: ScalarField, dt: float, rebase: bool) -> ScalarField:
+    """One Courant-checked RK4 step of u_t = rhs(u), re-based to u(0) = 0 if asked."""
     check_courant(u.grid, [u.values], dt)
-    return rk4_step(lambda _, v: rhs(ScalarField(u.grid, v)).values, 0.0, u.values, dt)
+    new = rk4_step(lambda _, v: rhs(ScalarField(u.grid, v)).values, 0.0, u.values, dt)
+    return ScalarField(u.grid, new - new[0] if rebase else new)
 
 
 def alpha_one_explicit(u0: ScalarField, t: float) -> tuple[ScalarField, np.ndarray]:
@@ -155,42 +178,18 @@ def alpha_one_residual(u0: ScalarField, t: float, dt_fd: float = 1e-4) -> float:
     return float(np.max(np.abs(residual)))
 
 
-def _helmholtz_inverse(grid: PeriodicGrid, values: np.ndarray) -> np.ndarray:
-    """(1 - ∂ₓ²)⁻¹ for the Camassa-Holm nonlocal form."""
-    return fourier(grid, values, 1.0 / (1.0 + grid.k2))
-
-
-def _burgers_rhs(u: ScalarField) -> ScalarField:
-    return ScalarField(u.grid, -3.0 * dealiased_product(u, derivative(u)).values)
-
-
-def _camassa_holm_rhs(u: ScalarField) -> ScalarField:
+def _camassa_holm(grid: PeriodicGrid) -> np.ndarray:
     # u_t + u uₓ + ∂ₓ (1-∂ₓ²)⁻¹ (u² + uₓ²/2) = 0
-    grid = u.grid
-    ux = derivative(u)
-    advect = dealiased_product(u, ux).values
-    pressure = (
-        dealiased_product(u, u).values + 0.5 * dealiased_product(ux, ux).values
-    )
-    smoothed = ScalarField(grid, _helmholtz_inverse(grid, pressure))
-    return ScalarField(grid, -advect - derivative(smoothed).values)
+    smooth = grid.ik[0] / (1.0 + grid.k2) * grid.dealias_mask
+    return np.array([grid.dealias_mask, 0.5 * smooth, smooth])
 
 
-_CLASSIC_EQUATIONS = ("burgers", "camassa_holm", "hunter_saxton", "mu_burgers")
-
-
-def classic_1d_rhs(equation: str, u: ScalarField) -> ScalarField:
-    if equation == "burgers":
-        return _burgers_rhs(u)
-    if equation == "camassa_holm":
-        return _camassa_holm_rhs(u)
-    if equation == "hunter_saxton":
-        return AlphaConnection(0.0).geodesic_rhs(u)
-    if equation == "mu_burgers":
-        return AlphaConnection(-1.0).geodesic_rhs(u)
-    raise ValidationError(
-        f"unknown equation {equation!r}; choose from {_CLASSIC_EQUATIONS}"
-    )
+# velocity equations by their multiplier tables, geodesic ones by their α
+_VELOCITY_EQUATIONS = {
+    "burgers": lambda grid: np.array([3.0 * grid.dealias_mask]),
+    "camassa_holm": _camassa_holm,
+}
+_GEODESIC_EQUATIONS = {"hunter_saxton": 0.0, "mu_burgers": -1.0}
 
 
 def classic_1d_step(equation: str, u: ScalarField, dt: float) -> ScalarField:
@@ -200,16 +199,16 @@ def classic_1d_step(equation: str, u: ScalarField, dt: float) -> ScalarField:
     their first-order geodesic form and re-based to u(0) = 0; burgers and
     camassa_holm act on the velocity directly.
     """
-    _require_circle(u)
-    if equation in ("hunter_saxton", "mu_burgers"):
-        conn = AlphaConnection(0.0 if equation == "hunter_saxton" else -1.0)
-        return conn.geodesic_step(u, dt)
-    return ScalarField(u.grid, _field_step(lambda v: classic_1d_rhs(equation, v), u, dt))
+    if equation in _GEODESIC_EQUATIONS:
+        return AlphaConnection(_GEODESIC_EQUATIONS[equation]).geodesic_step(u, dt)
+    if equation not in _VELOCITY_EQUATIONS:
+        known = tuple(sorted({**_VELOCITY_EQUATIONS, **_GEODESIC_EQUATIONS}))
+        raise ValidationError(f"unknown equation {equation!r}; choose from {known}")
+    multipliers = _VELOCITY_EQUATIONS[equation](u.grid)
+    return _field_step(lambda v: _transform_rhs(v, multipliers), u, dt, rebase=False)
 
 
-def evolve_classic(
-    equation: str, u0: ScalarField, t_final: float, dt: float
-) -> ScalarField:
+def evolve_classic(equation: str, u0: ScalarField, t_final: float, dt: float) -> ScalarField:
     n_steps, h = fixed_steps(t_final, dt)
     u = u0
     for _ in range(n_steps):
@@ -217,9 +216,7 @@ def evolve_classic(
     return u
 
 
-def duality_residual(
-    alpha: float, u: ScalarField, v: ScalarField, w: ScalarField
-) -> float:
+def duality_residual(alpha: float, u: ScalarField, v: ScalarField, w: ScalarField) -> float:
     """Metric-duality defect of the ±α connection pair on right-invariant
     fields; identically zero in exact arithmetic.
 

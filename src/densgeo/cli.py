@@ -245,11 +245,20 @@ def _check_ranges(args) -> None:
 
 
 def _hs_horizon(args, geo) -> float:
+    """--t-final, else --frac-of-tmax of the blowup time (1 if none);
+    BeyondBlowup if it reaches the blowup time."""
     if args.t_final is not None:
-        return float(args.t_final)
-    if not np.isfinite(geo.t_max):
-        return 1.0
-    return args.frac_of_tmax * geo.t_max
+        horizon = float(args.t_final)
+    elif not np.isfinite(geo.t_max):
+        horizon = 1.0
+    else:
+        horizon = args.frac_of_tmax * geo.t_max
+    if horizon >= geo.t_max:
+        raise BeyondBlowup(
+            f"requested horizon {horizon} reaches the blowup time {geo.t_max}; "
+            "only the squared density continues past it"
+        )
+    return horizon
 
 
 def _cmd_hs(args) -> dict:
@@ -257,11 +266,6 @@ def _cmd_hs(args) -> dict:
     geo = _make_hs(args, grid)
     _require_nontrivial(args, geo)
     horizon = _hs_horizon(args, geo)
-    if horizon >= geo.t_max:
-        raise BeyondBlowup(
-            f"requested horizon {horizon} reaches the blowup time {geo.t_max}; "
-            "only the squared density continues past it"
-        )
     ts = np.linspace(0.0, horizon, args.samples)
 
     def sample(t):
@@ -378,13 +382,14 @@ def _cmd_invariants(args) -> dict:
         count = invariants.default_truncation(grid)
     period = 2.0 * np.pi / geo.kappa
     ts = np.linspace(0.0, period, args.samples)
+    basis = invariants.fourier_basis(grid, count)
 
     def coords_at(t):
         # project the raw great-circle point: past blowup it changes sign,
         # which is fine on the sphere
         point = SpherePoint(hsflow.sphere_path(geo, float(t)), np.sqrt(geo.mass))
         fdot = hsflow.sphere_velocity(geo, float(t))
-        return invariants.project(point, fdot, count)
+        return invariants.project(point, fdot, basis)
 
     coords = [coords_at(t) for t in ts]
     h_series = np.array([invariants.angular_momenta(c) for c in coords])

@@ -1,6 +1,7 @@
 """Tiny arithmetic grammar for specifying fields on the command line.
 
-Supports numbers, pi, the coordinates x and y, the functions sin/cos/exp,
+Supports decimal numbers with an optional exponent (1, 2.5, .5, 1e-3,
+2.5E+2), pi, the coordinates x and y, the functions sin/cos/exp,
 the four arithmetic operators with usual precedence, parentheses, and unary
 minus.  Parsed once into a closure, then evaluated on grid coordinate
 arrays, keeping reproduction scripts self-contained without eval().
@@ -16,7 +17,8 @@ from .errors import ValidationError
 from .grid import PeriodicGrid
 
 _TOKEN = re.compile(
-    r"\s*(?:(?P<num>\d+\.\d*|\.\d+|\d+)|(?P<name>[A-Za-z_]\w*)|(?P<op>[()+\-*/]))"
+    r"\s*(?:(?P<num>(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?)"
+    r"|(?P<name>[A-Za-z_]\w*)|(?P<op>[()+\-*/]))"
 )
 
 _FUNCTIONS = {"sin": np.sin, "cos": np.cos, "exp": np.exp}

@@ -10,12 +10,12 @@ directions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .density import SpherePoint
-from .errors import InvalidGrid, NotTangent
+from .errors import GridMismatch, InvalidGrid, NotTangent
 from .grid import PeriodicGrid, ScalarField
 
 
@@ -66,7 +66,6 @@ class TruncatedSphereCoords:
     """Coordinates (q, p) of a sphere point and tangent vector in a finite
     orthonormal basis, with the truncation leak of each."""
 
-    basis: np.ndarray = field(repr=False)
     q: np.ndarray
     p: np.ndarray
     radius: float
@@ -78,30 +77,28 @@ class TruncatedSphereCoords:
         return len(self.q)
 
 
-def project(f: SpherePoint, fdot: ScalarField, count: int) -> TruncatedSphereCoords:
-    """Expand a sphere point and a tangent vector in the Fourier basis.
+def project(f: SpherePoint, fdot: ScalarField, basis: np.ndarray) -> TruncatedSphereCoords:
+    """Expand a sphere point and a tangent vector in an orthonormal basis of
+    node-value fields, such as ``fourier_basis`` built once for a series.
 
     Raises NotTangent unless ∫ f · fdot dμ vanishes (relative to the data
     scale); reports how much L² norm the truncation discards.
     """
     grid = f.grid
     grid.check_compatible(fdot.grid)
+    if basis.shape[1:] != grid.shape:
+        raise GridMismatch(f"basis fields of shape {basis.shape[1:]} on grid {grid.shape}")
     w = grid.node_weight
     norm_f = np.sqrt(w * np.sum(f.values**2))
     norm_fdot = np.sqrt(w * np.sum(fdot.values**2))
     pairing = w * np.sum(f.values * fdot.values)
     if abs(pairing) > 1e-8 * max(norm_f * norm_fdot, 1e-300):
         raise NotTangent(f"velocity is not tangent: <f, fdot> = {pairing!r}")
-    basis = fourier_basis(grid, count)
-    q = w * basis.reshape(count, -1) @ f.values.ravel()
-    p = w * basis.reshape(count, -1) @ fdot.values.ravel()
+    flat = basis.reshape(len(basis), -1)
+    q = w * flat @ f.values.ravel()
+    p = w * flat @ fdot.values.ravel()
     return TruncatedSphereCoords(
-        basis,
-        q,
-        p,
-        float(f.radius),
-        float(norm_f**2 - q @ q),
-        float(norm_fdot**2 - p @ p),
+        q, p, float(f.radius), float(norm_f**2 - q @ q), float(norm_fdot**2 - p @ p)
     )
 
 

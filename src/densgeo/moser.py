@@ -37,27 +37,18 @@ _FD_STENCIL = np.array([1.0, -8.0, 8.0, -1.0]) / 12.0
 _FD_OFFSETS = np.array([-2.0, -1.0, 1.0, 2.0])
 
 
-def _as_phi_callable(phi, t_grid, grid):
-    """Normalize the Jacobian input to callables t -> values, t -> d/dt values."""
-    if callable(phi):
-        def phi_at(t):
-            out = phi(t)
-            return out.values if isinstance(out, ScalarField) else np.asarray(out, float)
+def _as_phi_callable(phi):
+    """Normalize the Jacobian callable to t -> values, t -> d/dt values."""
 
-        def dphi_at(t, h=1e-4):
-            samples = np.stack([phi_at(t + off * h) for off in _FD_OFFSETS])
-            return np.tensordot(_FD_STENCIL, samples, axes=1) / h
+    def phi_at(t):
+        out = phi(t)
+        return out.values if isinstance(out, ScalarField) else np.asarray(out, float)
 
-        return phi_at, dphi_at
+    def dphi_at(t, h=1e-4):
+        samples = np.stack([phi_at(t + off * h) for off in _FD_OFFSETS])
+        return np.tensordot(_FD_STENCIL, samples, axes=1) / h
 
-    from scipy.interpolate import CubicSpline
-
-    series = np.stack(
-        [p.values if isinstance(p, ScalarField) else np.asarray(p, float) for p in phi]
-    )
-    spline = CubicSpline(np.asarray(t_grid, float), series, axis=0)
-    deriv = spline.derivative()
-    return (lambda t: spline(t)), (lambda t: deriv(t))
+    return phi_at, dphi_at
 
 
 def _validate_phi(grid: PeriodicGrid, values: np.ndarray, t: float) -> None:
@@ -116,9 +107,8 @@ def lift_flow(
 
     Parameters
     ----------
-    phi : callable or sequence
-        Prescribed Jacobian: a callable t -> values, or one field per entry
-        of ``t_grid`` (interpolated cubically in time).
+    phi : callable
+        Prescribed Jacobian: t -> node values (an array or a ScalarField).
     t_grid : array_like
         Increasing times at which the flow is returned; t_grid[0] = 0.
     dt : float
@@ -134,7 +124,7 @@ def lift_flow(
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid[0] != 0.0:
         raise ValueError("t_grid must start at 0")
-    phi_at, dphi_default = _as_phi_callable(phi, t_grid, grid)
+    phi_at, dphi_default = _as_phi_callable(phi)
     dphi_at = dphi if dphi is not None else dphi_default
 
     phi0 = phi_at(0.0)

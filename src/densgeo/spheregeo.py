@@ -39,10 +39,10 @@ def _check_pair(a: Density, b: Density) -> None:
 def bhattacharyya(a: Density, b: Density) -> float:
     """Normalized affinity (1/mass) ∫ sqrt(da/dμ · db/dμ) dμ, clamped to [-1, 1]."""
     _check_pair(a, b)
-    overlap = integrate(
-        ScalarField(a.grid, np.sqrt(np.clip(a.values, 0.0, None) * np.clip(b.values, 0.0, None)))
-    )
-    return float(np.clip(overlap / a.mass, -1.0, 1.0))
+    # on mass-normalized values, so the product neither under- nor overflows
+    unit_a, unit_b = (np.clip(d.values / a.mass, 0.0, None) for d in (a, b))
+    overlap = integrate(ScalarField(a.grid, np.sqrt(unit_a * unit_b)))
+    return float(np.clip(overlap, -1.0, 1.0))
 
 
 def spherical_distance(a: Density, b: Density) -> float:

@@ -41,6 +41,7 @@ from densgeo.invariants import (
     angular_momenta,
     chain_Hk,
     chain_Hproj,
+    fourier_basis,
     poisson_bracket_check,
     project,
 )
@@ -179,11 +180,12 @@ def test_05_integrability_chains():
     )
     count = 12
     times = np.linspace(0.0, 2 * np.pi / geo.kappa, 50)
+    basis = fourier_basis(grid, count)
     coords = [
         project(
             SpherePoint(sphere_path(geo, float(t)), np.sqrt(geo.mass)),
             sphere_velocity(geo, float(t)),
-            count,
+            basis,
         )
         for t in times
     ]

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from densgeo import _interp
+from densgeo import _interp, circle
 from densgeo.circle import (
     AlphaConnection,
     a_inverse,
@@ -15,7 +17,9 @@ from densgeo.errors import NonZeroMean, StepTooLarge, ValidationError
 from densgeo.grid import (
     PeriodicGrid,
     ScalarField,
+    dealiased_product,
     derivative,
+    fourier,
     integrate,
     random_band_limited,
 )
@@ -243,6 +247,60 @@ class TestClassicEquations:
         grid = PeriodicGrid(64)
         with pytest.raises(ValidationError):
             classic_1d_step("kdv", ScalarField.constant(grid, 0.0), 1e-3)
+
+
+def _reference_terms(equation, u):
+    """Each term of the right-hand side written from the grid operations,
+    one dealiased product at a time."""
+    grid = u.grid
+    ux = derivative(u)
+    advect = dealiased_product(u, ux).values
+    if equation == "burgers":
+        return [-3.0 * advect]
+    if equation == "camassa_holm":  # ∂ₓ(1-∂ₓ²)⁻¹ as one multiplier
+        pressure = dealiased_product(u, u).values + 0.5 * dealiased_product(ux, ux).values
+        return [-advect, -fourier(grid, pressure, grid.ik[0] / (1.0 + grid.k2))]
+    return [-advect, -AlphaConnection(equation).christoffel(u, u).values]
+
+
+def _rhs(equation, u):
+    if isinstance(equation, str):
+        multipliers = circle._VELOCITY_EQUATIONS[equation](u.grid)
+        return circle._transform_rhs(u, multipliers).values
+    return AlphaConnection(equation).geodesic_rhs(u).values
+
+
+class TestTransformRhs:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.sampled_from([16, 64, 512]),
+        equation=st.one_of(
+            st.floats(-2.0, 2.0), st.sampled_from([-1.0, 0.0, 1.0, "burgers", "camassa_holm"])
+        ),
+        degree=st.integers(1, 5),
+        amp=st.floats(1e-3, 1e3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_grid_reference(self, n, equation, degree, amp, seed):
+        grid = PeriodicGrid(n)
+        wave = random_band_limited(grid, degree, np.random.default_rng(seed)).values
+        u = ScalarField(grid, amp * (wave - wave[0]))
+        terms = _reference_terms(equation, u)
+        scale = max(float(np.max(np.abs(t))) for t in terms)
+        assert np.max(np.abs(_rhs(equation, u) - sum(terms))) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("equation", [0.0, 1.0, -1.0, "burgers", "camassa_holm"])
+    def test_four_fft_calls(self, monkeypatch, equation):
+        grid = PeriodicGrid(64)
+        u = ScalarField(grid, np.sin(2 * np.pi * grid.coordinate(0)))
+        calls = []
+        for name in ("fft", "ifft", "rfft", "irfft", "rfftn", "irfftn"):
+            real = getattr(np.fft, name)
+            monkeypatch.setattr(
+                np.fft, name, lambda *a, _f=real, _n=name, **k: calls.append(_n) or _f(*a, **k)
+            )
+        _rhs(equation, u)
+        assert calls == ["rfft", "irfft", "rfft", "irfft"]
 
 
 class TestDuality:

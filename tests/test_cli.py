@@ -37,6 +37,13 @@ class TestExpressionGrammar:
         fn = parse_expression("-2*-3")
         assert fn({}) == pytest.approx(6.0)
 
+    @pytest.mark.parametrize(
+        "text, value",
+        [("1e-3", 1e-3), ("2.5E+2", 250.0), (".5e1", 5.0), ("3.e0", 3.0), ("1+1e-3*2", 1.002)],
+    )
+    def test_numbers_with_exponent(self, text, value):
+        assert parse_expression(text)({}) == pytest.approx(value, rel=1e-15)
+
     def test_functions_and_pi(self):
         grid = PeriodicGrid(64)
         values = evaluate_on_grid("1 + 0.5*sin(2*pi*x)", grid)
@@ -279,13 +286,14 @@ class TestErrorHandling:
         assert doc["error"]["type"] == "StepTooLarge"
 
     def test_blowup_request_exits_1(self, capsys):
-        code, out = run_cli(
-            capsys, "hs", "--div-u0", "sin(2*pi*x)", "--grid", "64",
-            "--t-final", "5.0",
-        )
-        assert code == 1
-        doc = json.loads(out)
-        assert doc["error"]["type"] == "BeyondBlowup"
+        for argv in (
+            ("hs", "--div-u0", "sin(2*pi*x)", "--grid", "64", "--t-final", "5.0"),
+            ("moser-lift", "--div-u0", "sin(2*pi*x)", "--grid", "16", "--t-final", "100"),
+        ):
+            code, out = run_cli(capsys, *argv)
+            assert code == 1
+            doc = json.loads(out)
+            assert doc["error"]["type"] == "BeyondBlowup"
 
     def test_csv_output(self, capsys):
         code, out = run_cli(

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from densgeo.density import SpherePoint
-from densgeo.errors import NotTangent
+from densgeo.errors import GridMismatch, NotTangent
 from densgeo.grid import PeriodicGrid, ScalarField
 from densgeo.hsflow import HsGeodesic, sphere_path, sphere_velocity
 from densgeo.invariants import (
@@ -26,7 +26,7 @@ def rich_geodesic(n=256):
 
 def coords_at(geo, t, count):
     point = SpherePoint(sphere_path(geo, t), np.sqrt(geo.mass))
-    return project(point, sphere_velocity(geo, t), count)
+    return project(point, sphere_velocity(geo, t), fourier_basis(geo.grid, count))
 
 
 class TestBasis:
@@ -48,7 +48,7 @@ class TestProjection:
     def test_north_pole(self):
         grid = PeriodicGrid(64)
         point = SpherePoint(ScalarField.constant(grid, 1.0), 1.0)
-        c = project(point, ScalarField.constant(grid, 0.0), 9)
+        c = project(point, ScalarField.constant(grid, 0.0), fourier_basis(grid, 9))
         assert c.q[0] == pytest.approx(1.0, abs=1e-14)
         assert np.allclose(c.q[1:], 0.0, atol=1e-14)
         assert np.allclose(c.p, 0.0)
@@ -75,23 +75,29 @@ class TestProjection:
         assert c.position_leak <= 1e-10
         assert c.momentum_leak <= 1e-10
 
+    def test_basis_of_another_grid_rejected(self):
+        grid = PeriodicGrid(64)
+        point = SpherePoint(ScalarField.constant(grid, 1.0), 1.0)
+        with pytest.raises(GridMismatch):
+            project(point, ScalarField.constant(grid, 0.0), fourier_basis(PeriodicGrid(32), 5))
+
     def test_not_tangent_rejected(self):
         grid = PeriodicGrid(64)
         point = SpherePoint(ScalarField.constant(grid, 1.0), 1.0)
         with pytest.raises(NotTangent):
-            project(point, ScalarField.constant(grid, 1.0), 5)
+            project(point, ScalarField.constant(grid, 1.0), fourier_basis(grid, 5))
 
 
 class TestAngularMomenta:
     def test_zero_momentum(self):
-        c = TruncatedSphereCoords(np.eye(3), np.array([1.0, 0, 0]),
+        c = TruncatedSphereCoords(np.array([1.0, 0, 0]),
                                   np.zeros(3), 1.0, 0.0, 0.0)
         assert np.allclose(angular_momenta(c), 0.0)
 
     def test_single_pair(self):
         q = np.array([1.0, 0.0, 0.0])
         p = np.array([0.0, 0.7, 0.0])
-        c = TruncatedSphereCoords(np.eye(3), q, p, 1.0, 0.0, 0.0)
+        c = TruncatedSphereCoords(q, p, 1.0, 0.0, 0.0)
         h = angular_momenta(c)
         assert h[0, 1] == pytest.approx(-0.7)
         assert h[1, 0] == pytest.approx(0.7)
@@ -109,7 +115,7 @@ class TestAngularMomenta:
 
 class TestChains:
     def test_zero_momentum_gives_zeros(self):
-        c = TruncatedSphereCoords(np.eye(4), np.array([1.0, 0, 0, 0]),
+        c = TruncatedSphereCoords(np.array([1.0, 0, 0, 0]),
                                   np.zeros(4), 1.0, 0.0, 0.0)
         assert np.allclose(chain_Hk(c), 0.0)
         assert np.allclose(chain_Hproj(c), 0.0)
@@ -123,7 +129,7 @@ class TestChains:
     def test_lagrange_identity(self):
         rng = np.random.default_rng(15)
         q, p = rng.standard_normal(10), rng.standard_normal(10)
-        c = TruncatedSphereCoords(np.eye(10), q, p, 1.0, 0.0, 0.0)
+        c = TruncatedSphereCoords(q, p, 1.0, 0.0, 0.0)
         expected = (p @ p) * (q @ q) - (p @ q) ** 2
         assert chain_Hk(c)[-1] == pytest.approx(expected, abs=1e-10)
 
@@ -131,13 +137,13 @@ class TestChains:
         # same function evaluated two ways (double sum vs Lagrange product)
         rng = np.random.default_rng(16)
         q, p = rng.standard_normal(8), rng.standard_normal(8)
-        c = TruncatedSphereCoords(np.eye(8), q, p, 1.0, 0.0, 0.0)
+        c = TruncatedSphereCoords(q, p, 1.0, 0.0, 0.0)
         assert chain_Hproj(c)[0] == pytest.approx(chain_Hk(c)[-1], rel=1e-12)
 
     def test_nondecreasing(self):
         rng = np.random.default_rng(17)
         q, p = rng.standard_normal(9), rng.standard_normal(9)
-        c = TruncatedSphereCoords(np.eye(9), q, p, 1.0, 0.0, 0.0)
+        c = TruncatedSphereCoords(q, p, 1.0, 0.0, 0.0)
         values = chain_Hk(c)
         assert np.all(np.diff(values) >= -1e-15)
 
@@ -157,7 +163,7 @@ class TestRotationInvariance:
         rng = np.random.default_rng(19)
         count = 10
         q, p = rng.standard_normal(count), rng.standard_normal(count)
-        c = TruncatedSphereCoords(np.eye(count), q, p, 1.0, 0.0, 0.0)
+        c = TruncatedSphereCoords(q, p, 1.0, 0.0, 0.0)
         baseline = chain_Hk(c)
         for _ in range(10):
             i, j = sorted(rng.choice(count, size=2, replace=False))
@@ -167,7 +173,7 @@ class TestRotationInvariance:
             rot[i, j] = -np.sin(theta)
             rot[j, i] = np.sin(theta)
             rotated = TruncatedSphereCoords(
-                np.eye(count), rot @ q, rot @ p, 1.0, 0.0, 0.0
+                rot @ q, rot @ p, 1.0, 0.0, 0.0
             )
             changed = chain_Hk(rotated)
             # H_m depends only on the leading (m+1)-block: rotations inside

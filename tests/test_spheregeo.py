@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from densgeo.density import Density, sqrt_map, uniform_density
+from densgeo.density import Density, normalize, sqrt_map, uniform_density
 from densgeo.errors import GridMismatch, MassMismatch
 from densgeo.grid import (
     PeriodicGrid,
@@ -64,6 +66,31 @@ class TestBhattacharyya:
             bhattacharyya(
                 uniform_density(PeriodicGrid(64)), uniform_density(PeriodicGrid(128))
             )
+
+
+class TestMassScaling:
+    # a·b under- or overflows at these masses unless the pair is scaled first
+    @settings(max_examples=40, deadline=None)
+    @given(
+        log_mass=st.floats(-300.0, 300.0),
+        n=st.sampled_from([16, 64]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_scale_free(self, log_mass, n, seed):
+        grid = PeriodicGrid(n)
+        rng = np.random.default_rng(seed)
+        shapes = [random_positive_density(grid, rng).field for _ in range(2)]
+        mass = 10.0**log_mass
+        a, b = (normalize(f, mass) for f in shapes)
+        unit_a, unit_b = (normalize(f, 1.0) for f in shapes)
+        root = np.sqrt(mass)
+        assert bhattacharyya(a, b) == pytest.approx(bhattacharyya(unit_a, unit_b), abs=1e-14)
+        assert spherical_distance(a, b) / root == pytest.approx(
+            spherical_distance(unit_a, unit_b), abs=1e-12
+        )
+        assert hellinger_distance(a, b) / root == pytest.approx(
+            hellinger_distance(unit_a, unit_b), abs=1e-12
+        )
 
 
 class TestDistances:
