@@ -1,14 +1,15 @@
 """Off-grid evaluation of periodic fields.
 
-Two routes: exact trigonometric-interpolant evaluation (O(N) per point,
-used for one-shot oracles and Newton solves) and a fast path that zero-pads
-the real half spectrum onto a finer grid and evaluates a quintic B-spline
-there (used inside time-stepping loops).  On a periodic grid the spline's
-prefilter is a Fourier multiplier, applied to the padded spectrum, so a
-spline build is one real-FFT pair and scipy only evaluates the spline
-(``map_coordinates``).  Padding and the spline act on the trailing grid
-axes only, so one evaluator serves a (m, *shape) stack of fields sampled
-at the same points.
+Both routes evaluate the trigonometric interpolant from the real half
+spectrum that ``grid.fourier`` uses, with each axis's Nyquist coefficient
+split between ±N/2 so the interpolant is real, and both take one field
+(*shape) or a stack (m, *shape) sampled at the same points.  ``trig_eval``
+sums the spectrum exactly, O(N) per point and field (one-shot oracles and
+Newton solves).  ``SplineEvaluator`` zero-pads the spectrum onto a finer
+grid and evaluates a quintic B-spline there (inside time-stepping loops).
+On a periodic grid the spline's prefilter is a Fourier multiplier, applied
+to the padded spectrum, so a spline build is one real-FFT pair and scipy
+only evaluates the spline (``map_coordinates``).
 """
 
 from __future__ import annotations
@@ -92,19 +93,26 @@ class SplineEvaluator:
 
 
 def trig_eval(grid: PeriodicGrid, values: np.ndarray, *points: np.ndarray) -> np.ndarray:
-    """Evaluate the trigonometric interpolant exactly at arbitrary points."""
-    spec = np.fft.fftn(values) / values.size
+    """Evaluate the trigonometric interpolant of a field (*shape) or a stack
+    (m, *shape) exactly at arbitrary points (one array per axis), giving the
+    points' shape after the stack axis.  The half spectrum counts its
+    interior modes twice, for their conjugates, so the sum's real part is
+    the interpolant."""
+    spec = (np.fft.rfft(values) if grid.dim == 1 else np.fft.rfft2(values)) / grid.node_count
+    spec[..., 1 : grid.shape[-1] // 2] *= 2.0
     pts = [np.asarray(p, dtype=float) for p in points]
-    out_shape = np.broadcast(*pts).shape if grid.dim > 1 else pts[0].shape
-    flat = [np.broadcast_to(p, out_shape).ravel() for p in pts]
+    out_shape = np.broadcast(*pts).shape
+    phases = []  # e^{ikx}, (points, modes) per axis; the last axis keeps 0..N/2
+    for axis, (p, n, h) in enumerate(zip(pts, grid.shape, grid.spacings)):
+        k = np.fft.rfftfreq(n, d=h) if axis == grid.dim - 1 else np.fft.fftfreq(n, d=h)
+        e = np.exp(1j * np.outer(np.broadcast_to(p, out_shape), 2.0 * np.pi * k))
+        e[:, n // 2] = e[:, n // 2].real  # cos(πNx/L): the Nyquist split between ±N/2
+        phases.append(e)
     if grid.dim == 1:
-        phases = np.exp(1j * np.outer(flat[0], grid._k_full[0]))
-        result = phases @ spec
+        result = spec @ phases[0].T
     else:
-        ex = np.exp(1j * np.outer(flat[0], grid._k_full[0]))
-        ey = np.exp(1j * np.outer(flat[1], grid._k_full[1]))
-        result = np.einsum("pk,kl,pl->p", ex, spec, ey)
-    return result.real.reshape(out_shape)
+        result = np.sum((phases[0] @ spec) * phases[1], axis=-1)
+    return result.real.reshape(spec.shape[: -grid.dim] + out_shape)
 
 
 # below this node count exact trig evaluation is cheap; above it, a padded
@@ -113,8 +121,9 @@ EXACT_EVAL_LIMIT = 1024
 
 
 def field_evaluator(grid: PeriodicGrid, values: np.ndarray):
-    """Callable evaluating the trigonometric interpolant at scattered points."""
-    if values.size <= EXACT_EVAL_LIMIT:
+    """Callable evaluating the trigonometric interpolant of a field or a
+    stack (m, *shape) at scattered points, shaped as ``trig_eval``'s."""
+    if grid.node_count <= EXACT_EVAL_LIMIT:
         return lambda *pts: trig_eval(grid, values, *pts)
     return SplineEvaluator(grid, values, factor=FIELD_PAD_FACTOR)
 
@@ -138,9 +147,7 @@ def invert_monotone(
     n = grid.shape[0]
     x_nodes = grid.coordinate(0)
     w = eta_values - x_nodes
-    wprime = fourier(grid, w, grid.ik[0])
-    w_at = field_evaluator(grid, w)
-    wprime_at = field_evaluator(grid, wprime)
+    w_and_slope = field_evaluator(grid, np.array([w, fourier(grid, w, grid.ik[0])]))
 
     # monotone piecewise-linear inverse on a refined grid for the first guess
     refine = 8
@@ -156,8 +163,9 @@ def invert_monotone(
     max_step = length / n
     prev = np.inf
     for _ in range(max_iter):
-        residual = x + w_at(x) - y
-        slope = 1.0 + wprime_at(x)
+        w_x, wprime_x = w_and_slope(x)
+        residual = x + w_x - y
+        slope = 1.0 + wprime_x
         step = np.clip(residual / slope, -max_step, max_step)
         x = x - step
         worst = np.max(np.abs(step))
@@ -165,7 +173,7 @@ def invert_monotone(
             break  # converged, or stalled on the roundoff plateau
         prev = worst
     else:
-        final = np.max(np.abs(x + w_at(x) - y))
+        final = np.max(np.abs(x + w_and_slope(x)[0] - y))
         if final > 1e-9 * length:
             raise InversionDiverged(
                 f"monotone inversion stalled with residual {final:.3e}"

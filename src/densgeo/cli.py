@@ -7,7 +7,10 @@ Floating-point values are serialized with 17 significant digits, so
 identical inputs and --seed produce byte-identical output.  Validation
 failures, argument-parsing rejections included, exit 2 with an error object;
 numerical failures exit 1, and so does a NaN or infinite result
-(NonFiniteResult), so the output is strict JSON.
+(NonFiniteResult), so the output is strict JSON.  Sizes are bounded before
+any array is built (``MAX_GRID``, ``MAX_NODES``, ``MAX_SAMPLES``,
+``MAX_TRUNCATION``; exit 2), and any other exception becomes an
+InternalError object (exit 1), its traceback on stderr.
 """
 
 from __future__ import annotations
@@ -16,12 +19,13 @@ import argparse
 import json
 import math
 import sys
+import traceback
 
 import numpy as np
 
 from . import circle, hsflow, invariants, moser, simplex, spheregeo
 from .density import Density, SpherePoint, normalize, uniform_density
-from .errors import BeyondBlowup, DensgeoError, NonFiniteResult, ValidationError
+from .errors import BeyondBlowup, DensgeoError, InternalError, NonFiniteResult, ValidationError
 from .exprparse import evaluate_on_grid
 from .grid import (
     PeriodicGrid,
@@ -225,10 +229,39 @@ def _require_nontrivial(args, geo: hsflow.HsGeodesic) -> None:
         raise ValidationError(f"{args.command} needs a non-trivial initial divergence")
 
 
+# size bounds, checked before any array is built
+MAX_GRID = 65536  # --grid, nodes per axis
+MAX_NODES = 2**18  # --grid, nodes in all (512² on the torus)
+MAX_SAMPLES = 1000  # --samples and the --t-range count
+MAX_TRUNCATION = 128  # --truncation
+
+
+def _t_range(text: str) -> np.ndarray:
+    """The times of --t-range lo,hi,count."""
+    try:
+        lo, hi, count = text.split(",")
+        lo, hi, count = float(lo), float(hi), int(count)
+    except ValueError:
+        count = 0
+    ts = np.linspace(lo, hi, count) if 1 <= count <= MAX_SAMPLES else np.array([])
+    if ts.size == 0 or not np.all(np.isfinite(ts)):
+        raise ValidationError(
+            f"--t-range must be lo,hi,count: finite bounds, 1 <= count <= {MAX_SAMPLES}"
+        )
+    return ts
+
+
 def _check_ranges(args) -> None:
-    """Reject sample counts, horizons and steps outside their domains."""
-    if getattr(args, "samples", 1) < 1:
-        raise ValidationError("--samples must be at least 1")
+    """Reject sizes, sample counts, horizons and steps outside their domains."""
+    grid = getattr(args, "grid", None)
+    if grid is not None and (grid > MAX_GRID or grid**args.dim > MAX_NODES):
+        raise ValidationError(
+            f"--grid must be at most {MAX_GRID} per axis and {MAX_NODES} nodes in all"
+        )
+    if not 1 <= getattr(args, "samples", 1) <= MAX_SAMPLES:
+        raise ValidationError(f"--samples must be between 1 and {MAX_SAMPLES}")
+    if getattr(args, "t_range", None):
+        _t_range(args.t_range)
     t_final = getattr(args, "t_final", None)
     if t_final is not None and not 0.0 <= t_final < np.inf:
         raise ValidationError("--t-final must be finite and non-negative")
@@ -240,8 +273,9 @@ def _check_ranges(args) -> None:
         if not np.isfinite(getattr(args, name, 0.0)):
             raise ValidationError(f"--{name} must be finite")
     # the drift table needs at least one chain element, i.e. two modes
-    if getattr(args, "truncation", None) is not None and args.truncation < 2:
-        raise ValidationError("--truncation must be at least 2")
+    truncation = getattr(args, "truncation", None)
+    if truncation is not None and not 2 <= truncation <= MAX_TRUNCATION:
+        raise ValidationError(f"--truncation must be between 2 and {MAX_TRUNCATION}")
 
 
 def _hs_horizon(args, geo) -> float:
@@ -418,16 +452,7 @@ def _cmd_invariants(args) -> dict:
 
 
 def _cmd_simplex_demo(args) -> dict:
-    if args.t_range:
-        try:
-            lo, hi, n = args.t_range.split(",")
-            ts = np.linspace(float(lo), float(hi), int(n))
-        except ValueError:
-            ts = np.array([])
-        if ts.size == 0 or not np.all(np.isfinite(ts)):
-            raise ValidationError("--t-range must be lo,hi,count: finite bounds, count >= 1")
-    else:
-        ts = np.array([args.t])
+    ts = _t_range(args.t_range) if args.t_range else np.array([args.t])
     series = []
     for t in ts:
         point = simplex.geodesic_probs(float(t))
@@ -569,7 +594,10 @@ def main(argv=None) -> int:
         with np.errstate(all="ignore"):
             _check_ranges(args)
             _emit(args.func(args), args)
-    except DensgeoError as exc:
+    except Exception as exc:  # the last resort still writes an error object
+        if not isinstance(exc, DensgeoError):
+            traceback.print_exc(file=sys.stderr)
+            exc = InternalError(f"{type(exc).__name__}: {exc}")
         error = {
             "error": {
                 "type": type(exc).__name__,

@@ -82,3 +82,7 @@ class InversionDiverged(NumericalError):
 
 class NonFiniteResult(NumericalError):
     """A result to be reported is NaN or infinite."""
+
+
+class InternalError(DensgeoError):
+    """An unforeseen failure, reported by the CLI's last-resort handler."""

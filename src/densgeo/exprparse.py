@@ -5,11 +5,17 @@ Supports decimal numbers with an optional exponent (1, 2.5, .5, 1e-3,
 the four arithmetic operators with usual precedence, parentheses, and unary
 minus.  Parsed once into a closure, then evaluated on grid coordinate
 arrays, keeping reproduction scripts self-contained without eval().
+
+An expression has at most MAX_LENGTH characters and nests parentheses
+(calls included) at most MAX_DEPTH deep, or it is rejected with
+ValidationError.  Unary signs and operator runs are read in loops, so only
+parentheses recurse, far inside Python's recursion limit.
 """
 
 from __future__ import annotations
 
 import re
+from functools import reduce
 
 import numpy as np
 
@@ -24,10 +30,14 @@ _TOKEN = re.compile(
 _FUNCTIONS = {"sin": np.sin, "cos": np.cos, "exp": np.exp}
 _BINARY = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide}
 _CONSTANTS = {"pi": np.pi}
+MAX_LENGTH = 1000
+MAX_DEPTH = 32
 
 
 def _tokenize(text: str):
-    pos = 0
+    if len(text) > MAX_LENGTH:
+        raise ValidationError(f"expression longer than {MAX_LENGTH} characters")
+    pos = depth = 0
     tokens = []
     while pos < len(text):
         match = _TOKEN.match(text, pos)
@@ -36,6 +46,9 @@ def _tokenize(text: str):
         pos = match.end()
         kind = match.lastgroup
         tokens.append((kind, float(match.group(kind)) if kind == "num" else match.group(kind)))
+        depth += {"(": 1, ")": -1}.get(match.group("op"), 0)
+        if depth > MAX_DEPTH:
+            raise ValidationError(f"expression nests parentheses deeper than {MAX_DEPTH}")
     tokens.append(("end", None))
     return tokens
 
@@ -65,24 +78,21 @@ class _Parser:
         return self.chain(self.factor, "*/")
 
     def chain(self, operand, ops):
-        """Left-associative run of the binary operators in ``ops``; numpy
-        ufuncs, so 1/0 gives inf (rejected by callers) even on constants."""
-        node = operand()
+        """Left-associative run of the binary operators in ``ops``, folded in
+        a loop rather than nested closures; numpy ufuncs, so 1/0 gives inf
+        (rejected by callers) even on constants."""
+        first, rest = operand(), []
         while self.peek()[0] == "op" and self.peek()[1] in ops:
-            fn = _BINARY[self.next()[1]]
-            node = (lambda f, l, r: lambda env: f(l(env), r(env)))(fn, node, operand())
-        return node
+            rest.append((_BINARY[self.next()[1]], operand()))
+        return lambda env: reduce(lambda acc, op: op[0](acc, op[1](env)), rest, first(env))
 
     def factor(self):
-        kind, value = self.peek()
-        if (kind, value) == ("op", "-"):
-            self.next()
-            inner = self.factor()
-            return lambda env: -inner(env)
-        if (kind, value) == ("op", "+"):
-            self.next()
-            return self.factor()
-        return self.atom()
+        """Unary signs, read in a loop: an odd count of minus signs negates."""
+        negate = False
+        while self.peek() in (("op", "-"), ("op", "+")):
+            negate ^= self.next()[1] == "-"
+        node = self.atom()
+        return (lambda env: -node(env)) if negate else node
 
     def atom(self):
         kind, value = self.next()

@@ -42,8 +42,9 @@ class PeriodicGrid:
     The read-only array ``identity`` of shape (dim, *shape) holds the node
     coordinates, i.e. the identity map sampled at the nodes.  The Fourier
     multipliers ``ik`` (dim, *half), ``k2``, ``inv_laplacian`` and
-    ``dealias_mask`` live on the real FFT's half spectrum and are applied
-    with ``fourier``.
+    ``dealias_mask`` live on the real FFT's half spectrum, the only
+    spectrum the package uses (``_interp`` evaluates off-grid from it too),
+    and are applied with ``fourier``.
     """
 
     def __init__(self, points_per_axis, lengths=1.0):
@@ -69,16 +70,12 @@ class PeriodicGrid:
         self.identity = np.array(np.meshgrid(*axes, indexing="ij"))
         self.identity.flags.writeable = False
 
-        # full wavenumbers (exact trigonometric evaluation), and the real
-        # FFT's half spectrum: the last axis keeps the modes 0..N/2
-        self._k_full = tuple(
-            2.0 * np.pi * np.fft.fftfreq(n, d=h)
-            for n, h in zip(self.shape, self.spacings)
-        )
-        half = self._k_full[:-1] + (
-            2.0 * np.pi * np.fft.rfftfreq(self.shape[-1], d=self.spacings[-1]),
-        )
-        k = np.array(np.meshgrid(*half, indexing="ij"))
+        # wavenumbers of the real FFT's half spectrum: the last axis keeps
+        # the modes 0..N/2, the others all N modes in FFT order
+        waves = [2.0 * np.pi * np.fft.fftfreq(n, d=h)
+                 for n, h in zip(self.shape[:-1], self.spacings[:-1])]
+        waves.append(2.0 * np.pi * np.fft.rfftfreq(self.shape[-1], d=self.spacings[-1]))
+        k = np.array(np.meshgrid(*waves, indexing="ij"))
         # half-spectrum multipliers: |k|², Δ⁻¹ (0 on the zero mode), the
         # 2/3-rule dealias mask, and ik with the Nyquist mode of each axis
         # zeroed (odd there for even N)

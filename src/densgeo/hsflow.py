@@ -100,15 +100,14 @@ def _refined_minimum(rho0: ScalarField) -> float:
     grid_min = float(values[idx])
     x0 = grid.identity[(slice(None),) + idx]
 
-    firsts = [derivative(rho0, a) for a in range(grid.dim)]
-    g_vec = np.array(
-        [_interp.trig_eval(grid, d.values, *x0) for d in firsts]
-    ).reshape(grid.dim)
-    hess = np.empty((grid.dim, grid.dim))
-    for a in range(grid.dim):
-        for b in range(a, grid.dim):
-            second = derivative(firsts[a], b)
-            hess[a, b] = hess[b, a] = _interp.trig_eval(grid, second.values, *x0)
+    firsts = gradient_values(grid, values)
+    seconds = gradient_values(grid, firsts)  # [a, b] = ∂_b ∂_a ρ0
+    at_x0 = _interp.trig_eval(
+        grid, np.concatenate([firsts, seconds.reshape((-1,) + grid.shape)]), *x0
+    )
+    g_vec = at_x0[: grid.dim]
+    upper = np.triu(at_x0[grid.dim :].reshape(grid.dim, grid.dim))
+    hess = upper + np.triu(upper, 1).T
     try:
         step = np.linalg.solve(hess, -g_vec)
     except np.linalg.LinAlgError:
@@ -231,8 +230,12 @@ def eulerian_velocity(g: HsGeodesic, t: float) -> ScalarField:
     """Transport velocity of the anchored gauge: the primitive of ρ(t, ·)
     vanishing at x = 0 (it differs from the mean-zero gradient representative
     by a time-dependent rigid rotation)."""
-    rho = eulerian_rho(g, t).values
-    return ScalarField(g.grid, periodic_primitive(g.grid, rho - np.mean(rho)))
+    return _anchored_velocity(eulerian_rho(g, t))
+
+
+def _anchored_velocity(rho: ScalarField) -> ScalarField:
+    values = rho.values
+    return ScalarField(rho.grid, periodic_primitive(rho.grid, values - np.mean(values)))
 
 
 def equation_residual(g: HsGeodesic, t: float, dt_fd: float = 1e-5) -> float:
@@ -242,7 +245,7 @@ def equation_residual(g: HsGeodesic, t: float, dt_fd: float = 1e-5) -> float:
     rho_0 = eulerian_rho(g, t)
     rho_p = eulerian_rho(g, t + dt_fd)
     rho_t = (rho_p.values - rho_m.values) / (2.0 * dt_fd)
-    u = eulerian_velocity(g, t)
+    u = _anchored_velocity(rho_0)
     rho_x = derivative(rho_0).values
     const = energy(rho_0) / (2.0 * g.mass)
     residual = rho_t + u.values * rho_x + 0.5 * rho_0.values**2 + const

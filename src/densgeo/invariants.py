@@ -113,14 +113,9 @@ def chain_Hk(c: TruncatedSphereCoords) -> np.ndarray:
     The top element equals |p|²|q|² - (p·q)² (Lagrange identity), which on
     the sphere with tangent p reduces to |p|² r².
     """
-    h = angular_momenta(c)
-    sq = h**2
-    out = np.empty(c.size - 1)
-    total = 0.0
-    for m in range(1, c.size):
-        total += float(np.sum(sq[:m, m]))  # new column entries i < m
-        out[m - 1] = total
-    return out
+    # H_m adds column m of the strict upper triangle: the entries i < m
+    columns = np.sum(np.triu(angular_momenta(c) ** 2, 1), axis=0)
+    return np.cumsum(columns[1:])
 
 
 def chain_Hproj(c: TruncatedSphereCoords) -> np.ndarray:
@@ -130,12 +125,11 @@ def chain_Hproj(c: TruncatedSphereCoords) -> np.ndarray:
     projections orthogonal to the first k basis directions; H^(0) equals
     the top element of chain_Hk.
     """
-    out = np.empty(c.size - 1)
-    for k in range(c.size - 1):
-        pk = c.p[k:]
-        qk = c.q[k:]
-        out[k] = (pk @ pk) * (qk @ qk) - (pk @ qk) ** 2
-    return out
+    def tail_sums(v):  # Σ_{i>=k} v_i for k = 0..K-2
+        return np.cumsum(v[::-1])[:0:-1]
+
+    pp, qq, pq = tail_sums(c.p**2), tail_sums(c.q**2), tail_sums(c.p * c.q)
+    return pp * qq - pq**2
 
 
 def _bracket(grad_a, grad_b) -> float:

@@ -271,7 +271,7 @@ def _rhs(equation, u):
 
 
 class TestTransformRhs:
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(
         n=st.sampled_from([16, 64, 512]),
         equation=st.one_of(

@@ -2,7 +2,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from densgeo import cli
 from densgeo.cli import dumps, main
 from densgeo.exprparse import evaluate_on_grid, parse_expression
 from densgeo.errors import NonFiniteResult, ValidationError
@@ -58,6 +61,55 @@ class TestExpressionGrammar:
     def test_rejects_unknown_names(self):
         with pytest.raises(ValidationError):
             parse_expression("__import__(1)")
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "1+0*" + "(" * 200 + "1" + ")" * 200,
+            "1+0*" + "-" * 1500 + "1",
+            "+".join(["1"] * 3000),
+        ],
+        ids=["200-parentheses", "1500-unary-minus", "3000-terms"],
+    )
+    def test_deep_expression_exits_2(self, capsys, text):
+        code, out = run_cli(capsys, "dist", "--a", "uniform", "--b", text, "--grid", "16")
+        assert code == 2
+        assert strict_error(out)["type"] == "ValidationError"
+
+    def test_nesting_and_length_bounds(self):
+        from densgeo.exprparse import MAX_DEPTH, MAX_LENGTH
+
+        assert parse_expression("(" * MAX_DEPTH + "2" + ")" * MAX_DEPTH)({}) == 2.0
+        assert parse_expression("sin(" * MAX_DEPTH + "0" + ")" * MAX_DEPTH)({}) == 0.0
+        with pytest.raises(ValidationError):
+            parse_expression("sin(" * (MAX_DEPTH + 1) + "0" + ")" * (MAX_DEPTH + 1))
+        # unary signs and operator runs do not nest
+        assert parse_expression("-" * (MAX_LENGTH - 2) + "2")({}) == 2.0
+        long_sum = "+".join(["1"] * (MAX_LENGTH // 2))
+        assert parse_expression(long_sum)({}) == MAX_LENGTH // 2
+        with pytest.raises(ValidationError):
+            parse_expression(long_sum + "+1")
+
+    @settings(max_examples=300)
+    @given(
+        st.lists(
+            st.sampled_from(
+                ["0", "1", "2.5", ".5", "3.", "1e-3", "e", "E", "x", "y", "pi", "sin",
+                 "cos", "exp", "+", "-", "*", "/", "(", ")", " ", "."]
+            ),
+            max_size=60,
+        ).map("".join)
+        | st.text(alphabet="0123456789.eExypisncoxp+-*/() ", max_size=60)
+    )
+    def test_fuzz_parses_or_rejects(self, text):
+        """Every string over the grammar's alphabet either evaluates or
+        raises ValidationError."""
+        grid = PeriodicGrid((8, 8))
+        try:
+            values = evaluate_on_grid(text, grid)
+        except ValidationError:
+            return
+        assert values.shape == grid.shape
 
     def test_rejects_y_in_1d(self):
         with pytest.raises(ValidationError):
@@ -251,6 +303,33 @@ class TestErrorHandling:
         error = strict_error(out)
         assert error["type"] == "ValidationError"
         assert error["exit_code"] == 2 and error["message"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("dist", "--a", "uniform", "--b", "uniform", "--grid", "4294967296"),
+            ("dist", "--a", "uniform", "--b", "uniform", "--grid", "1024", "--dim", "2"),
+            ("hs", "--div-u0", "sin(2*pi*x)", "--samples", "1000000000"),
+            ("simplex-demo", "--t-range", "0,1,1000000000"),
+            ("invariants", "--div-u0", "sin(2*pi*x)", "--truncation", "1000000000"),
+        ],
+        ids=["grid-axis", "grid-nodes", "samples", "t-range-count", "truncation"],
+    )
+    def test_size_bounds_exit_2(self, capsys, argv):
+        code, out = run_cli(capsys, *argv)
+        assert code == 2
+        assert strict_error(out)["type"] == "ValidationError"
+
+    def test_unforeseen_exception_exits_1_with_error_object(self, capsys, monkeypatch):
+        def broken(args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "_cmd_dist", broken)
+        code, out = run_cli(capsys, "dist", "--a", "uniform", "--b", "uniform", "--grid", "16")
+        assert code == 1
+        error = strict_error(out)
+        assert error == {"type": "InternalError", "message": "RuntimeError: boom",
+                         "exit_code": 1}
 
     @pytest.mark.parametrize("argv", [("--help",), ("dist", "--help")])
     def test_help_exits_0(self, capsys, argv):

@@ -132,7 +132,7 @@ class TestValidation:
 
 
 class TestPeriodicPrimitive:
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(
         values=hnp.arrays(
             float, st.sampled_from([8, 16, 64]), elements=st.floats(-1.0, 1.0)
@@ -189,7 +189,7 @@ def _assert_close(actual, reference):
 class TestRealFFTLayer:
     """The half-spectrum multipliers against complex-FFT references."""
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(
         shape=st.sampled_from([(8,), (16,), (64,), (16, 24), (24, 16), (8, 32)]),
         lengths=st.tuples(st.floats(0.5, 4.0), st.floats(0.5, 4.0)),

@@ -7,6 +7,7 @@ from densgeo.grid import (
     PeriodicGrid,
     ScalarField,
     VectorField,
+    derivative,
     divergence,
     integrate,
 )
@@ -234,6 +235,29 @@ class TestEulerianReconstruction:
     def test_equation_residual_resolved(self):
         geo = sin_geodesic(256)
         assert equation_residual(geo, 0.5 * geo.t_max) <= 1e-6
+
+    def test_equation_residual_inverts_once_per_time(self, monkeypatch):
+        from densgeo import _interp, hsflow
+
+        geo = sin_geodesic(64)
+        t = 0.5 * geo.t_max
+        # the residual as defined: the anchored velocity from its own ρ(t)
+        rho_m, rho_0, rho_p = (eulerian_rho(geo, s).values for s in (t - 1e-5, t, t + 1e-5))
+        u = hsflow.eulerian_velocity(geo, t).values
+        rho_x = derivative(ScalarField(geo.grid, rho_0)).values
+        const = energy(ScalarField(geo.grid, rho_0)) / (2.0 * geo.mass)
+        expected = np.max(np.abs((rho_p - rho_m) / 2e-5 + u * rho_x + 0.5 * rho_0**2 + const))
+
+        calls = []
+        original = _interp.invert_monotone
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(_interp, "invert_monotone", counting)
+        assert equation_residual(geo, t) == expected
+        assert len(calls) == 3
 
     def test_equation_residual_near_blowup(self):
         # at 0.8·t_max the Eulerian profile compresses to a few cells of a

@@ -1,0 +1,96 @@
+"""Exact off-grid evaluation on the real half spectrum."""
+
+import numpy as np
+import pytest
+
+from densgeo import _interp, hsflow
+from densgeo.grid import PeriodicGrid, ScalarField, random_band_limited
+
+# lengths whose factor-4 fine nodes are exact floats, so the comparison with
+# pad_values measures the evaluator and not the rounding of the points
+CASES = [((8,), 2.5), ((64,), 2.5), ((512,), 2.5),
+         ((16, 24), (1.5, 0.75)), ((24, 16), (1.5, 0.75)), ((32, 32), (2.0, 3.0))]
+
+
+def complex_fft_eval(grid, values, x):
+    """The full-spectrum formula trig_eval used before, one field, 1-D."""
+    spec = np.fft.fftn(values) / values.size
+    k = 2.0 * np.pi * np.fft.fftfreq(grid.shape[0], d=grid.spacings[0])
+    return (np.exp(1j * np.outer(x.ravel(), k)) @ spec).real.reshape(x.shape)
+
+
+def fine_nodes(grid, factor):
+    axes = [np.arange(n * factor) * (h / factor) for n, h in zip(grid.shape, grid.spacings)]
+    return np.meshgrid(*axes, indexing="ij")
+
+
+@pytest.mark.parametrize("shape, lengths", CASES)
+@pytest.mark.parametrize("stack", [None, 3])
+def test_matches_padding_at_fine_nodes(shape, lengths, stack):
+    grid = PeriodicGrid(shape, lengths)
+    # white noise: every mode, the Nyquist modes included, carries content
+    values = np.random.default_rng(7).standard_normal(
+        grid.shape if stack is None else (stack,) + grid.shape
+    )
+    padded = _interp.pad_values(grid, values, 4)
+    exact = _interp.trig_eval(grid, values, *fine_nodes(grid, 4))
+    assert exact.shape == padded.shape
+    assert np.max(np.abs(exact - padded)) <= 1e-13 * np.max(np.abs(padded))
+
+
+@pytest.mark.parametrize("shape, lengths", CASES)
+def test_stack_rows_equal_single_fields(shape, lengths):
+    grid = PeriodicGrid(shape, lengths)
+    rng = np.random.default_rng(11)
+    values = rng.standard_normal((3,) + grid.shape)
+    points = [rng.uniform(-L, 2.0 * L, (5, 7)) for L in grid.lengths]
+    stacked = _interp.trig_eval(grid, values, *points)
+    assert stacked.shape == (3, 5, 7)
+    for row, field in zip(stacked, values):
+        single = _interp.trig_eval(grid, field, *points)
+        assert np.max(np.abs(row - single)) <= 1e-14 * np.max(np.abs(single))
+
+
+@pytest.mark.parametrize("n", [8, 64, 512])
+def test_one_dimensional_matches_complex_fft_formula(n):
+    grid = PeriodicGrid(n, 2.5)
+    rng = np.random.default_rng(n)
+    values = rng.standard_normal((3, n))
+    x = rng.uniform(-2.5, 5.0, (4, 25))
+    stacked = _interp.trig_eval(grid, values, x)
+    for row, field in zip(stacked, values):
+        reference = complex_fft_eval(grid, field, x)
+        assert np.max(np.abs(row - reference)) <= 1e-14 * np.max(np.abs(reference))
+
+
+def test_invert_monotone_builds_one_evaluator(monkeypatch):
+    grid = PeriodicGrid(64)
+    w = 0.02 * random_band_limited(grid, 3, np.random.default_rng(3)).values
+    built = []
+    original = _interp.field_evaluator
+
+    def counting(g, values):
+        built.append(values.shape)
+        return original(g, values)
+
+    monkeypatch.setattr(_interp, "field_evaluator", counting)
+    x = _interp.invert_monotone(grid, grid.coordinate(0) + w, grid.coordinate(0))
+    assert built == [(2, 64)]
+    assert np.max(np.abs(x + _interp.trig_eval(grid, w, x) - grid.coordinate(0))) < 1e-14
+
+
+@pytest.mark.parametrize("shape", [(64,), (16, 24)])
+def test_refined_minimum_makes_two_exact_evaluations(monkeypatch, shape):
+    grid = PeriodicGrid(shape)
+    rho0 = random_band_limited(grid, 3, np.random.default_rng(5))
+    calls = []
+    original = _interp.trig_eval
+
+    def counting(g, values, *points):
+        calls.append(values.shape)
+        return original(g, values, *points)
+
+    monkeypatch.setattr(_interp, "trig_eval", counting)
+    hsflow._refined_minimum(ScalarField(grid, rho0.values))
+    d = grid.dim
+    assert calls == [(d + d * d,) + grid.shape, grid.shape]

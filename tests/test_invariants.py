@@ -158,6 +158,43 @@ class TestChains:
             assert np.max(np.abs(chain_Hproj(c)[:7] - ref_p[:7])) <= 1e-9
 
 
+def loop_Hk(c):
+    """H_m summed entry by entry, as the chain is defined."""
+    h = angular_momenta(c)
+    out, total = [], 0.0
+    for m in range(1, c.size):
+        total += sum(h[i, m] ** 2 for i in range(m))
+        out.append(total)
+    return np.array(out)
+
+
+def loop_Hproj(c):
+    """H^(k) from the projected vectors, and the scale |p^(k)|²|q^(k)|² of
+    the two terms that cancel in it."""
+    values, scales = [], []
+    for k in range(c.size - 1):
+        pk, qk = c.p[k:], c.q[k:]
+        values.append((pk @ pk) * (qk @ qk) - (pk @ qk) ** 2)
+        scales.append((pk @ pk) * (qk @ qk))
+    return np.array(values), np.array(scales)
+
+
+@pytest.mark.parametrize("size", [2, 3, 33])
+@pytest.mark.parametrize("seed", range(5))
+def test_chains_match_loop_definitions(size, seed):
+    rng = np.random.default_rng([size, seed])
+    c = TruncatedSphereCoords(rng.standard_normal(size), rng.standard_normal(size), 1.0, 0.0, 0.0)
+    hk = chain_Hk(c)
+    reference = loop_Hk(c)
+    assert hk.shape == reference.shape
+    assert np.all(np.abs(hk - reference) <= 1e-12 * reference)
+    hp = chain_Hproj(c)
+    reference, scale = loop_Hproj(c)
+    assert hp.shape == reference.shape
+    # relative to the cancelling terms: H^(k) itself can be far smaller
+    assert np.all(np.abs(hp - reference) <= 1e-12 * scale)
+
+
 class TestRotationInvariance:
     def test_leading_blocks_unchanged(self):
         rng = np.random.default_rng(19)

@@ -203,7 +203,7 @@ class TestInversion:
     # near identity: a displacement of degree k with sup at most
     # 0.05 min(L) / k, so each entry of its gradient stays below about 0.45
     # and the damped fixed point contracts
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=25)
     @given(
         shape=st.sampled_from([(32, 32), (24, 16), (16, 24)]),
         lengths=st.tuples(st.floats(0.5, 4.0), st.floats(0.5, 4.0)),
@@ -220,7 +220,7 @@ class TestInversion:
         round_trip = compose_maps(grid, eta, invert_map(grid, eta))
         assert np.max(np.abs(round_trip - grid.identity)) <= 1e-10
 
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=20)
     @given(
         length=st.floats(0.5, 4.0),
         degree=st.integers(1, 16),
@@ -348,7 +348,7 @@ class TestGridAdvection:
 
     # degree 2 keeps the transport map resolved to 1e-8 on 48²; from degree
     # 3 at amplitude 0.2 the residual floor is set by the grid, not by dt
-    @settings(max_examples=15, deadline=None)
+    @settings(max_examples=15)
     @given(
         seed=st.integers(0, 2**32 - 1),
         degree=st.integers(1, 2),

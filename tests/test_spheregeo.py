@@ -70,7 +70,7 @@ class TestBhattacharyya:
 
 class TestMassScaling:
     # a·b under- or overflows at these masses unless the pair is scaled first
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(
         log_mass=st.floats(-300.0, 300.0),
         n=st.sampled_from([16, 64]),
