@@ -26,6 +26,9 @@ from .grid import PeriodicGrid, fourier
 # for one-shot evaluation of a field above EXACT_EVAL_LIMIT nodes
 PAD_FACTOR = 4
 FIELD_PAD_FACTOR = 8
+# invert_monotone stops when a Newton step is below NEWTON_TOL periods
+NEWTON_TOL = 1e-15
+NEWTON_MAX_ITER = 60
 
 
 def pad_values(grid: PeriodicGrid, values: np.ndarray, factor: int, prefilter=False) -> np.ndarray:
@@ -128,13 +131,7 @@ def field_evaluator(grid: PeriodicGrid, values: np.ndarray):
     return SplineEvaluator(grid, values, factor=FIELD_PAD_FACTOR)
 
 
-def invert_monotone(
-    grid: PeriodicGrid,
-    eta_values: np.ndarray,
-    targets: np.ndarray,
-    tol: float = 1e-15,
-    max_iter: int = 60,
-) -> np.ndarray:
+def invert_monotone(grid: PeriodicGrid, eta_values: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """Solve eta(x) = y for an increasing circle map eta(x) = x + w(x).
 
     Safeguarded Newton on the trigonometric interpolant of the periodic
@@ -162,14 +159,14 @@ def invert_monotone(
 
     max_step = length / n
     prev = np.inf
-    for _ in range(max_iter):
+    for _ in range(NEWTON_MAX_ITER):
         w_x, wprime_x = w_and_slope(x)
         residual = x + w_x - y
         slope = 1.0 + wprime_x
         step = np.clip(residual / slope, -max_step, max_step)
         x = x - step
         worst = np.max(np.abs(step))
-        if worst < tol * length or (worst < 1e-10 * length and worst >= 0.5 * prev):
+        if worst < NEWTON_TOL * length or (worst < 1e-10 * length and worst >= 0.5 * prev):
             break  # converged, or stalled on the roundoff plateau
         prev = worst
     else:

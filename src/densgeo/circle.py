@@ -152,10 +152,14 @@ def alpha_one_explicit(u0: ScalarField, t: float) -> tuple[ScalarField, np.ndarr
     return ScalarField(grid, u_values), eta
 
 
-def alpha_one_residual(u0: ScalarField, t: float, dt_fd: float = 1e-4) -> float:
+ALPHA_ONE_DT_FD = 1e-4
+
+
+def alpha_one_residual(u0: ScalarField, t: float) -> float:
     """Sup-norm defect of the flat-connection equation
     u_txx + uₓ u_xx + u u_xxx = 0 on the closed-form solution, with the
-    mixed derivative by centered differences of the spectral u_xx.
+    mixed derivative by centered differences (step ``ALPHA_ONE_DT_FD``) of
+    the spectral u_xx.
 
     The differenced field is truncated to the lowest N/8 modes before the
     second derivative: the roundoff left by the O(dt) cancellation is
@@ -164,10 +168,10 @@ def alpha_one_residual(u0: ScalarField, t: float, dt_fd: float = 1e-4) -> float:
     """
     grid = u0.grid
     second = lambda f: derivative(derivative(f))
-    u_m, _ = alpha_one_explicit(u0, t - dt_fd)
+    u_m, _ = alpha_one_explicit(u0, t - ALPHA_ONE_DT_FD)
     u_c, _ = alpha_one_explicit(u0, t)
-    u_p, _ = alpha_one_explicit(u0, t + dt_fd)
-    u_t = (u_p.values - u_m.values) / (2.0 * dt_fd)
+    u_p, _ = alpha_one_explicit(u0, t + ALPHA_ONE_DT_FD)
+    u_t = (u_p.values - u_m.values) / (2.0 * ALPHA_ONE_DT_FD)
     low_pass = np.arange(grid.shape[0] // 2 + 1) <= grid.shape[0] // 8
     utxx = second(ScalarField(grid, fourier(grid, u_t, low_pass))).values
     residual = (

@@ -7,10 +7,10 @@ Floating-point values are serialized with 17 significant digits, so
 identical inputs and --seed produce byte-identical output.  Validation
 failures, argument-parsing rejections included, exit 2 with an error object;
 numerical failures exit 1, and so does a NaN or infinite result
-(NonFiniteResult), so the output is strict JSON.  Sizes are bounded before
-any array is built (``MAX_GRID``, ``MAX_NODES``, ``MAX_SAMPLES``,
-``MAX_TRUNCATION``; exit 2), and any other exception becomes an
-InternalError object (exit 1), its traceback on stderr.
+(NonFiniteResult), so the output is strict JSON.  Each numeric flag declares
+its domain, sizes included, in its parser type (``_in``): a value outside it
+exits 2 when parsed.  Rules across two flags are checked before the grid is
+built.  Any other exception becomes an InternalError object (exit 1).
 """
 
 from __future__ import annotations
@@ -122,16 +122,13 @@ def _emit(document: dict, args) -> None:
 
 
 def _build_grid(args) -> PeriodicGrid:
-    try:
-        lengths = tuple(float(v) for v in str(args.length).split(","))
-    except ValueError:
-        raise ValidationError(f"--length must be numbers, got {args.length!r}") from None
-    if len(lengths) == 1:
-        lengths = lengths * args.dim
+    # the rules that involve two flags; each flag's own domain is its type's
+    if args.grid**args.dim > MAX_NODES:
+        raise ValidationError(f"--grid {args.grid} on {args.dim} axes exceeds {MAX_NODES} nodes")
+    lengths = args.length * args.dim if len(args.length) == 1 else args.length
     if len(lengths) != args.dim:
         raise ValidationError("--length must give one value, or one per axis")
-    shape = (args.grid,) * args.dim
-    return PeriodicGrid(shape, lengths)
+    return PeriodicGrid((args.grid,) * args.dim, lengths)
 
 
 def _field_from_spec(spec: str, grid: PeriodicGrid) -> ScalarField:
@@ -161,11 +158,6 @@ def _density_from_spec(spec: str, grid: PeriodicGrid, mass) -> Density:
     if mass is not None:
         return normalize(field, float(mass))
     return Density(field, integrate(field))
-
-
-def _mean_zero_field(spec: str, grid: PeriodicGrid) -> ScalarField:
-    field = _field_from_spec(spec, grid)
-    return ScalarField(grid, field.values - mean(field))
 
 
 def _grid_meta(grid: PeriodicGrid) -> dict:
@@ -220,62 +212,13 @@ def _cmd_geodesic(args) -> dict:
 
 
 def _make_hs(args, grid) -> hsflow.HsGeodesic:
-    rho0 = _mean_zero_field(args.div_u0, grid)
-    return hsflow.HsGeodesic.from_divergence(rho0)
+    field = _field_from_spec(args.div_u0, grid)
+    return hsflow.HsGeodesic.from_divergence(ScalarField(grid, field.values - mean(field)))
 
 
 def _require_nontrivial(args, geo: hsflow.HsGeodesic) -> None:
     if geo.kappa == 0.0:
         raise ValidationError(f"{args.command} needs a non-trivial initial divergence")
-
-
-# size bounds, checked before any array is built
-MAX_GRID = 65536  # --grid, nodes per axis
-MAX_NODES = 2**18  # --grid, nodes in all (512² on the torus)
-MAX_SAMPLES = 1000  # --samples and the --t-range count
-MAX_TRUNCATION = 128  # --truncation
-
-
-def _t_range(text: str) -> np.ndarray:
-    """The times of --t-range lo,hi,count."""
-    try:
-        lo, hi, count = text.split(",")
-        lo, hi, count = float(lo), float(hi), int(count)
-    except ValueError:
-        count = 0
-    ts = np.linspace(lo, hi, count) if 1 <= count <= MAX_SAMPLES else np.array([])
-    if ts.size == 0 or not np.all(np.isfinite(ts)):
-        raise ValidationError(
-            f"--t-range must be lo,hi,count: finite bounds, 1 <= count <= {MAX_SAMPLES}"
-        )
-    return ts
-
-
-def _check_ranges(args) -> None:
-    """Reject sizes, sample counts, horizons and steps outside their domains."""
-    grid = getattr(args, "grid", None)
-    if grid is not None and (grid > MAX_GRID or grid**args.dim > MAX_NODES):
-        raise ValidationError(
-            f"--grid must be at most {MAX_GRID} per axis and {MAX_NODES} nodes in all"
-        )
-    if not 1 <= getattr(args, "samples", 1) <= MAX_SAMPLES:
-        raise ValidationError(f"--samples must be between 1 and {MAX_SAMPLES}")
-    if getattr(args, "t_range", None):
-        _t_range(args.t_range)
-    t_final = getattr(args, "t_final", None)
-    if t_final is not None and not 0.0 <= t_final < np.inf:
-        raise ValidationError("--t-final must be finite and non-negative")
-    if not 0.0 < getattr(args, "frac_of_tmax", 1.0) < np.inf:
-        raise ValidationError("--frac-of-tmax must be positive and finite")
-    if not 0.0 < getattr(args, "dt", 1.0) < np.inf:
-        raise ValidationError("--dt must be positive and finite")
-    for name in ("alpha", "t"):
-        if not np.isfinite(getattr(args, name, 0.0)):
-            raise ValidationError(f"--{name} must be finite")
-    # the drift table needs at least one chain element, i.e. two modes
-    truncation = getattr(args, "truncation", None)
-    if truncation is not None and not 2 <= truncation <= MAX_TRUNCATION:
-        raise ValidationError(f"--truncation must be between 2 and {MAX_TRUNCATION}")
 
 
 def _hs_horizon(args, geo) -> float:
@@ -310,7 +253,8 @@ def _cmd_hs(args) -> dict:
             "min_jacobian": float(np.min(jac)),
             "jacobian_mass": float(grid.node_weight * np.sum(jac)),
             "sup_rho": float(np.max(np.abs(rho))),
-            "energy": hsflow.flow_energy(geo, float(t)),
+            # flow_energy's quadrature ∫ ρ(t,η)² Jac dμ on the values above
+            "energy": integrate(ScalarField(grid, rho**2 * jac)),
         }
 
     series = [sample(t) for t in ts]
@@ -411,9 +355,7 @@ def _cmd_invariants(args) -> dict:
     grid = _build_grid(args)
     geo = _make_hs(args, grid)
     _require_nontrivial(args, geo)
-    count = args.truncation
-    if count is None:  # an explicit count was range-checked in _check_ranges
-        count = invariants.default_truncation(grid)
+    count = args.truncation or invariants.default_truncation(grid)
     period = 2.0 * np.pi / geo.kappa
     ts = np.linspace(0.0, period, args.samples)
     basis = invariants.fourier_basis(grid, count)
@@ -452,7 +394,11 @@ def _cmd_invariants(args) -> dict:
 
 
 def _cmd_simplex_demo(args) -> dict:
-    ts = _t_range(args.t_range) if args.t_range else np.array([args.t])
+    if args.t_range:
+        lo, hi, count = args.t_range.split(",")
+        ts = np.linspace(float(lo), float(hi), int(count))
+    else:
+        ts = np.array([args.t])
     series = []
     for t in ts:
         point = simplex.geodesic_probs(float(t))
@@ -494,18 +440,52 @@ def _cmd_heat_demo(args) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(parser, mass=True):
-    parser.add_argument("--grid", type=int, default=256, help="nodes per axis")
-    parser.add_argument("--dim", type=int, choices=(1, 2), default=1)
-    parser.add_argument("--length", default="1", help="period per axis: Lx or Lx,Ly")
-    if mass:
-        parser.add_argument(
-            "--mass", type=float, default=None,
-            help="normalize density inputs to this total mass",
-        )
-    parser.add_argument("--out", default=None, help="write output to a file")
-    parser.add_argument("--format", choices=("json", "csv"), default="json")
-    parser.add_argument("--seed", type=int, default=0)
+# bounds of the flags' domains, so no request can allocate past them
+MAX_GRID = 65536  # --grid, nodes per axis
+MAX_NODES = 2**18  # --grid, nodes in all (512² on the torus)
+MAX_SAMPLES = 1000  # --samples and the --t-range count
+MAX_TRUNCATION = 128  # --truncation (at least 2: a chain needs two modes)
+
+
+def _in(kind, lo=-math.inf, hi=math.inf, lo_open=False):
+    """Parser type: a finite ``kind`` (int or float) in [lo, hi], or in
+    (lo, hi] when ``lo_open``.  Anything else is rejected (exit 2)."""
+    interval = (f"{'(' if lo_open or lo == -math.inf else '['}{lo}, "
+                f"{hi}{')' if hi == math.inf else ']'}")
+
+    def convert(text):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = math.nan  # fails every comparison below
+        if not ((value > lo if lo_open else value >= lo) and value <= hi
+                and abs(value) < math.inf):
+            raise argparse.ArgumentTypeError(
+                f"expected a finite {kind.__name__} in {interval}, got {text!r}")
+        return value
+
+    return convert
+
+
+_FINITE = _in(float)
+_POSITIVE = _in(float, 0.0, lo_open=True)
+_NON_NEGATIVE = _in(float, 0.0)
+_SAMPLES = _in(int, 1, MAX_SAMPLES)
+
+
+def _lengths(text):
+    """--length: one positive period for every axis, or one per axis."""
+    return tuple(_POSITIVE(v) for v in text.split(","))
+
+
+def _t_range(text):
+    """--t-range lo,hi,count: a finite span and 1 <= count <= MAX_SAMPLES.
+    The text itself is kept, so the document echoes it."""
+    parts = text.split(",")
+    if len(parts) != 3 or not abs(_FINITE(parts[1]) - _FINITE(parts[0])) < math.inf:
+        raise argparse.ArgumentTypeError(f"expected lo,hi,count with a finite span, got {text!r}")
+    _SAMPLES(parts[2])
+    return text
 
 
 class _Parser(argparse.ArgumentParser):
@@ -523,64 +503,73 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("dist", help="distances between two densities")
+    # shared flags, declared once: every subcommand takes the output flags,
+    # those on a grid the grid flags, those with density inputs --mass
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--out", default=None, help="write output to a file")
+    output.add_argument("--format", choices=("json", "csv"), default="json")
+    output.add_argument("--seed", type=_in(int, 0), default=0)
+    gridded = argparse.ArgumentParser(add_help=False, parents=[output])
+    gridded.add_argument("--grid", type=_in(int, 8, MAX_GRID), default=256,
+                         help="nodes per axis")
+    gridded.add_argument("--dim", type=_in(int, 1, 2), default=1, metavar="{1,2}")
+    gridded.add_argument("--length", type=_lengths, default="1",
+                         help="period per axis: Lx or Lx,Ly")
+    densities = argparse.ArgumentParser(add_help=False, parents=[gridded])
+    densities.add_argument("--mass", type=_POSITIVE, default=None,
+                           help="normalize density inputs to this total mass")
+
+    p = sub.add_parser("dist", parents=[densities], help="distances between two densities")
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
-    _add_common(p)
     p.set_defaults(func=_cmd_dist)
 
-    p = sub.add_parser("geodesic", help="great-circle interpolation of densities")
+    p = sub.add_parser("geodesic", parents=[densities],
+                       help="great-circle interpolation of densities")
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
-    p.add_argument("--samples", type=int, default=11)
-    _add_common(p)
+    p.add_argument("--samples", type=_SAMPLES, default=11)
     p.set_defaults(func=_cmd_geodesic)
 
-    p = sub.add_parser("hs", help="closed-form flow: kappa, blowup, time series")
+    p = sub.add_parser("hs", parents=[gridded],
+                       help="closed-form flow: kappa, blowup, time series")
     p.add_argument("--div-u0", required=True, dest="div_u0")
-    p.add_argument("--t-final", type=float, default=None, dest="t_final")
-    p.add_argument("--frac-of-tmax", type=float, default=0.8, dest="frac_of_tmax")
-    p.add_argument("--samples", type=int, default=9)
-    _add_common(p, mass=False)
+    p.add_argument("--t-final", type=_NON_NEGATIVE, default=None, dest="t_final")
+    p.add_argument("--frac-of-tmax", type=_POSITIVE, default=0.8, dest="frac_of_tmax")
+    p.add_argument("--samples", type=_SAMPLES, default=9)
     p.set_defaults(func=_cmd_hs)
 
-    p = sub.add_parser("moser-lift", help="lift a Jacobian series to a flow")
+    p = sub.add_parser("moser-lift", parents=[gridded], help="lift a Jacobian series to a flow")
     p.add_argument("--div-u0", required=True, dest="div_u0")
-    p.add_argument("--t-final", type=float, default=None, dest="t_final")
-    p.add_argument("--frac-of-tmax", type=float, default=0.5, dest="frac_of_tmax")
-    p.add_argument("--samples", type=int, default=4)
-    p.add_argument("--dt", type=float, default=1e-3)
-    _add_common(p, mass=False)
+    p.add_argument("--t-final", type=_NON_NEGATIVE, default=None, dest="t_final")
+    p.add_argument("--frac-of-tmax", type=_POSITIVE, default=0.5, dest="frac_of_tmax")
+    p.add_argument("--samples", type=_SAMPLES, default=4)
+    p.add_argument("--dt", type=_POSITIVE, default=1e-3)
     p.set_defaults(func=_cmd_moser_lift)
 
-    p = sub.add_parser("alpha", help="alpha-connection geodesic run")
-    p.add_argument("--alpha", type=float, required=True)
+    p = sub.add_parser("alpha", parents=[gridded], help="alpha-connection geodesic run")
+    p.add_argument("--alpha", type=_FINITE, required=True)
     p.add_argument("--u0", required=True)
-    p.add_argument("--t-final", type=float, default=0.3, dest="t_final")
-    p.add_argument("--dt", type=float, default=1e-4)
-    _add_common(p, mass=False)
+    p.add_argument("--t-final", type=_NON_NEGATIVE, default=0.3, dest="t_final")
+    p.add_argument("--dt", type=_POSITIVE, default=1e-4)
     p.set_defaults(func=_cmd_alpha)
 
-    p = sub.add_parser("invariants", help="conserved-quantity drift table")
+    p = sub.add_parser("invariants", parents=[gridded], help="conserved-quantity drift table")
     p.add_argument("--div-u0", required=True, dest="div_u0")
-    p.add_argument("--samples", type=int, default=50)
-    p.add_argument("--truncation", type=int, default=None)
-    _add_common(p, mass=False)
+    p.add_argument("--samples", type=_SAMPLES, default=50)
+    p.add_argument("--truncation", type=_in(int, 2, MAX_TRUNCATION), default=None)
     p.set_defaults(func=_cmd_invariants)
 
-    p = sub.add_parser("simplex-demo", help="three-outcome bouncing geodesic")
-    p.add_argument("--t", type=float, default=0.0)
-    p.add_argument("--t-range", default=None, dest="t_range",
+    p = sub.add_parser("simplex-demo", parents=[output], help="three-outcome bouncing geodesic")
+    p.add_argument("--t", type=_FINITE, default=0.0)
+    p.add_argument("--t-range", type=_t_range, default=None, dest="t_range",
                    help="lo,hi,count for a sampled table")
-    p.add_argument("--out", default=None)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_simplex_demo)
 
-    p = sub.add_parser("heat-demo", help="heat flow as a metric gradient flow")
+    p = sub.add_parser("heat-demo", parents=[densities],
+                       help="heat flow as a metric gradient flow")
     p.add_argument("--rho0", required=True)
-    p.add_argument("--t-final", type=float, default=0.05, dest="t_final")
-    _add_common(p)
+    p.add_argument("--t-final", type=_NON_NEGATIVE, default=0.05, dest="t_final")
     p.set_defaults(func=_cmd_heat_demo)
 
     return parser
@@ -592,7 +581,6 @@ def main(argv=None) -> int:
         # non-finite values end as an error object (NonFiniteResult), so
         # numpy's overflow and invalid-value warnings would only repeat it
         with np.errstate(all="ignore"):
-            _check_ranges(args)
             _emit(args.func(args), args)
     except Exception as exc:  # the last resort still writes an error object
         if not isinstance(exc, DensgeoError):

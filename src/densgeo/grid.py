@@ -13,11 +13,15 @@ in first derivatives so derivatives of real fields stay real.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GridMismatch, InvalidGrid, NonZeroMean, StepTooLarge
+from .errors import GridMismatch, InvalidGrid, NonZeroMean, StepTooLarge, ValidationError
+
+# most RK4 steps one integration may take; documented runs take up to 10⁴
+MAX_STEPS = 10**6
 
 
 def _as_tuple(value, dim: int) -> tuple:
@@ -60,6 +64,12 @@ class PeriodicGrid:
         self.lengths = tuple(float(L) for L in _as_tuple(lengths, self.dim))
         if not all(0.0 < L < np.inf for L in self.lengths):
             raise InvalidGrid("lengths must be positive and finite")
+        # every nonzero |k|² lies in [min (2π/L)², Σ (πN/L)²]; outside the
+        # normal floats, Δ⁻¹ would silently vanish or overflow
+        k_lo = min(2.0 * np.pi / L for L in self.lengths)
+        k_hi = math.hypot(*(np.pi * n / L for n, L in zip(self.shape, self.lengths)))
+        if not (k_lo * k_lo >= np.finfo(float).tiny and k_hi * k_hi < np.inf):
+            raise InvalidGrid(f"lengths {self.lengths} put |k|² outside the normal floats")
         self.spacings = tuple(L / n for L, n in zip(self.lengths, self.shape))
         self.total_volume = float(np.prod(self.lengths))
         # quadrature weight per node (uniform rectangle rule)
@@ -284,7 +294,9 @@ def random_band_limited(
 def fixed_steps(span: float, dt: float) -> tuple[int, float]:
     """Step count n = max(1, ceil(span/dt)) and step span/n, so the last
     step lands exactly on the horizon (a ratio within roundoff of an
-    integer is not rounded up)."""
+    integer is not rounded up).  ValidationError unless dt > 0, n <= MAX_STEPS."""
+    if not (dt > 0.0 and span / dt <= MAX_STEPS):  # an infinite or NaN ratio fails too
+        raise ValidationError(f"span {span}, step {dt}: need dt > 0, at most {MAX_STEPS} steps")
     n = max(1, int(np.ceil(span / dt - 1e-12)))
     return n, span / n
 

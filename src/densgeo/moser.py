@@ -62,22 +62,16 @@ def _validate_phi(grid: PeriodicGrid, values: np.ndarray, t: float) -> None:
         )
 
 
-def invert_map(
-    grid: PeriodicGrid,
-    positions: np.ndarray,
-    initial: np.ndarray | None = None,
-    damping: float = 0.8,
-    max_iter: int = 50,
-    tol: float = 1e-12,
-) -> np.ndarray:
+def invert_map(grid: PeriodicGrid, positions: np.ndarray) -> np.ndarray:
     """Node-wise inverse of a near-identity grid map by damped fixed point.
 
     Solves map(x) = y for every node y, iterating
     x <- x + damping (y - map(x)) on the trigonometric interpolant of the
     periodic displacement.  Diverges (by design) when the map degenerates.
     """
+    damping, max_iter, tol = 0.8, 50, 1e-12
     disp = _interp.SplineEvaluator(grid, positions - grid.identity)
-    x = grid.identity if initial is None else initial
+    x = grid.identity
     scale = max(grid.lengths)
     for _ in range(max_iter):
         mapped = x + disp(*x)
@@ -114,7 +108,8 @@ def lift_flow(
     dt : float
         Largest RK4 step of the torus construction (ignored on the circle,
         where the primitive is exact).  StepTooLarge is raised when X makes
-        a step's advective Courant number exceed 0.5.
+        a step's advective Courant number exceed 0.5, and ValidationError
+        when the horizon needs more than ``grid.MAX_STEPS`` steps.
     dphi : callable, optional
         Time derivative of phi; finite differences of phi otherwise.
     pad_factor : int
@@ -180,6 +175,8 @@ def _lift_flow_2d(phi_at, dphi_at, t_grid, grid, dt):
     def velocity(t):
         return _poisson_velocity(grid, phi_at(t), dphi_at(t))
 
+    # each interval is bounded by MAX_STEPS, so bound their sum up front too
+    fixed_steps(t_grid[-1], dt)
     disp = np.zeros_like(grid.identity)
     positions = [grid.identity]
     jacobians = [np.ones(grid.shape)]

@@ -39,9 +39,10 @@ def _check_pair(a: Density, b: Density) -> None:
 def bhattacharyya(a: Density, b: Density) -> float:
     """Normalized affinity (1/mass) ∫ sqrt(da/dμ · db/dμ) dμ, clamped to [-1, 1]."""
     _check_pair(a, b)
-    # on mass-normalized values, so the product neither under- nor overflows
-    unit_a, unit_b = (np.clip(d.values / a.mass, 0.0, None) for d in (a, b))
-    overlap = integrate(ScalarField(a.grid, np.sqrt(unit_a * unit_b)))
+    # Σ √(a/m)·√(b/m)·w: each root is ~ 1/√volume, so at any mass and grid
+    # volume the product neither under- nor overflows
+    root_a, root_b = (np.sqrt(np.clip(d.values / a.mass, 0.0, None)) for d in (a, b))
+    overlap = integrate(ScalarField(a.grid, root_a * root_b))
     return float(np.clip(overlap, -1.0, 1.0))
 
 

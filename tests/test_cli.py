@@ -1,11 +1,17 @@
+import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from densgeo import cli
+import densgeo
+from densgeo import cli, hsflow
 from densgeo.cli import dumps, main
 from densgeo.exprparse import evaluate_on_grid, parse_expression
 from densgeo.errors import NonFiniteResult, ValidationError
@@ -373,6 +379,88 @@ class TestErrorHandling:
             assert code == 1
             doc = json.loads(out)
             assert doc["error"]["type"] == "BeyondBlowup"
+
+    def test_every_numeric_flag_declares_its_domain(self):
+        parser = cli.build_parser()
+        subparsers = next(a for a in parser._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        for name, sub in subparsers.choices.items():
+            for action in sub._actions:
+                flag = f"{name} {action.option_strings}"
+                assert action.type not in (int, float), f"{flag} has a bare type"
+                if isinstance(action.default, (int, float)) and action.nargs != 0:
+                    assert action.type is not None, f"{flag} has no type"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("alpha", "--alpha", "0", "--u0", "sin(2*pi*x)", "--grid", "16", "--dt", "0"),
+            ("moser-lift", "--div-u0", "sin(2*pi*x)", "--grid", "16", "--dt", "inf"),
+            ("dist", "--a", "uniform", "--b", "uniform", "--grid", "16", "--mass", "-1"),
+            ("dist", "--a", "uniform", "--b", "uniform", "--grid", "16", "--dim", "3"),
+            ("dist", "--a", "uniform", "--b", "uniform", "--grid", "16.5"),
+            ("dist", "--a", "uniform", "--b", "uniform", "--grid", "16", "--dim", "2",
+             "--length", "1,nan"),
+            ("dist", "--a", "uniform", "--b", "uniform", "--grid", "16", "--length", "1,2"),
+            ("simplex-demo", "--t-range", "0,1,2,3"),
+            ("simplex-demo", "--t-range=-1e308,1e308,3"),
+            ("simplex-demo", "--t-range", "0,1,0"),
+            ("simplex-demo", "--t", "inf"),
+        ],
+    )
+    def test_flag_domains_exit_2(self, capsys, argv):
+        code, out = run_cli(capsys, *argv)
+        assert code == 2
+        assert strict_error(out)["type"] == "ValidationError"
+
+    def test_t_range_is_echoed_as_given(self, capsys):
+        code, out = run_cli(capsys, "simplex-demo", "--t-range", "0,1.50,3")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["meta"]["params"]["t_range"] == "0,1.50,3"
+        assert [row["t"] for row in doc["results"]["series"]] == [0.0, 0.75, 1.5]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("alpha", "--alpha", "0", "--u0", "sin(2*pi*x)/(2*pi)", "--grid", "16",
+             "--t-final", "0.001", "--seed", "-1"),
+            ("alpha", "--alpha", "0", "--u0", "sin(2*pi*x)/(2*pi)", "--grid", "16",
+             "--dt", "1e-300"),
+            ("moser-lift", "--div-u0", "sin(2*pi*x)", "--grid", "16", "--dim", "2",
+             "--dt", "1e-300"),
+            ("alpha", "--alpha", "0", "--u0", "sin(2*pi*x)/(2*pi)", "--grid", "16",
+             "--t-final", "1e300", "--dt", "1e-300"),
+        ],
+        ids=["seed", "alpha-steps", "moser-lift-steps", "alpha-infinite-ratio"],
+    )
+    def test_entry_point_rejects_promptly_without_traceback(self, argv):
+        # a separate process, so a request that never returns fails by timeout
+        env = dict(os.environ, PYTHONPATH=str(Path(densgeo.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-m", "densgeo.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=20)
+        assert proc.returncode == 2
+        assert strict_error(proc.stdout)["type"] == "ValidationError"
+        assert proc.stderr == ""
+
+    def test_hs_evaluates_each_closed_form_once_per_sample(self, capsys, monkeypatch):
+        calls = {"sphere_path": 0, "_rho_lagrangian": 0}
+        for name in calls:
+            def counting(*args, _name=name, _raw=getattr(hsflow, name)):
+                calls[_name] += 1
+                return _raw(*args)
+            monkeypatch.setattr(hsflow, name, counting)
+        # on the torus, so no equation_residual adds evaluations
+        argv = ["hs", "--div-u0", "sin(2*pi*x)*cos(2*pi*y)", "--grid", "16", "--dim", "2",
+                "--samples", "5"]
+        code, out = run_cli(capsys, *argv)
+        assert code == 0
+        assert calls == {"sphere_path": 5, "_rho_lagrangian": 5}
+        monkeypatch.undo()
+        args = cli.build_parser().parse_args(argv)
+        geo = cli._make_hs(args, cli._build_grid(args))
+        for row in json.loads(out)["results"]["series"]:
+            assert row["energy"] == hsflow.flow_energy(geo, row["t"])
 
     def test_csv_output(self, capsys):
         code, out = run_cli(

@@ -6,8 +6,9 @@ from hypothesis.extra import numpy as hnp
 from scipy import ndimage
 
 from densgeo import _interp
-from densgeo.errors import NonZeroMean, StepTooLarge
+from densgeo.errors import InvalidGrid, NonZeroMean, StepTooLarge, ValidationError
 from densgeo.grid import (
+    MAX_STEPS,
     PeriodicGrid,
     ScalarField,
     VectorField,
@@ -23,6 +24,7 @@ from densgeo.grid import (
     laplacian_inverse,
     periodic_primitive,
     random_band_limited,
+    fixed_steps,
     rk4_step,
 )
 from helpers import divergence_free_field, lie_bracket
@@ -122,6 +124,21 @@ class TestValidation:
         grid = PeriodicGrid(16)
         with pytest.raises(ValueError):
             ScalarField(grid, np.zeros(8))
+
+    @pytest.mark.parametrize("shape", [16, (16, 16)])
+    @pytest.mark.parametrize("length", [1e-200, 1e200])
+    def test_lengths_past_normal_wavenumbers_rejected(self, shape, length):
+        # 1e-200 overflows |k|², 1e200 underflows it to 0 (Δ⁻¹ would vanish)
+        with pytest.raises(InvalidGrid):
+            PeriodicGrid(shape, length)
+
+    @pytest.mark.parametrize("length", [1e-150, 1e150])
+    def test_extreme_lengths_keep_laplacian_inverse(self, length):
+        grid = PeriodicGrid((16, 16), length)
+        wave = np.sin(2 * np.pi * grid.coordinate(0) / length)
+        expected = -((length / (2 * np.pi)) ** 2) * wave
+        got = laplacian_inverse(ScalarField(grid, wave)).values
+        assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
 
     def test_identity_is_read_only_node_coordinates(self):
         grid = PeriodicGrid((8, 16), (1.0, 2.0))
@@ -295,6 +312,14 @@ def test_check_courant_rejects_nan_velocity():
     check_courant(grid, [np.full(16, 1.0)], 1e-3)
     with pytest.raises(StepTooLarge):
         check_courant(grid, [np.full(16, np.nan)], 1e-3)
+
+
+def test_fixed_steps_bounded_by_max_steps():
+    assert fixed_steps(float(MAX_STEPS), 1.0) == (MAX_STEPS, 1.0)
+    for span, dt in [(MAX_STEPS + 1.0, 1.0), (1e300, 1e-300), (np.nan, 1.0), (1.0, 0.0),
+                     (1.0, -1e-3)]:
+        with pytest.raises(ValidationError):
+            fixed_steps(span, dt)
 
 
 def test_rk4_step_is_fourth_order():

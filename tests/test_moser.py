@@ -11,8 +11,10 @@ from densgeo.errors import (
     MassMismatch,
     NonPositiveJacobian,
     StepTooLarge,
+    ValidationError,
 )
 from densgeo.grid import (
+    MAX_STEPS,
     PeriodicGrid,
     ScalarField,
     fourier,
@@ -198,7 +200,7 @@ class TestInversion:
             [x + 0.9 * np.sin(2 * np.pi * x), grid.coordinate(1).copy()]
         )
         with pytest.raises(InversionDiverged):
-            invert_map(grid, positions, max_iter=50)
+            invert_map(grid, positions)
 
     # near identity: a displacement of degree k with sup at most
     # 0.05 min(L) / k, so each entry of its gradient stays below about 0.45
@@ -340,6 +342,17 @@ class TestGridAdvection:
         with pytest.raises(StepTooLarge):
             lift_flow(lambda t: jacobian_formula(geo, t), [0.0, 0.4], geo.grid,
                       dt=0.4)
+
+    def test_lift_bounds_its_whole_horizon_before_the_first_interval(self, monkeypatch):
+        # each interval takes 0.6 MAX_STEPS steps, the two together more
+        grid = PeriodicGrid((16, 16))
+        wave = np.sin(2 * np.pi * grid.coordinate(0))
+        calls = []
+        monkeypatch.setattr(moser, "_advect_inverse", lambda *args: calls.append(args))
+        with pytest.raises(ValidationError):
+            lift_flow(lambda t: 1.0 + 0.1 * t * wave, [0.0, 0.6, 1.2], grid,
+                      dt=1.0 / MAX_STEPS, dphi=lambda t: 0.1 * wave)
+        assert calls == []
 
     def test_transport_rejects_too_large_step(self):
         grid = PeriodicGrid((48, 48))

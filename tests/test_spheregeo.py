@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from densgeo.density import Density, normalize, sqrt_map, uniform_density
@@ -91,6 +91,28 @@ class TestMassScaling:
         assert hellinger_distance(a, b) / root == pytest.approx(
             hellinger_distance(unit_a, unit_b), abs=1e-12
         )
+
+
+    # a/m and b/m are ~ 1/volume, so their product under- or overflows at
+    # these volumes unless each root is taken first
+    @settings(max_examples=60)
+    @given(
+        log_length=st.floats(-150.0, 150.0),
+        log_scale=st.floats(-100.0, 100.0),
+        shape=st.sampled_from([(16,), (16, 16)]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_volume_free(self, log_length, log_scale, shape, seed):
+        assume(abs(log_scale + len(shape) * log_length) < 300.0)  # a normal mass
+        rng = np.random.default_rng(seed)
+        values = [1.0 + rng.random(shape) for _ in range(2)]
+
+        def bc(length, scale):
+            grid = PeriodicGrid(shape, length)
+            a, b = (normalize(ScalarField(grid, v), scale * grid.total_volume) for v in values)
+            return bhattacharyya(a, b)
+
+        assert bc(10.0**log_length, 10.0**log_scale) == pytest.approx(bc(1.0, 1.0), rel=1e-13)
 
 
 class TestDistances:
