@@ -10,8 +10,11 @@ the geodesic evolution.
 
 Every right-hand side comes from the transform method with the 2/3 rule
 (Orszag 1971): an equation is a table of dealiased half-spectrum multipliers,
-one per quadratic product it uses from (u uₓ, uₓ², u²), applied to one
-stacked transform of those products; an evaluation costs four FFT calls.
+one per quadratic product it uses from (u uₓ, uₓ², u²).  The steppers keep
+the real half spectrum c = rfft(u) as their state, so an RK4 stage is two
+FFT calls: an inverse transform of [c, ik c] for u and uₓ, and a forward
+transform of the products, weighted by the table, for the rate of c.  The
+gauge u(0) = 0 and the base point of Γ are corrections to the zero mode.
 """
 
 from __future__ import annotations
@@ -73,52 +76,67 @@ class AlphaConnection:
         if coeff == 0.0:
             return ScalarField(v.grid, np.zeros(v.grid.shape))
         product = dealiased_product(derivative(v), derivative(w))
-        return ScalarField(
-            v.grid, coeff * a_inverse(derivative(product)).values
-        )
+        return ScalarField(v.grid, coeff * a_inverse(derivative(product)).values)
+
+    def _table(self, grid: PeriodicGrid) -> np.ndarray:
+        """Multipliers of (u uₓ, uₓ²); Γ's row is dropped where it is zero (α = -1)."""
+        coeff = 0.5 * (1.0 + self.alpha)
+        gamma = -coeff * grid.inv_laplacian * grid.ik[0] * grid.dealias_mask  # A⁻¹∂ₓ
+        return np.array([grid.dealias_mask, gamma][: 1 if coeff == 0.0 else 2])
 
     def geodesic_rhs(self, u: ScalarField) -> ScalarField:
-        """Right side of u_t = -(u uₓ + Γ(u, u)), with Γ re-based to vanish at
-        x = 0; Γ's row is dropped where it is zero (α = -1)."""
-        mask = u.grid.dealias_mask
-        coeff = 0.5 * (1.0 + self.alpha)
-        if coeff == 0.0:
-            return _transform_rhs(u, np.array([mask]))
-        gamma = -coeff * u.grid.inv_laplacian * u.grid.ik[0] * mask  # A⁻¹∂ₓ
-        return _transform_rhs(u, np.array([mask, gamma]), rebase=True)
+        """Right side of u_t = -(u uₓ + Γ(u, u)), Γ re-based to vanish at x = 0."""
+        return _transform_rhs(u, self._table(u.grid), gauge=True)
 
     def geodesic_step(self, u: ScalarField, dt: float) -> ScalarField:
         """One RK4 step of the geodesic equation, re-based so u(0) = 0."""
-        return _field_step(self.geodesic_rhs, u, dt, rebase=True)
+        return self.evolve(u, dt, dt)
 
     def evolve(self, u0: ScalarField, t_final: float, dt: float) -> ScalarField:
         """Fixed-step evolution to t_final (last step shortened to land exactly)."""
-        n_steps, h = fixed_steps(t_final, dt)
-        u = ScalarField(u0.grid, u0.values - u0.values[0])
-        for _ in range(n_steps):
-            u = self.geodesic_step(u, h)
-        return u
+        return _evolve(u0, self._table(u0.grid), t_final, dt, gauge=True)
 
 
-def _transform_rhs(u: ScalarField, multipliers: np.ndarray, rebase=False) -> ScalarField:
-    """-Σᵣ mᵣ(pᵣ) over the leading products p = (u uₓ, uₓ², u²), one row per
-    half-spectrum multiplier mᵣ; ``rebase`` shifts every row after the
-    first to vanish at x = 0 (the g(0) = 0 normalization of Γ)."""
+def _at_origin(spec: np.ndarray) -> np.ndarray:
+    """N u(0) of real fields u with half spectra ``spec``: Σₖ wₖ Re cₖ, w = (1, 2, …, 2, 1)."""
+    re = spec.real
+    return 2.0 * re.sum(axis=-1) - re[..., 0] - re[..., -1]
+
+
+def _rate(grid: PeriodicGrid, c, multipliers, gauge: bool, courant_dt=None) -> np.ndarray:
+    """Half spectrum of -Σᵣ mᵣ(pᵣ) over the products p = (u uₓ, uₓ², u²) of u = irfft(c),
+    in two FFT calls; ``gauge`` re-bases rows r ≥ 1 to vanish at x = 0 (Γ's base point)."""
+    u, ux = np.fft.irfft(np.array([c, grid.ik[0] * c]), n=grid.shape[0])
+    if courant_dt is not None:
+        check_courant(grid, [u], courant_dt)
+    terms = multipliers * np.fft.rfft([u * ux, ux * ux, u * u][: len(multipliers)])
+    if gauge:
+        terms[1:, 0] -= _at_origin(terms[1:])
+    return -terms.sum(axis=0)
+
+
+def _transform_rhs(u: ScalarField, multipliers, gauge=False) -> ScalarField:
+    """``_rate`` at one field, from and back to physical space."""
     _require_circle(u)
-    grid = u.grid
-    ux = fourier(grid, u.values, grid.ik[0])
-    products = [u.values * ux, ux * ux, u.values * u.values][: len(multipliers)]
-    terms = fourier(grid, np.array(products), multipliers)
-    if rebase:
-        terms[1:] -= terms[1:, :1]
-    return ScalarField(grid, -np.sum(terms, axis=0))
+    rate = _rate(u.grid, np.fft.rfft(u.values), multipliers, gauge)
+    return ScalarField(u.grid, np.fft.irfft(rate, n=u.grid.shape[0]))
 
 
-def _field_step(rhs, u: ScalarField, dt: float, rebase: bool) -> ScalarField:
-    """One Courant-checked RK4 step of u_t = rhs(u), re-based to u(0) = 0 if asked."""
-    check_courant(u.grid, [u.values], dt)
-    new = rk4_step(lambda _, v: rhs(ScalarField(u.grid, v)).values, 0.0, u.values, dt)
-    return ScalarField(u.grid, new - new[0] if rebase else new)
+def _evolve(u0: ScalarField, multipliers, t_final, dt, gauge: bool) -> ScalarField:
+    """Fixed-step RK4 of u_t = -Σᵣ mᵣ(pᵣ) on the half spectrum c = rfft(u), with
+    the Courant check on the u that each step's first stage (t = 0)
+    synthesises; ``gauge`` re-bases u(0) = 0 before every step and at the end."""
+    _require_circle(u0)
+    grid = u0.grid
+    n_steps, h = fixed_steps(t_final, dt)
+    rate = lambda t, c: _rate(grid, c, multipliers, gauge, h if t == 0.0 else None)
+    c = np.fft.rfft(u0.values)
+    for _ in range(n_steps):
+        if gauge:
+            c[0] -= _at_origin(c)
+        c = rk4_step(rate, 0.0, c, h)
+    u = np.fft.irfft(c, n=grid.shape[0])
+    return ScalarField(grid, u - u[0] if gauge else u)
 
 
 def alpha_one_explicit(u0: ScalarField, t: float) -> tuple[ScalarField, np.ndarray]:
@@ -174,11 +192,8 @@ def alpha_one_residual(u0: ScalarField, t: float) -> float:
     u_t = (u_p.values - u_m.values) / (2.0 * ALPHA_ONE_DT_FD)
     low_pass = np.arange(grid.shape[0] // 2 + 1) <= grid.shape[0] // 8
     utxx = second(ScalarField(grid, fourier(grid, u_t, low_pass))).values
-    residual = (
-        utxx
-        + derivative(u_c).values * second(u_c).values
-        + u_c.values * derivative(second(u_c)).values
-    )
+    uxx = second(u_c)
+    residual = utxx + derivative(u_c).values * uxx.values + u_c.values * derivative(uxx).values
     return float(np.max(np.abs(residual)))
 
 
@@ -188,36 +203,27 @@ def _camassa_holm(grid: PeriodicGrid) -> np.ndarray:
     return np.array([grid.dealias_mask, 0.5 * smooth, smooth])
 
 
-# velocity equations by their multiplier tables, geodesic ones by their α
-_VELOCITY_EQUATIONS = {
-    "burgers": lambda grid: np.array([3.0 * grid.dealias_mask]),
-    "camassa_holm": _camassa_holm,
+# each equation's multiplier table, and whether it is a geodesic one gauged to u(0) = 0
+_EQUATIONS = {
+    "burgers": (lambda grid: np.array([3.0 * grid.dealias_mask]), False),
+    "camassa_holm": (_camassa_holm, False),
+    "hunter_saxton": (AlphaConnection(0.0)._table, True),
+    "mu_burgers": (AlphaConnection(-1.0)._table, True),
 }
-_GEODESIC_EQUATIONS = {"hunter_saxton": 0.0, "mu_burgers": -1.0}
 
 
 def classic_1d_step(equation: str, u: ScalarField, dt: float) -> ScalarField:
-    """One RK4 step of the named 1D equation.
-
-    The quotient-space equations (hunter_saxton, mu_burgers) are stepped in
-    their first-order geodesic form and re-based to u(0) = 0; burgers and
-    camassa_holm act on the velocity directly.
-    """
-    if equation in _GEODESIC_EQUATIONS:
-        return AlphaConnection(_GEODESIC_EQUATIONS[equation]).geodesic_step(u, dt)
-    if equation not in _VELOCITY_EQUATIONS:
-        known = tuple(sorted({**_VELOCITY_EQUATIONS, **_GEODESIC_EQUATIONS}))
-        raise ValidationError(f"unknown equation {equation!r}; choose from {known}")
-    multipliers = _VELOCITY_EQUATIONS[equation](u.grid)
-    return _field_step(lambda v: _transform_rhs(v, multipliers), u, dt, rebase=False)
+    """One RK4 step of the named 1D equation: a one-step ``evolve_classic``."""
+    return evolve_classic(equation, u, dt, dt)
 
 
 def evolve_classic(equation: str, u0: ScalarField, t_final: float, dt: float) -> ScalarField:
-    n_steps, h = fixed_steps(t_final, dt)
-    u = u0
-    for _ in range(n_steps):
-        u = classic_1d_step(equation, u, h)
-    return u
+    """Fixed-step RK4 evolution of the named 1D equation to t_final; the
+    geodesic ones (hunter_saxton, mu_burgers) are re-based to u(0) = 0."""
+    if equation not in _EQUATIONS:
+        raise ValidationError(f"unknown equation {equation!r}; choose from {tuple(_EQUATIONS)}")
+    table, gauge = _EQUATIONS[equation]
+    return _evolve(u0, table(u0.grid), t_final, dt, gauge)
 
 
 def duality_residual(alpha: float, u: ScalarField, v: ScalarField, w: ScalarField) -> float:

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import MassMismatch, NegativeDensity, NonFiniteInput, NonPositiveInput
+from .errors import ValidationError
 from .grid import PeriodicGrid, ScalarField, integrate
 
 # values within this band of zero are treated as exact zeros
@@ -85,8 +86,7 @@ def uniform_density(grid: PeriodicGrid, mass: float | None = None) -> Density:
     """Constant density; by default of mass mu(M), i.e. the value 1."""
     if mass is None:
         mass = grid.total_volume
-    value = mass / grid.total_volume
-    return Density(ScalarField.constant(grid, value), float(mass))
+    return _normal(Density(ScalarField.constant(grid, mass / grid.total_volume), float(mass)))
 
 
 def sqrt_map(d: Density) -> SpherePoint:
@@ -113,7 +113,15 @@ def normalize(field: ScalarField, mass: float) -> Density:
         raise NonPositiveInput("normalize requires a strictly positive field")
     total = integrate(field)
     scale = mass / total
-    return Density(ScalarField(field.grid, field.values * scale), float(mass))
+    return _normal(Density(ScalarField(field.grid, field.values * scale), float(mass)))
+
+
+def _normal(d: Density) -> Density:
+    """``d``, unless scaling took a node value below the normal floats, where it
+    has lost digits.  Densities from squaring may have genuine near-zeros."""
+    if np.min(d.values) < np.finfo(float).tiny:
+        raise ValidationError(f"mass {d.mass!r} puts node values below the normal floats")
+    return d
 
 
 def density_from_values(grid: PeriodicGrid, values: np.ndarray) -> Density:

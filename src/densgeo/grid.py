@@ -71,9 +71,10 @@ class PeriodicGrid:
         if not (k_lo * k_lo >= np.finfo(float).tiny and k_hi * k_hi < np.inf):
             raise InvalidGrid(f"lengths {self.lengths} put |k|² outside the normal floats")
         self.spacings = tuple(L / n for L, n in zip(self.lengths, self.shape))
-        self.total_volume = float(np.prod(self.lengths))
-        # quadrature weight per node (uniform rectangle rule)
-        self.node_weight = float(np.prod(self.spacings))
+        self.total_volume = math.prod(self.lengths)
+        self.node_weight = math.prod(self.spacings)  # per node (uniform rectangle rule)
+        if not (self.node_weight >= np.finfo(float).tiny and self.total_volume < np.inf):
+            raise InvalidGrid(f"lengths {self.lengths}: a volume is not a normal float")
         self.node_count = int(np.prod(self.shape))
 
         axes = [np.arange(n) * h for n, h in zip(self.shape, self.spacings)]

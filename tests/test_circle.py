@@ -19,9 +19,11 @@ from densgeo.grid import (
     ScalarField,
     dealiased_product,
     derivative,
+    fixed_steps,
     fourier,
     integrate,
     random_band_limited,
+    rk4_step,
 )
 from densgeo.hsflow import HsGeodesic, eulerian_rho
 
@@ -265,7 +267,7 @@ def _reference_terms(equation, u):
 
 def _rhs(equation, u):
     if isinstance(equation, str):
-        multipliers = circle._VELOCITY_EQUATIONS[equation](u.grid)
+        multipliers = circle._EQUATIONS[equation][0](u.grid)
         return circle._transform_rhs(u, multipliers).values
     return AlphaConnection(equation).geodesic_rhs(u).values
 
@@ -290,17 +292,78 @@ class TestTransformRhs:
         assert np.max(np.abs(_rhs(equation, u) - sum(terms))) <= 1e-12 * scale
 
     @pytest.mark.parametrize("equation", [0.0, 1.0, -1.0, "burgers", "camassa_holm"])
-    def test_four_fft_calls(self, monkeypatch, equation):
+    def test_four_fft_calls(self, fft_calls, equation):
         grid = PeriodicGrid(64)
         u = ScalarField(grid, np.sin(2 * np.pi * grid.coordinate(0)))
-        calls = []
-        for name in ("fft", "ifft", "rfft", "irfft", "rfftn", "irfftn"):
-            real = getattr(np.fft, name)
-            monkeypatch.setattr(
-                np.fft, name, lambda *a, _f=real, _n=name, **k: calls.append(_n) or _f(*a, **k)
-            )
         _rhs(equation, u)
-        assert calls == ["rfft", "irfft", "rfft", "irfft"]
+        assert fft_calls == ["rfft", "irfft", "rfft", "irfft"]
+
+
+@pytest.fixture
+def fft_calls(monkeypatch):
+    """Names of the numpy.fft functions called, in order."""
+    calls = []
+    for name in ("fft", "ifft", "rfft", "irfft", "rfftn", "irfftn"):
+        real = getattr(np.fft, name)
+        monkeypatch.setattr(
+            np.fft, name, lambda *a, _f=real, _n=name, **k: calls.append(_n) or _f(*a, **k)
+        )
+    return calls
+
+
+def _evolve(equation, u0, t_final, dt):
+    if isinstance(equation, str):
+        return evolve_classic(equation, u0, t_final, dt)
+    return AlphaConnection(equation).evolve(u0, t_final, dt)
+
+
+def _physical_evolve(equation, u0, t_final, dt):
+    """The stepper that kept u in physical space: every RK4 stage transforms u
+    to the spectrum and back twice, and u(0) = 0 is re-based on the grid."""
+    grid = u0.grid
+    if isinstance(equation, str):
+        multipliers, gauge = circle._EQUATIONS[equation][0](grid), False
+    else:
+        multipliers, gauge = AlphaConnection(equation)._table(grid), True
+
+    def rhs(_, u):
+        ux = fourier(grid, u, grid.ik[0])
+        products = [u * ux, ux * ux, u * u][: len(multipliers)]
+        terms = fourier(grid, np.array(products), multipliers)
+        if gauge:
+            terms[1:] -= terms[1:, :1]
+        return -np.sum(terms, axis=0)
+
+    n_steps, h = fixed_steps(t_final, dt)
+    u = u0.values - u0.values[0] if gauge else u0.values
+    for _ in range(n_steps):
+        u = rk4_step(rhs, 0.0, u, h)
+        u = u - u[0] if gauge else u
+    return u
+
+
+class TestSpectralStepper:
+    @pytest.mark.parametrize("n", [16, 64, 512])
+    @pytest.mark.parametrize(
+        "equation", [0.0, 0.5, 1.0, -1.0, -2.0, "burgers", "camassa_holm"]
+    )
+    def test_ten_steps_match_physical_stepper(self, n, equation):
+        grid = PeriodicGrid(n)
+        wave = random_band_limited(grid, 5, np.random.default_rng(n)).values
+        wave += 0.1 * (-1.0) ** np.arange(n)  # the Nyquist mode, which only the gauge sees
+        u0 = ScalarField(grid, (wave - wave[0]) / np.max(np.abs(wave - wave[0])))
+        dt = 0.2 / n  # Courant number 0.2 at unit sup
+        expected = _physical_evolve(equation, u0, 10 * dt, dt)
+        got = _evolve(equation, u0, 10 * dt, dt).values
+        assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("steps", [1, 3])
+    @pytest.mark.parametrize("equation", [0.0, 1.0, -1.0, "camassa_holm"])
+    def test_two_fft_calls_per_stage(self, fft_calls, equation, steps):
+        grid = PeriodicGrid(64)
+        u0 = ScalarField(grid, 1.0 - np.cos(2 * np.pi * grid.coordinate(0)))
+        _evolve(equation, u0, steps * 1e-3, 1e-3)
+        assert len(fft_calls) == 8 * steps + 2
 
 
 class TestDuality:

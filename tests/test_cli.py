@@ -413,6 +413,20 @@ class TestErrorHandling:
         assert code == 2
         assert strict_error(out)["type"] == "ValidationError"
 
+    @pytest.mark.parametrize(
+        "extra, error",
+        [
+            (("--dim", "2", "--length", "2e154"), "InvalidGrid"),  # volume overflows
+            (("--mass", "1e-320"), "ValidationError"),  # subnormal node values
+        ],
+    )
+    def test_unrepresentable_volume_or_values_exit_2(self, capsys, extra, error):
+        code, out = run_cli(
+            capsys, "dist", "--a", "uniform", "--b", "1+0.5*sin(2*pi*x)", "--grid", "16", *extra
+        )
+        assert code == 2
+        assert strict_error(out)["type"] == error
+
     def test_t_range_is_echoed_as_given(self, capsys):
         code, out = run_cli(capsys, "simplex-demo", "--t-range", "0,1.50,3")
         assert code == 0

@@ -16,6 +16,7 @@ from densgeo.errors import (
     NegativeDensity,
     NonFiniteInput,
     NonPositiveInput,
+    ValidationError,
 )
 from densgeo.grid import (
     PeriodicGrid,
@@ -138,6 +139,28 @@ class TestNormalize:
         grid = PeriodicGrid(64)
         with pytest.raises(MassMismatch):
             Density(ScalarField.constant(grid, 1.0), 2.0)
+
+    def test_subnormal_node_values_rejected(self):
+        # below the normal floats a node value has lost digits, so BC and the
+        # distances would come out wrong with exit 0
+        grid = PeriodicGrid(16)
+        with pytest.raises(ValidationError):
+            uniform_density(grid, 1e-320)
+        with pytest.raises(ValidationError):
+            normalize(ScalarField.constant(grid, 1.0), 1e-320)
+        values = np.ones(16)
+        values[3] = 1e-10  # only this node leaves the normal floats
+        with pytest.raises(ValidationError):
+            normalize(ScalarField(grid, values), 1e-300)
+        assert normalize(ScalarField(grid, values), 1e-290).mass == 1e-290
+
+    def test_density_keeps_genuine_near_zeros(self):
+        # squares of sphere points past blowup vanish to roundoff at nodes
+        grid = PeriodicGrid(16)
+        values = np.ones(16)
+        values[3] = 1e-320
+        field = ScalarField(grid, values)
+        assert Density(field, integrate(field)).values[3] > 0.0
 
 
 class TestIsometryPullback:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -131,6 +133,13 @@ class TestValidation:
         # 1e-200 overflows |k|², 1e200 underflows it to 0 (Δ⁻¹ would vanish)
         with pytest.raises(InvalidGrid):
             PeriodicGrid(shape, length)
+
+    def test_volume_past_normal_floats_rejected(self):
+        # each |k|² is normal at 2e154, but the torus volume 4e308 overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidGrid):
+                PeriodicGrid((16, 16), 2e154)
 
     @pytest.mark.parametrize("length", [1e-150, 1e150])
     def test_extreme_lengths_keep_laplacian_inverse(self, length):

@@ -63,6 +63,34 @@ def test_one_dimensional_matches_complex_fft_formula(n):
         assert np.max(np.abs(row - reference)) <= 1e-14 * np.max(np.abs(reference))
 
 
+def matmul_eval_2d(grid, values, x, y):
+    """trig_eval's 2-D branch as it was before: a stacked complex matmul."""
+    spec = np.fft.rfft2(values) / grid.node_count
+    spec[..., 1 : grid.shape[-1] // 2] *= 2.0
+    phases = []
+    for axis, p in enumerate((x, y)):
+        n, h = grid.shape[axis], grid.spacings[axis]
+        k = np.fft.rfftfreq(n, d=h) if axis == 1 else np.fft.fftfreq(n, d=h)
+        e = np.exp(1j * np.outer(p.ravel(), 2.0 * np.pi * k))
+        e[:, n // 2] = e[:, n // 2].real
+        phases.append(e)
+    result = np.sum((phases[0] @ spec) * phases[1], axis=-1)
+    return result.real.reshape(spec.shape[:-2] + x.shape)
+
+
+@pytest.mark.parametrize("shape, lengths", [((16, 24), (1.5, 0.75)), ((32, 32), (2.0, 3.0))])
+@pytest.mark.parametrize("stack", [None, 3])
+def test_two_dimensional_matches_matmul_formula(shape, lengths, stack):
+    grid = PeriodicGrid(shape, lengths)
+    rng = np.random.default_rng(5)
+    values = rng.standard_normal(grid.shape if stack is None else (stack,) + grid.shape)
+    x, y = (rng.uniform(-L, 2.0 * L, (4, 9)) for L in grid.lengths)
+    reference = matmul_eval_2d(grid, values, x, y)
+    got = _interp.trig_eval(grid, values, x, y)
+    assert got.shape == reference.shape
+    assert np.max(np.abs(got - reference)) <= 1e-14 * np.max(np.abs(reference))
+
+
 def test_invert_monotone_builds_one_evaluator(monkeypatch):
     grid = PeriodicGrid(64)
     w = 0.02 * random_band_limited(grid, 3, np.random.default_rng(3)).values

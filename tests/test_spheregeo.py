@@ -3,7 +3,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from densgeo.density import Density, normalize, sqrt_map, uniform_density
+from densgeo.density import Density, normalize, sqrt_map, square_map, uniform_density
 from densgeo.errors import GridMismatch, MassMismatch
 from densgeo.grid import (
     PeriodicGrid,
@@ -173,6 +173,53 @@ class TestDistances:
             dist = spherical_distance(uniform, peaked_density(grid, 10.0**k))
             assert previous < dist < bound
             previous = dist
+
+
+def spread_density(grid, rng, mass, power, zeros):
+    """Random density of the given mass, concentrated by ``power`` and with
+    genuine zeros at a fraction ``zeros`` of the nodes."""
+    values = rng.random(grid.shape) ** power
+    values[rng.random(grid.shape) < zeros] = 0.0
+    values.flat[0] = 1.0  # some mass survives
+    scale = mass / integrate(ScalarField(grid, values))
+    return Density(ScalarField(grid, values * scale), mass)
+
+
+class TestMetricProperties:
+    SETTINGS = dict(
+        shape=st.sampled_from([(16,), (64,), (8, 8)]),
+        log_mass=st.floats(-100.0, 100.0),
+        power=st.floats(1.0, 8.0),
+        zeros=st.sampled_from([0.0, 0.5, 0.9]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+
+    @settings(max_examples=60)
+    @given(**SETTINGS)
+    def test_metric_axioms_and_diameter(self, shape, log_mass, power, zeros, seed):
+        grid = PeriodicGrid(shape)
+        rng = np.random.default_rng(seed)
+        mass = 10.0**log_mass
+        a, b, c = (spread_density(grid, rng, mass, power, zeros) for _ in range(3))
+        root = np.sqrt(mass)
+        # arccos near 1 turns a roundoff of BC into ~sqrt(2 eps) of angle
+        for dist, tol in ((spherical_distance, 1e-7), (hellinger_distance, 1e-12)):
+            assert dist(a, b) == dist(b, a)
+            assert dist(a, c) <= dist(a, b) + dist(b, c) + tol * root
+        for x, y in ((a, b), (b, c), (a, c)):
+            assert 0.0 <= spherical_distance(x, y) <= (1.0 + 1e-15) * np.pi * root / 2.0
+
+    @settings(max_examples=60)
+    @given(**SETTINGS)
+    def test_sqrt_square_round_trip(self, shape, log_mass, power, zeros, seed):
+        grid = PeriodicGrid(shape)
+        d = spread_density(grid, np.random.default_rng(seed), 10.0**log_mass, power, zeros)
+        point = sqrt_map(d)
+        back = square_map(point)
+        assert back.mass == pytest.approx(d.mass, rel=1e-15)
+        assert np.max(np.abs(back.values - d.values)) <= 1e-15 * np.max(d.values)
+        again = sqrt_map(back)
+        assert np.max(np.abs(again.values - point.values)) <= 1e-15 * np.max(point.values)
 
 
 class TestGeodesic:
