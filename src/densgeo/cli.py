@@ -11,15 +11,20 @@ numerical failures exit 1, and so does a NaN or infinite result
 its domain, sizes included, in its parser type (``_in``): a value outside it
 exits 2 when parsed.  Rules across two flags are checked before the grid is
 built.  Any other exception becomes an InternalError object (exit 1).
+
+The parser is built once per process, on the first request, and ``main``
+looks each subcommand up by name (``_cmd_<name>``) when the request runs.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
 import traceback
+from itertools import repeat
 
 import numpy as np
 
@@ -50,6 +55,8 @@ def _format_float(x: float) -> str:
 
 def dumps(obj, indent: int = 0) -> str:
     """JSON with floats at 17 significant digits (deterministic output)."""
+    if type(obj) is float:
+        return _format_float(obj)
     pad = "  " * indent
     inner = "  " * (indent + 1)
     if isinstance(obj, dict):
@@ -64,6 +71,10 @@ def dumps(obj, indent: int = 0) -> str:
         seq = list(obj)
         if not seq:
             return "[]"
+        if {*map(type, seq)} == {float}:  # plain floats: checked and formatted in one pass
+            if not all(map(math.isfinite, seq)):  # _format_float raises NonFiniteResult
+                _format_float(next(v for v in seq if not math.isfinite(v)))
+            return "[" + ", ".join(map(format, seq, repeat(".17g"))) + "]"
         if all(isinstance(v, (int, float, np.integer, np.floating)) for v in seq):
             return "[" + ", ".join(_serialize_scalar(v) for v in seq) + "]"
         items = [f"{inner}{dumps(v, indent + 1)}" for v in seq]
@@ -331,10 +342,10 @@ def _cmd_alpha(args) -> dict:
         ux = derivative(u).values
         return float(grid.node_weight * np.sum(ux * ux))
 
+    # degree below N/3, so the products in the duality check do not alias
+    degree = min(8, (args.grid - 1) // 3)
     rng = np.random.default_rng(args.seed)
-    du = random_band_limited(grid, 8, rng)
-    dv = random_band_limited(grid, 8, rng)
-    dw = random_band_limited(grid, 8, rng)
+    du, dv, dw = (random_band_limited(grid, degree, rng) for _ in range(3))
     return {
         "meta": {"grid": _grid_meta(grid), "mass": grid.total_volume,
                  "params": {"alpha": args.alpha, "u0": args.u0,
@@ -522,14 +533,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dist", parents=[densities], help="distances between two densities")
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
-    p.set_defaults(func=_cmd_dist)
 
     p = sub.add_parser("geodesic", parents=[densities],
                        help="great-circle interpolation of densities")
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
     p.add_argument("--samples", type=_SAMPLES, default=11)
-    p.set_defaults(func=_cmd_geodesic)
 
     p = sub.add_parser("hs", parents=[gridded],
                        help="closed-form flow: kappa, blowup, time series")
@@ -537,7 +546,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-final", type=_NON_NEGATIVE, default=None, dest="t_final")
     p.add_argument("--frac-of-tmax", type=_POSITIVE, default=0.8, dest="frac_of_tmax")
     p.add_argument("--samples", type=_SAMPLES, default=9)
-    p.set_defaults(func=_cmd_hs)
 
     p = sub.add_parser("moser-lift", parents=[gridded], help="lift a Jacobian series to a flow")
     p.add_argument("--div-u0", required=True, dest="div_u0")
@@ -545,43 +553,46 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--frac-of-tmax", type=_POSITIVE, default=0.5, dest="frac_of_tmax")
     p.add_argument("--samples", type=_SAMPLES, default=4)
     p.add_argument("--dt", type=_POSITIVE, default=1e-3)
-    p.set_defaults(func=_cmd_moser_lift)
 
     p = sub.add_parser("alpha", parents=[gridded], help="alpha-connection geodesic run")
     p.add_argument("--alpha", type=_FINITE, required=True)
     p.add_argument("--u0", required=True)
     p.add_argument("--t-final", type=_NON_NEGATIVE, default=0.3, dest="t_final")
     p.add_argument("--dt", type=_POSITIVE, default=1e-4)
-    p.set_defaults(func=_cmd_alpha)
 
     p = sub.add_parser("invariants", parents=[gridded], help="conserved-quantity drift table")
     p.add_argument("--div-u0", required=True, dest="div_u0")
     p.add_argument("--samples", type=_SAMPLES, default=50)
     p.add_argument("--truncation", type=_in(int, 2, MAX_TRUNCATION), default=None)
-    p.set_defaults(func=_cmd_invariants)
 
     p = sub.add_parser("simplex-demo", parents=[output], help="three-outcome bouncing geodesic")
     p.add_argument("--t", type=_FINITE, default=0.0)
     p.add_argument("--t-range", type=_t_range, default=None, dest="t_range",
                    help="lo,hi,count for a sampled table")
-    p.set_defaults(func=_cmd_simplex_demo)
 
     p = sub.add_parser("heat-demo", parents=[densities],
                        help="heat flow as a metric gradient flow")
     p.add_argument("--rho0", required=True)
     p.add_argument("--t-final", type=_NON_NEGATIVE, default=0.05, dest="t_final")
-    p.set_defaults(func=_cmd_heat_demo)
 
     return parser
 
 
+@functools.lru_cache(maxsize=1)
+def _parser_from(build):
+    """The parser ``build`` returns, built once and reused by every request.
+    Keyed on the builder, so a rebound ``build_parser`` gets its own parser."""
+    return build()
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser_from(build_parser).parse_args(argv)
+        command = globals()["_cmd_" + args.command.replace("-", "_")]
         # non-finite values end as an error object (NonFiniteResult), so
         # numpy's overflow and invalid-value warnings would only repeat it
         with np.errstate(all="ignore"):
-            _emit(args.func(args), args)
+            _emit(command(args), args)
     except Exception as exc:  # the last resort still writes an error object
         if not isinstance(exc, DensgeoError):
             traceback.print_exc(file=sys.stderr)

@@ -22,6 +22,7 @@ from .density import Density, SpherePoint
 from .errors import (
     BeyondBlowup,
     InconsistentZeroKappa,
+    NonFiniteInput,
     StepTooLarge,
 )
 from .grid import (
@@ -61,7 +62,10 @@ class HsGeodesic:
         check_mean_zero(rho0, "the initial divergence")
         sup = float(np.max(np.abs(rho0.values)))
         mass = grid.total_volume
-        kappa_sq = integrate(ScalarField(grid, rho0.values**2)) / (4.0 * mass)
+        with np.errstate(over="ignore"):
+            kappa_sq = integrate(ScalarField(grid, rho0.values**2)) / (4.0 * mass)
+        if not np.isfinite(kappa_sq):
+            raise NonFiniteInput("the energy integral of rho0**2 overflows for this divergence")
         kappa = float(np.sqrt(max(kappa_sq, 0.0)))
         if kappa < KAPPA_EPS:
             if sup > 1e-10:

@@ -1,5 +1,8 @@
 import argparse
+import contextlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -7,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import densgeo
@@ -24,13 +27,18 @@ def run_cli(capsys, *argv):
     return code, out
 
 
-def strict_error(out):
-    """The error object of an output that must parse as strict JSON."""
+def strict_json(out):
+    """An output that must parse as strict JSON."""
 
     def reject(token):
         raise ValueError(f"bare {token} is not JSON")
 
-    return json.loads(out, parse_constant=reject)["error"]
+    return json.loads(out, parse_constant=reject)
+
+
+def strict_error(out):
+    """The error object of an output that must parse as strict JSON."""
+    return strict_json(out)["error"]
 
 
 class TestExpressionGrammar:
@@ -484,3 +492,174 @@ class TestErrorHandling:
         lines = out.strip().splitlines()
         assert lines[0].startswith("t,")
         assert len(lines) == 4
+
+
+class TestSmallGridsAndOverflow:
+    @pytest.mark.parametrize("n", [8, 16, 18, 24, 32])
+    def test_alpha_duality_check_on_small_grids(self, capsys, n):
+        # the duality fields' degree stays below N/3, so their products do
+        # not alias; degree 8 needed N >= 18 and aliased up to N = 24
+        code = main(["alpha", "--alpha", "0", "--u0", "sin(2*pi*x)", "--grid", str(n),
+                     "--t-final", "0.001"])
+        captured = capsys.readouterr()
+        assert code == 0 and captured.err == ""
+        assert abs(json.loads(captured.out)["diagnostics"]["duality_residual"]) <= 1e-10
+
+    @pytest.mark.parametrize("command", ["hs", "moser-lift", "invariants"])
+    @pytest.mark.parametrize(
+        "div_u0, dim",
+        [("1e154*sin(2*pi*x)", "1"), ("1e154*sin(2*pi*x)*cos(2*pi*y)", "2")],
+        ids=["circle", "torus"],
+    )
+    def test_overflowing_energy_exits_2(self, capsys, command, div_u0, dim):
+        # ∫ρ0² overflows: it gave kappa = inf and a blowup time of 0
+        code, out = run_cli(capsys, command, "--div-u0", div_u0, "--grid", "16",
+                            "--dim", dim)
+        assert code == 2
+        assert strict_error(out)["type"] == "NonFiniteInput"
+
+
+def _old_serialize_scalar(v) -> str:
+    """The per-value formatting that dumps applied to every number list."""
+    if isinstance(v, (bool, np.bool_)):
+        return "true" if v else "false"
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    return format(float(v), ".17g")
+
+
+_EDGE_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                                1e-310, 1e308, -1e308, 1.7976931348623157e308, 0.1, 1.0])
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False) | _EDGE_FLOATS
+
+
+class TestPerProcessParser:
+    def test_parser_built_once_across_requests(self, capsys, monkeypatch):
+        builds, build = [], cli.build_parser
+
+        def counting():
+            builds.append(1)
+            return build()
+
+        monkeypatch.setattr(cli, "build_parser", counting)
+        for n in ("8", "16", "32", "8", "16"):
+            code, _ = run_cli(capsys, "dist", "--a", "uniform", "--b", "1+0.5*sin(2*pi*x)",
+                              "--grid", n)
+            assert code == 0
+        assert len(builds) == 1
+
+    def test_command_looked_up_when_the_request_runs(self, capsys, monkeypatch):
+        argv = ("dist", "--a", "uniform", "--b", "uniform", "--grid", "16")
+        assert run_cli(capsys, *argv)[0] == 0
+        monkeypatch.setattr(cli, "_cmd_dist", lambda args: {"results": {"patched": True}})
+        code, out = run_cli(capsys, *argv)
+        assert code == 0 and json.loads(out) == {"results": {"patched": True}}
+
+    def test_mixed_sequence_matches_fresh_parsers(self, capsys, monkeypatch):
+        sequence = [
+            ("dist", "--a", "uniform", "--b", "1+0.5*sin(2*pi*x)", "--grid", "16"),
+            ("dist", "--a", "uniform", "--b", "uniform", "--grid", "abc"),
+            ("hs", "--help"),
+            ("simplex-demo", "--t-range", "0,1,3", "--format", "csv"),
+            ("no-such-command",),
+            ("hs", "--div-u0", "sin(2*pi*x)", "--grid", "32", "--samples", "3"),
+            ("dist", "--a", "uniform", "--b", "1+0.5*sin(2*pi*x)", "--grid", "16"),
+        ]
+
+        def outputs():
+            result = []
+            for argv in sequence:
+                try:
+                    code = main(list(argv))
+                except SystemExit as exc:
+                    code = exc.code
+                result.append((code, capsys.readouterr().out))
+            return result
+
+        cached = outputs()
+        monkeypatch.setattr(cli, "_parser_from", lambda build: build())
+        assert cached == outputs()
+        assert [code for code, _ in cached] == [0, 2, 0, 0, 2, 0, 0]
+
+    @settings(max_examples=300)
+    @given(st.lists(_FLOATS, min_size=1, max_size=20)
+           | st.lists(_FLOATS | st.integers(-10**20, 10**20) | st.booleans()
+                      | _FLOATS.map(np.float64), min_size=1, max_size=20))
+    def test_number_lists_match_per_value_formatting(self, values):
+        expected = "[" + ", ".join(map(_old_serialize_scalar, values)) + "]"
+        assert dumps(values) == expected
+        assert dumps(tuple(values)) == expected
+        assert dumps(values[0]) == _old_serialize_scalar(values[0])
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_float_in_a_list_keeps_its_message(self, value):
+        for obj in ([1.0, value], value, {"r": [1.0, 2.0, value, 3.0]}):
+            with pytest.raises(NonFiniteResult) as exc:
+                dumps(obj)
+            assert str(exc.value) == f"the result contains the non-finite value {value}"
+
+
+# flags of every subcommand with small values, for requests in one process
+_EXPRS = ["uniform", "0", "sin(2*pi*x)", "1+0.5*cos(2*pi*x)", "sin(2*pi*x)*cos(2*pi*y)",
+          "1/(x-x)", "1e200*sin(2*pi*x)", "junk("]
+_SMALL = {
+    "--grid": ["8", "16", "32"], "--dim": ["1", "2"], "--length": ["1", "2", "1,2"],
+    "--mass": ["1", "0.5", "1e-3"], "--seed": ["0", "7"], "--format": ["json", "csv"],
+    "--t-final": ["0", "0.001", "0.01"], "--samples": ["1", "3", "5"],
+    "--frac-of-tmax": ["0.1", "0.5"], "--dt": ["1e-3", "1e-4"], "--alpha": ["0", "1", "-2"],
+    "--truncation": ["2", "5"], "--t": ["0", "1.5"], "--t-range": ["0,1,3", "0,6.283,5"],
+    "--a": _EXPRS, "--b": _EXPRS, "--div-u0": _EXPRS, "--u0": _EXPRS, "--rho0": _EXPRS,
+}
+_OPTIONAL = ("--dim", "--length", "--seed", "--format")
+_FLAGS = {  # (flags always given, optional flags); --grid keeps requests small
+    "dist": (("--a", "--b", "--grid"), _OPTIONAL + ("--mass",)),
+    "geodesic": (("--a", "--b", "--grid"), _OPTIONAL + ("--mass", "--samples")),
+    "hs": (("--div-u0", "--grid"), _OPTIONAL + ("--t-final", "--frac-of-tmax", "--samples")),
+    "moser-lift": (("--div-u0", "--grid", "--t-final"), _OPTIONAL + ("--samples", "--dt")),
+    "alpha": (("--alpha", "--u0", "--grid", "--t-final"), _OPTIONAL + ("--dt",)),
+    "invariants": (("--div-u0", "--grid"), _OPTIONAL + ("--samples", "--truncation")),
+    "simplex-demo": ((), ("--seed", "--format", "--t", "--t-range")),
+    "heat-demo": (("--rho0", "--grid"), _OPTIONAL + ("--mass", "--t-final")),
+}
+_JUNK = ["--bogus", "junk", "--grid", "-1", "=", "--dim=3", "nan", "--samples", "1e999"]
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(_FLAGS)))
+    required, optional = _FLAGS[command]
+    flags = list(required) + [f for f in optional if draw(st.booleans())]
+    argv = [command]
+    for flag in flags:
+        argv += [flag, draw(st.sampled_from(_SMALL[flag]))]
+    for _ in range(draw(st.integers(0, 2))):
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(_JUNK)))
+    return argv
+
+
+class TestRequestSequences:
+    @settings(max_examples=100)
+    @given(st.lists(_argv(), min_size=1, max_size=4))
+    @example([["alpha", "--alpha", "0", "--u0", "sin(2*pi*x)", "--grid", "8",
+               "--t-final", "0.001"]])
+    @example([["hs", "--div-u0", "1e200*sin(2*pi*x)", "--grid", "16"],
+              ["dist", "--a", "uniform", "--b", "uniform", "--grid", "8", "--format", "csv"]])
+    def test_exit_code_and_strict_output_in_one_process(self, sequence):
+        for argv in sequence:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(list(argv))
+            out = out.getvalue()
+            assert code in (0, 1, 2), argv
+            assert err.getvalue() == "", argv
+            if code == 0 and cli.build_parser().parse_args(argv).format == "csv":
+                rows = [line for line in out.splitlines() if not line.startswith("#")]
+                assert out.endswith("\n") and rows, argv  # a header at least
+                assert len({row.count(",") for row in rows}) == 1, argv
+                continue
+            doc = strict_json(out)
+            if code:
+                assert doc["error"]["exit_code"] == code, argv
+                assert doc["error"]["type"] != "InternalError", argv
+            else:
+                assert set(doc) == {"meta", "results", "diagnostics"}, argv

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from densgeo.density import sqrt_map
-from densgeo.errors import BeyondBlowup, NonZeroMean, StepTooLarge
+from densgeo.errors import BeyondBlowup, NonFiniteInput, NonZeroMean, StepTooLarge
 from densgeo.grid import (
     PeriodicGrid,
     ScalarField,
@@ -91,6 +91,14 @@ class TestGeodesicRecord:
         grid = PeriodicGrid(64)
         with pytest.raises(NonZeroMean):
             HsGeodesic.from_divergence(ScalarField.constant(grid, 0.5))
+
+    @pytest.mark.parametrize("shape", [16, (16, 16)])
+    def test_overflowing_energy_rejected(self, shape):
+        # ∫ρ0² overflows (κ = inf, t_max = 0 before); no overflow warning escapes
+        grid = PeriodicGrid(shape)
+        rho0 = ScalarField(grid, 1e154 * np.sin(2 * np.pi * grid.coordinate(0)))
+        with pytest.raises(NonFiniteInput):
+            HsGeodesic.from_divergence(rho0)
 
 
 class TestLagrangianFormulas:
