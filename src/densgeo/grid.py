@@ -2,13 +2,14 @@
 
 Nodes are x_j = j * L / N per axis, so quadrature is the rectangle rule,
 which is spectrally exact for periodic integrands.  Every spectral operator
-is a Fourier multiplier applied by one primitive, ``fourier``: a real FFT
-over the trailing ``grid.dim`` axes, a product with a half-spectrum
-multiplier, and the inverse real FFT.  Leading axes of the values and of
-the multiplier broadcast, so a stack of fields, or a stack of multipliers
-such as the gradient's ``ik``, costs one call and one forward transform per
-field.  The multipliers are built once per grid; the Nyquist mode is zeroed
-in first derivatives so derivatives of real fields stay real.
+is a Fourier multiplier on the real FFT's half spectrum, built once per
+grid.  ``fourier`` applies one over the trailing ``grid.dim`` axes; leading
+axes of the values and of the multiplier broadcast, so a stack costs one
+call.  A partial derivative ∂ₐ multiplies by ikₐ alone, so the transform
+along the other axis cancels: ``derivative``, ``gradient_values`` and
+``divergence`` take the real FFT along axis a only (``_partial``), which in
+1-D is the same pair of transforms.  The Nyquist mode is zeroed in first
+derivatives so derivatives of real fields stay real.
 """
 
 from __future__ import annotations
@@ -48,7 +49,8 @@ class PeriodicGrid:
     multipliers ``ik`` (dim, *half), ``k2``, ``inv_laplacian`` and
     ``dealias_mask`` live on the real FFT's half spectrum, the only
     spectrum the package uses (``_interp`` evaluates off-grid from it too),
-    and are applied with ``fourier``.
+    and are applied with ``fourier``.  ``ik_axes[a]`` is ikₐ on the half
+    spectrum of axis a alone, for ∂ₐ.
     """
 
     def __init__(self, points_per_axis, lengths=1.0):
@@ -97,6 +99,11 @@ class PeriodicGrid:
         for axis, n in enumerate(self.shape):
             np.moveaxis(k[axis], axis, 0)[n // 2] = 0.0
         self.ik = 1j * k
+        self.ik_axes = []  # broadcast along their own axis of a (..., *shape) array
+        for axis, (n, h) in enumerate(zip(self.shape, self.spacings)):
+            ka = 2.0 * np.pi * np.fft.rfftfreq(n, d=h)
+            ka[-1] = 0.0
+            self.ik_axes.append((1j * ka).reshape((-1,) + (1,) * (self.dim - 1 - axis)))
 
     def coordinate(self, axis: int = 0) -> np.ndarray:
         """Full-shape array of node coordinates along ``axis``."""
@@ -176,11 +183,19 @@ def fourier(grid: PeriodicGrid, values: np.ndarray, multiplier) -> np.ndarray:
     return np.fft.irfftn(spectrum * multiplier, s=grid.shape, axes=(-2, -1))
 
 
+def _partial(grid: PeriodicGrid, values: np.ndarray, axis: int) -> np.ndarray:
+    """∂ along grid ``axis`` of a field or stack (..., *shape): the real FFT
+    along that axis only, ikₐ, and the inverse real FFT."""
+    at = axis - grid.dim
+    spectrum = np.fft.rfft(values, axis=at)
+    return np.fft.irfft(spectrum * grid.ik_axes[axis], n=grid.shape[axis], axis=at)
+
+
 def gradient_values(grid: PeriodicGrid, values: np.ndarray) -> np.ndarray:
     """Spectral gradient of a field (*shape) or a stack (m, *shape), with
     the derivative axis inserted before the grid axes: (..., dim, *shape).
-    One forward transform per field."""
-    return fourier(grid, np.expand_dims(values, -grid.dim - 1), grid.ik)
+    Each ∂ₐ transforms along axis a only."""
+    return np.stack([_partial(grid, values, a) for a in range(grid.dim)], axis=-grid.dim - 1)
 
 
 def check_mean_zero(field: ScalarField, what: str) -> None:
@@ -193,8 +208,7 @@ def check_mean_zero(field: ScalarField, what: str) -> None:
 
 def derivative(field: ScalarField, axis: int = 0) -> ScalarField:
     """Spectral partial derivative along one axis."""
-    grid = field.grid
-    return ScalarField(grid, fourier(grid, field.values, grid.ik[axis]))
+    return ScalarField(field.grid, _partial(field.grid, field.values, axis))
 
 
 def gradient(field: ScalarField) -> VectorField:
@@ -202,9 +216,8 @@ def gradient(field: ScalarField) -> VectorField:
 
 
 def divergence(v: VectorField) -> ScalarField:
-    grid = v.grid
-    comps = np.array([c.values for c in v.components])
-    return ScalarField(grid, np.sum(fourier(grid, comps, grid.ik), axis=0))
+    parts = [_partial(v.grid, c.values, axis) for axis, c in enumerate(v.components)]
+    return ScalarField(v.grid, np.sum(parts, axis=0))
 
 
 def laplacian(field: ScalarField) -> ScalarField:

@@ -131,6 +131,17 @@ def _rho_lagrangian(g: HsGeodesic, t: float, rho0_values: np.ndarray) -> np.ndar
     return 2.0 * g.kappa * np.tan(theta)
 
 
+def _characteristic_rho(g: HsGeodesic):
+    """t -> ρ(t, η(t, x)) at the nodes, as ``_rho_lagrangian`` gives it for
+    ρ0, with θ0 = arctan(ρ0/2κ) computed once for a time-stepping loop."""
+    if g.kappa < KAPPA_EPS:
+        zero = np.zeros(g.grid.shape)
+        return lambda t: zero
+    kappa = g.kappa
+    theta0 = np.arctan(g.rho0.values / (2.0 * kappa))
+    return lambda t: 2.0 * kappa * np.tan(theta0 - kappa * t)
+
+
 def rho_along_flow(g: HsGeodesic, t: float) -> ScalarField:
     """Solution values at Lagrangian labels, 2κ tan(arctan(ρ0/2κ) - κt)."""
     if t >= g.t_max:
@@ -299,16 +310,10 @@ def jacobian_by_ode(g: HsGeodesic, t_final: float, dt: float) -> ScalarField:
     jac = np.ones(g.grid.shape)
     if g.kappa < KAPPA_EPS:
         return ScalarField(g.grid, jac)
-    # ρ(t, η) = 2κ tan(θ0 - κt) as in _rho_lagrangian, with θ0 computed once
-    kappa = g.kappa
-    theta0 = np.arctan(g.rho0.values / (2.0 * kappa))
-
-    def rate(t, j):
-        return 2.0 * kappa * np.tan(theta0 - kappa * t) * j
-
+    rho = _characteristic_rho(g)
     n_steps, h = fixed_steps(t_final, dt)
     for step in range(n_steps):
-        jac = rk4_step(rate, step * h, jac, h)
+        jac = rk4_step(lambda t, j: rho(t) * j, step * h, jac, h)
     return ScalarField(g.grid, jac)
 
 
@@ -328,13 +333,13 @@ def integrate_flow(
     closed-form characteristic values ρ(t, η(t, x)), which stay
     well-conditioned near blowup.
     """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
     if t_final >= g.t_max:
         raise BeyondBlowup(f"t_final = {t_final} reaches the blowup time {g.t_max}")
+    n_steps, h = fixed_steps(t_final, dt)
     grid = g.grid
     d = grid.dim
     rho0_eval = _interp.SplineEvaluator(grid, g.rho0.values)
+    rho_lagrangian = _characteristic_rho(g)
 
     def recovered_rho(t: float, back: np.ndarray) -> np.ndarray:
         rho = _rho_lagrangian(g, t, rho0_eval(*(grid.identity + back)))
@@ -347,13 +352,12 @@ def integrate_flow(
         check_courant(grid, u, dt)
         out = np.empty_like(y)
         out[:d] = _interp.SplineEvaluator(grid, u)(*eta)
-        out[d] = _rho_lagrangian(g, t, g.rho0.values) * jac
+        out[d] = rho_lagrangian(t) * jac
         # ∂ₜbᵢ = -uᵢ - Σⱼ uⱼ ∂ⱼbᵢ, the products dealiased
         advection = np.sum(u * gradient_values(grid, back), axis=1)
         out[d + 1 :] = -u - fourier(grid, advection, grid.dealias_mask)
         return out
 
-    n_steps, h = fixed_steps(t_final, dt)
     store_every = max(1, n_steps // max(1, n_store))
     y = np.concatenate(
         [grid.identity, np.ones((1,) + grid.shape), np.zeros_like(grid.identity)]
@@ -377,8 +381,7 @@ def integrate_flow(
             )
         if step % store_every == 0 or step == n_steps:
             rec_eval = _interp.SplineEvaluator(grid, recovered_rho(t, y[d + 1 :]))
-            lag = _rho_lagrangian(g, t, g.rho0.values)
-            residuals.append(float(np.max(np.abs(rec_eval(*y[:d]) - lag))))
+            residuals.append(float(np.max(np.abs(rec_eval(*y[:d]) - rho_lagrangian(t)))))
             times.append(t)
             positions.append(y[:d].copy())
             jacobians.append(y[d].copy())

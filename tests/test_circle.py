@@ -299,18 +299,6 @@ class TestTransformRhs:
         assert fft_calls == ["rfft", "irfft", "rfft", "irfft"]
 
 
-@pytest.fixture
-def fft_calls(monkeypatch):
-    """Names of the numpy.fft functions called, in order."""
-    calls = []
-    for name in ("fft", "ifft", "rfft", "irfft", "rfftn", "irfftn"):
-        real = getattr(np.fft, name)
-        monkeypatch.setattr(
-            np.fft, name, lambda *a, _f=real, _n=name, **k: calls.append(_n) or _f(*a, **k)
-        )
-    return calls
-
-
 def _evolve(equation, u0, t_final, dt):
     if isinstance(equation, str):
         return evolve_classic(equation, u0, t_final, dt)

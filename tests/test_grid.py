@@ -27,6 +27,7 @@ from densgeo.grid import (
     periodic_primitive,
     random_band_limited,
     fixed_steps,
+    fourier,
     rk4_step,
 )
 from helpers import divergence_free_field, lie_bracket
@@ -268,6 +269,55 @@ class TestRealFFTLayer:
             w = _reference_multiply(values, primitive)
             reference = np.mean(values) * grid.coordinate(0) + (w - w[0])
             _assert_close(periodic_primitive(grid, values), reference)
+
+
+_EVEN_SIZES = st.integers(4, 32).map(lambda half: 2 * half)
+
+
+class TestOneAxisDerivatives:
+    """∂ₐ transforms along axis a alone; the full-grid ``fourier`` with
+    ``grid.ik[a]`` is the reference."""
+
+    @settings(max_examples=80)
+    @given(
+        shape=st.one_of(st.tuples(_EVEN_SIZES), st.tuples(_EVEN_SIZES, _EVEN_SIZES)),
+        lengths=st.tuples(st.floats(0.25, 8.0), st.floats(0.25, 8.0)),
+        stack=st.integers(0, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_match_full_grid_multiplier(self, shape, lengths, stack, seed):
+        grid = PeriodicGrid(shape, lengths[: len(shape)])
+        rng = np.random.default_rng(seed)
+        values = rng.standard_normal(shape)
+        fields = rng.standard_normal((stack,) + shape)
+        comps = rng.standard_normal((grid.dim,) + shape)
+
+        def reference(v):
+            return np.stack([fourier(grid, v, grid.ik[a]) for a in range(grid.dim)],
+                            axis=-grid.dim - 1)
+
+        pairs = [(gradient_values(grid, values), reference(values)),
+                 (gradient_values(grid, fields), reference(fields)),
+                 (divergence(VectorField.from_arrays(grid, *comps)).values,
+                  np.sum([fourier(grid, c, k) for c, k in zip(comps, grid.ik)], axis=0))]
+        pairs += [(derivative(ScalarField(grid, values), a).values, reference(values)[a])
+                  for a in range(grid.dim)]
+        for actual, expected in pairs:
+            assert actual.shape == expected.shape
+            if grid.dim == 1:
+                assert np.array_equal(actual, expected)
+            elif expected.size:
+                assert np.max(np.abs(actual - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+    def test_two_dimensional_gradient_makes_no_full_grid_transform(self, fft_calls):
+        grid = PeriodicGrid((16, 24), (1.5, 0.75))
+        gradient_values(grid, np.ones((2,) + grid.shape))
+        assert fft_calls == ["rfft", "irfft", "rfft", "irfft"]
+
+    def test_one_dimensional_gradient_is_one_transform_pair(self, fft_calls):
+        grid = PeriodicGrid(32)
+        gradient_values(grid, np.ones((3, 32)))
+        assert fft_calls == ["rfft", "irfft"]
 
 
 @pytest.mark.parametrize("shape", [(64,), (16, 24)])

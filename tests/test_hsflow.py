@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 from densgeo.density import sqrt_map
-from densgeo.errors import BeyondBlowup, NonFiniteInput, NonZeroMean, StepTooLarge
+from densgeo.errors import (
+    BeyondBlowup,
+    NonFiniteInput,
+    NonZeroMean,
+    StepTooLarge,
+    ValidationError,
+)
 from densgeo.grid import (
     PeriodicGrid,
     ScalarField,
@@ -27,6 +33,7 @@ from densgeo.hsflow import (
     rho_along_flow,
     velocity_from_rho,
 )
+from densgeo.hsflow import _characteristic_rho, _rho_lagrangian
 
 KAPPA_SIN = 1.0 / (2.0 * np.sqrt(2.0))
 TMAX_SIN = 2.0 * np.sqrt(2.0) * (np.pi / 2.0 - np.arctan(np.sqrt(2.0)))
@@ -327,3 +334,20 @@ class TestIntegrateFlow:
         geo = sin_geodesic(64)
         with pytest.raises(StepTooLarge):
             integrate_flow(geo, 0.8 * geo.t_max, 0.3)
+
+    @pytest.mark.parametrize("dt", [0.0, -1e-3])
+    def test_nonpositive_step_rejected(self, dt):
+        geo = sin_geodesic(64)
+        with pytest.raises(ValidationError):
+            integrate_flow(geo, 0.1 * geo.t_max, dt)
+
+    @pytest.mark.parametrize("amp", [0.0, 1.0])
+    def test_characteristic_rho_is_the_lagrangian_formula(self, amp):
+        # the stepping loops hoist θ0 = arctan(ρ0/2κ); the values stay the same bits
+        grid = PeriodicGrid((16, 16))
+        x, y = grid.coordinate(0), grid.coordinate(1)
+        geo = HsGeodesic.from_divergence(
+            ScalarField(grid, amp * np.sin(2 * np.pi * x) * np.cos(2 * np.pi * y)))
+        rho = _characteristic_rho(geo)
+        for t in (0.0, 0.3 * min(geo.t_max, 1.0), 0.9 * min(geo.t_max, 1.0)):
+            assert np.array_equal(rho(t), _rho_lagrangian(geo, t, geo.rho0.values))

@@ -21,7 +21,13 @@ from densgeo.grid import (
     laplacian_inverse,
     random_band_limited,
 )
-from densgeo.hsflow import HsGeodesic, jacobian_formula, map_jacobian
+from densgeo.hsflow import (
+    HsGeodesic,
+    jacobian_formula,
+    map_jacobian,
+    sphere_path,
+    sphere_velocity,
+)
 from densgeo.moser import (
     compose_maps,
     invert_map,
@@ -353,6 +359,36 @@ class TestGridAdvection:
             lift_flow(lambda t: 1.0 + 0.1 * t * wave, [0.0, 0.6, 1.2], grid,
                       dt=1.0 / MAX_STEPS, dphi=lambda t: 0.1 * wave)
         assert calls == []
+
+    def test_scalar_field_dphi_gives_the_array_flow(self):
+        geo = torus_geodesic(16)
+
+        def dphi(t):
+            return 2.0 * sphere_path(geo, t).values * sphere_velocity(geo, t).values
+
+        phi = lambda t: jacobian_formula(geo, t)
+        by_array = lift_flow(phi, [0.0, 0.1], geo.grid, dt=1e-2, dphi=dphi)
+        by_field = lift_flow(phi, [0.0, 0.1], geo.grid, dt=1e-2,
+                             dphi=lambda t: ScalarField(geo.grid, dphi(t)))
+        for a, b in zip(by_array.positions, by_field.positions):
+            assert np.array_equal(a, b)
+
+    def test_default_dphi_is_the_central_difference(self):
+        # φ(t) and φ(t ± h) per distinct stage time: one step has three
+        geo = torus_geodesic(16)
+        calls = []
+
+        def phi(t):
+            calls.append(t)
+            return jacobian_formula(geo, t)
+
+        h = 1e-4
+        flow = lift_flow(phi, [0.0, 0.01], geo.grid, dt=0.01)
+        assert len(calls) == 1 + 2 + 3 * 3  # φ(0), validation, three stage times
+        central = lift_flow(phi, [0.0, 0.01], geo.grid, dt=0.01, dphi=lambda t: (
+            jacobian_formula(geo, t + h).values - jacobian_formula(geo, t - h).values
+        ) / (2.0 * h))
+        assert np.array_equal(flow.positions[-1], central.positions[-1])
 
     def test_transport_rejects_too_large_step(self):
         grid = PeriodicGrid((48, 48))
