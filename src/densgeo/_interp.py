@@ -9,7 +9,8 @@ Newton solves).  ``SplineEvaluator`` zero-pads the spectrum onto a finer
 grid and evaluates a quintic B-spline there (inside time-stepping loops).
 On a periodic grid the spline's prefilter is a Fourier multiplier, applied
 to the padded spectrum, so a spline build is one real-FFT pair and scipy
-only evaluates the spline (``map_coordinates``).
+only evaluates the spline (``map_coordinates``), importing ``scipy.ndimage``
+at its first evaluation: that import costs a CLI process more than numpy's.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import InversionDiverged
 from .grid import PeriodicGrid, fourier
@@ -88,6 +88,8 @@ class SplineEvaluator:
     def __call__(self, *points: np.ndarray) -> np.ndarray:
         """Evaluate at physical coordinates (one array per axis); a stack
         gives the fields along a new leading axis."""
+        from scipy import ndimage
+
         coords = [np.asarray(p) / h for p, h in zip(points, self._spacings)]
         stack = self._coeffs.reshape((-1,) + self._coeffs.shape[-self.grid.dim :])
         values = [ndimage.map_coordinates(c, coords, order=5, mode="grid-wrap", prefilter=False)
@@ -111,9 +113,10 @@ def trig_eval(grid: PeriodicGrid, values: np.ndarray, *points: np.ndarray) -> np
         e = np.exp(1j * np.outer(np.broadcast_to(p, out_shape), 2.0 * np.pi * k))
         e[:, n // 2] = e[:, n // 2].real  # cos(πNx/L): the Nyquist split between ±N/2
         phases.append(e)
+    # einsum calls no BLAS, whose threads can stall this product for ~40 ms
     if grid.dim == 1:
-        result = spec @ phases[0].T
-    else:  # einsum calls no BLAS, whose threads can stall this product for ~40 ms
+        result = np.einsum("pi,...i->...p", phases[0], spec)
+    else:
         result = np.einsum("pi,...ij,pj->...p", phases[0], spec, phases[1])
     return result.real.reshape(spec.shape[: -grid.dim] + out_shape)
 

@@ -152,15 +152,17 @@ def _advect_inverse(grid, velocity, t0, t1, dt, disp):
     With ξ the flow of X from t0, id + d(t) = (id + d(t0)) ∘ ξ(t)⁻¹, so
     from d = 0 the result is the displacement of ξ(t1)⁻¹.  Each stage
     takes the stacked gradient of d spectrally; the velocity is evaluated
-    once per distinct stage time (RK4's middle stages share t + h/2).
+    once per half step, 2n + 1 times in n steps (RK4's middle stages share
+    t + h/2, and a step's last stage is the next step's first).
     """
     n_steps, h = fixed_steps(abs(t1 - t0), dt)
     h = h if t1 >= t0 else -h
-    last = [None, None]  # the latest stage time and its velocity
+    last = [None, None]  # the latest stage's half-step count from t0, and its velocity
 
     def rate(t, d):
-        if last[0] != t:
-            last[:] = t, velocity(t)
+        stage = round(2.0 * (t - t0) / h)  # not t: t + h can miss t0 + (step + 1) h by roundoff
+        if last[0] != stage:
+            last[:] = stage, velocity(t)
             check_courant(grid, last[1], abs(h))
         x = last[1]
         # ∂ₜdᵢ = -Xᵢ - Σₐ Xₐ ∂ₐdᵢ

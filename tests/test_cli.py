@@ -41,6 +41,11 @@ def strict_error(out):
     return strict_json(out)["error"]
 
 
+def child_env(**extra):
+    """Environment of a child interpreter that imports this densgeo."""
+    return dict(os.environ, PYTHONPATH=str(Path(densgeo.__file__).parents[1]), **extra)
+
+
 class TestExpressionGrammar:
     def test_arithmetic(self):
         fn = parse_expression("1 + 2*3 - 4/2")
@@ -247,6 +252,17 @@ class TestDeterminism:
             "--grid", "64", "--t-final", "0.05", "--dt", "0.001", "--seed", "11",
         )
         assert first == second
+
+    def test_hs_bytes_do_not_depend_on_the_blas_thread_count(self):
+        # the README hs example's equation_residual evaluates trig_eval, whose
+        # sums call no BLAS: OpenBLAS's serial and threaded kernels round them
+        # differently, in the printed residual's third digit
+        argv = ["hs", "--div-u0", "sin(2*pi*x)", "--grid", "256", "--frac-of-tmax", "0.8"]
+        outs = {subprocess.run([sys.executable, "-m", "densgeo.cli", *argv],
+                               env=child_env(OPENBLAS_NUM_THREADS=threads), capture_output=True,
+                               timeout=60, check=True).stdout
+                for threads in ("1", "2")}
+        assert len(outs) == 1
 
 
 class TestErrorHandling:
@@ -458,8 +474,7 @@ class TestErrorHandling:
     )
     def test_entry_point_rejects_promptly_without_traceback(self, argv):
         # a separate process, so a request that never returns fails by timeout
-        env = dict(os.environ, PYTHONPATH=str(Path(densgeo.__file__).parents[1]))
-        proc = subprocess.run([sys.executable, "-m", "densgeo.cli", *argv], env=env,
+        proc = subprocess.run([sys.executable, "-m", "densgeo.cli", *argv], env=child_env(),
                               capture_output=True, text=True, timeout=20)
         assert proc.returncode == 2
         assert strict_error(proc.stdout)["type"] == "ValidationError"
@@ -663,3 +678,39 @@ class TestRequestSequences:
                 assert doc["error"]["type"] != "InternalError", argv
             else:
                 assert set(doc) == {"meta", "results", "diagnostics"}, argv
+
+
+_NDIMAGE_PROBE = """
+import contextlib, io, json, sys
+import densgeo, densgeo.cli
+loaded = {"import": "scipy.ndimage" in sys.modules}
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [densgeo.cli.main(argv) for argv in json.loads(sys.argv[1])]
+loaded["requests"] = "scipy.ndimage" in sys.modules
+print(json.dumps({"loaded": loaded, "codes": codes}))
+"""
+
+
+def _ndimage_probe(*requests):
+    """Whether scipy.ndimage is loaded after a fresh interpreter imports
+    densgeo and after it then serves ``requests`` through cli.main, with
+    their exit codes.  A subprocess, because this test run imports scipy."""
+    proc = subprocess.run([sys.executable, "-c", _NDIMAGE_PROBE, json.dumps(requests)],
+                          env=child_env(), capture_output=True, text=True, timeout=60, check=True)
+    return json.loads(proc.stdout)
+
+
+class TestDeferredImport:
+    def test_requests_without_a_spline_never_import_ndimage(self):
+        probe = _ndimage_probe(
+            ["dist", "--a", "uniform", "--b", "1+0.5*sin(2*pi*x)"],
+            ["hs", "--div-u0", "sin(2*pi*x)", "--grid", "256", "--frac-of-tmax", "0.8"],
+        )
+        assert probe == {"loaded": {"import": False, "requests": False}, "codes": [0, 0]}
+
+    def test_a_spline_evaluation_imports_ndimage(self):
+        # above EXACT_EVAL_LIMIT nodes hs evaluates its fields by spline
+        probe = _ndimage_probe(
+            ["hs", "--div-u0", "sin(2*pi*x)", "--grid", "2048", "--frac-of-tmax", "0.8"],
+        )
+        assert probe == {"loaded": {"import": False, "requests": True}, "codes": [0]}
