@@ -160,7 +160,7 @@ def _advect_inverse(grid, velocity, t0, t1, dt, disp):
     last = [None, None]  # the latest stage's half-step count from t0, and its velocity
 
     def rate(t, d):
-        stage = round(2.0 * (t - t0) / h)  # not t: t + h can miss t0 + (step + 1) h by roundoff
+        stage = round(2.0 * (t - t0) / h) if h else 0  # not t: t + h may miss t0 + (step + 1) h
         if last[0] != stage:
             last[:] = stage, velocity(t)
             check_courant(grid, last[1], abs(h))

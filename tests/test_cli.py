@@ -659,6 +659,8 @@ class TestRequestSequences:
                "--t-final", "0.001"]])
     @example([["hs", "--div-u0", "1e200*sin(2*pi*x)", "--grid", "16"],
               ["dist", "--a", "uniform", "--b", "uniform", "--grid", "8", "--format", "csv"]])
+    @example([["moser-lift", "--div-u0", "sin(2*pi*x)*cos(2*pi*y)", "--dim", "2", "--grid", "8",
+               "--t-final", "0"]])  # every interval has zero length
     def test_exit_code_and_strict_output_in_one_process(self, sequence):
         for argv in sequence:
             out, err = io.StringIO(), io.StringIO()
