@@ -1,8 +1,9 @@
 """Command-line front end.
 
-Every subcommand emits a single machine-readable document (JSON by default,
-CSV for flattened time series) with the shape
-{meta: {grid, mass, params}, results: {...}, diagnostics: {...}}.
+Every subcommand emits a single machine-readable document, built by
+``_document``, with the shape
+{meta: {grid, mass, params}, results: {...}, diagnostics: {...}}: JSON by
+default, or with --format csv one ``path,value`` row per number (``_to_csv``).
 Floating-point values are serialized with 17 significant digits, so
 identical inputs and --seed produce byte-identical output.  Validation
 failures, argument-parsing rejections included, exit 2 with an error object;
@@ -94,22 +95,27 @@ def _serialize_scalar(v) -> str:
     return json.dumps(str(v))
 
 
-def _to_csv(document: dict) -> str:
-    lines = []
-    for key, value in document.get("meta", {}).items():
-        if not isinstance(value, (dict, list, tuple, np.ndarray)):
-            lines.append(f"# {key}={_serialize_scalar(value).strip(chr(34))}")
-    series = document.get("results", {}).get("series")
-    if series:
-        columns = list(series[0].keys())
-        lines.append(",".join(columns))
-        for row in series:
-            lines.append(",".join(_serialize_scalar(row[c]).strip('"') for c in columns))
+def _leaves(value, path):
+    """(dotted path, value) of every scalar in ``value``, in document order."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, (list, tuple, np.ndarray)):
+        items = enumerate(value)
     else:
-        lines.append("key,value")
-        for key, value in document.get("results", {}).items():
-            if not isinstance(value, (dict, list, tuple, np.ndarray)):
-                lines.append(f"{key},{_serialize_scalar(value)}")
+        yield path, value
+        return
+    for key, item in items:
+        yield from _leaves(item, f"{path}.{key}" if path else str(key))
+
+
+def _to_csv(document: dict) -> str:
+    """One ``path,value`` row per number of ``document``, formatted as in the
+    JSON; strings, booleans and nulls become ``# path=value`` comment lines."""
+    lines = ["path,value"]
+    for path, value in _leaves(document, ""):
+        text = _serialize_scalar(value)
+        number = isinstance(value, (int, float, np.number)) and not isinstance(value, bool)
+        lines.append(f"{path},{text}" if number else f"# {path}={text}")
     return "\n".join(lines) + "\n"
 
 
@@ -171,13 +177,15 @@ def _density_from_spec(spec: str, grid: PeriodicGrid, mass) -> Density:
     return Density(field, integrate(field))
 
 
-def _grid_meta(grid: PeriodicGrid) -> dict:
-    return {
-        "dim": grid.dim,
-        "points_per_axis": list(grid.shape),
-        "lengths": list(grid.lengths),
-        "total_volume": grid.total_volume,
+def _document(grid, mass, params: dict, results: dict, diagnostics: dict) -> dict:
+    """A subcommand's document; ``grid=None`` gives a meta of params only."""
+    meta = {"params": params} if grid is None else {
+        "grid": {"dim": grid.dim, "points_per_axis": list(grid.shape),
+                 "lengths": list(grid.lengths), "total_volume": grid.total_volume},
+        "mass": mass,
+        "params": params,
     }
+    return {"meta": meta, "results": results, "diagnostics": diagnostics}
 
 
 # ---------------------------------------------------------------------------
@@ -189,17 +197,12 @@ def _cmd_dist(args) -> dict:
     grid = _build_grid(args)
     a = _density_from_spec(args.a, grid, args.mass)
     b = _density_from_spec(args.b, grid, args.mass)
-    bc = spheregeo.bhattacharyya(a, b)
-    return {
-        "meta": {"grid": _grid_meta(grid), "mass": a.mass,
-                 "params": {"a": args.a, "b": args.b}},
-        "results": {
-            "bhattacharyya": bc,
-            "spherical": spheregeo.spherical_distance(a, b),
-            "hellinger": spheregeo.hellinger_distance(a, b),
-        },
-        "diagnostics": {},
+    results = {
+        "bhattacharyya": spheregeo.bhattacharyya(a, b),
+        "spherical": spheregeo.spherical_distance(a, b),
+        "hellinger": spheregeo.hellinger_distance(a, b),
     }
+    return _document(grid, a.mass, {"a": args.a, "b": args.b}, results, {})
 
 
 def _cmd_geodesic(args) -> dict:
@@ -212,14 +215,11 @@ def _cmd_geodesic(args) -> dict:
         {"t": float(t), "values": path.density_at(float(t)).values.tolist()}
         for t in ts
     ]
-    return {
-        "meta": {"grid": _grid_meta(grid), "mass": a.mass,
-                 "params": {"a": args.a, "b": args.b, "samples": args.samples}},
-        "results": {"angle": path.angle, "length": path.length, "samples": samples},
-        "diagnostics": {
-            "endpoint_distance": spheregeo.spherical_distance(a, b),
-        },
-    }
+    return _document(
+        grid, a.mass, {"a": args.a, "b": args.b, "samples": args.samples},
+        {"angle": path.angle, "length": path.length, "samples": samples},
+        {"endpoint_distance": spheregeo.spherical_distance(a, b)},
+    )
 
 
 def _make_hs(args, grid) -> hsflow.HsGeodesic:
@@ -270,28 +270,25 @@ def _cmd_hs(args) -> dict:
 
     series = [sample(t) for t in ts]
     energies = [row["energy"] for row in series]
-    doc = {
-        "meta": {"grid": _grid_meta(grid), "mass": geo.mass,
-                 "params": {"div_u0": args.div_u0, "t_final": horizon,
-                            "samples": args.samples}},
-        "results": {
-            "kappa": geo.kappa,
-            "t_max": geo.t_max,
-            "conserved_energy": geo.conserved_energy,
-            "series": series,
-        },
-        "diagnostics": {
-            "energy_drift": float(
-                np.max(np.abs(np.array(energies) - geo.conserved_energy))
-                / geo.conserved_energy
-            ),
-        },
+    diagnostics = {
+        "energy_drift": float(
+            np.max(np.abs(np.array(energies) - geo.conserved_energy))
+            / geo.conserved_energy
+        ),
     }
     if grid.dim == 1 and geo.kappa > 0:
-        doc["diagnostics"]["equation_residual"] = hsflow.equation_residual(
-            geo, 0.5 * horizon
+        # a difference step of at most 1e-5 t_max, so t + dt_fd stays short
+        # of the blowup and resolves ρ_t however early the blowup comes
+        diagnostics["equation_residual"] = hsflow.equation_residual(
+            geo, 0.5 * horizon, dt_fd=1e-5 * min(1.0, geo.t_max)
         )
-    return doc
+    return _document(
+        grid, geo.mass,
+        {"div_u0": args.div_u0, "t_final": horizon, "samples": args.samples},
+        {"kappa": geo.kappa, "t_max": geo.t_max,
+         "conserved_energy": geo.conserved_energy, "series": series},
+        diagnostics,
+    )
 
 
 def _cmd_moser_lift(args) -> dict:
@@ -315,18 +312,13 @@ def _cmd_moser_lift(args) -> dict:
                 "jacobian_mass": float(grid.node_weight * np.sum(flow.jacobians[i])),
             }
         )
-    return {
-        "meta": {"grid": _grid_meta(grid), "mass": geo.mass,
-                 "params": {"div_u0": args.div_u0, "t_final": horizon,
-                            "samples": args.samples, "dt": args.dt}},
-        "results": {"series": series},
-        "diagnostics": {
-            "max_jacobian_error": max(r["jacobian_error"] for r in series),
-            "max_mass_drift": max(
-                abs(r["jacobian_mass"] - grid.total_volume) for r in series
-            ),
-        },
-    }
+    return _document(
+        grid, geo.mass,
+        {"div_u0": args.div_u0, "t_final": horizon, "samples": args.samples, "dt": args.dt},
+        {"series": series},
+        {"max_jacobian_error": max(r["jacobian_error"] for r in series),
+         "max_mass_drift": max(abs(r["jacobian_mass"] - grid.total_volume) for r in series)},
+    )
 
 
 def _cmd_alpha(args) -> dict:
@@ -346,20 +338,14 @@ def _cmd_alpha(args) -> dict:
     degree = min(8, (args.grid - 1) // 3)
     rng = np.random.default_rng(args.seed)
     du, dv, dw = (random_band_limited(grid, degree, rng) for _ in range(3))
-    return {
-        "meta": {"grid": _grid_meta(grid), "mass": grid.total_volume,
-                 "params": {"alpha": args.alpha, "u0": args.u0,
-                            "t_final": args.t_final, "dt": args.dt,
-                            "seed": args.seed}},
-        "results": {
-            "u_final": u_final.values.tolist(),
-            "h1dot_energy_initial": h1dot_energy(u0),
-            "h1dot_energy_final": h1dot_energy(u_final),
-        },
-        "diagnostics": {
-            "duality_residual": circle.duality_residual(args.alpha, du, dv, dw),
-        },
-    }
+    return _document(
+        grid, grid.total_volume,
+        {"alpha": args.alpha, "u0": args.u0, "t_final": args.t_final, "dt": args.dt,
+         "seed": args.seed},
+        {"u_final": u_final.values.tolist(), "h1dot_energy_initial": h1dot_energy(u0),
+         "h1dot_energy_final": h1dot_energy(u_final)},
+        {"duality_residual": circle.duality_residual(args.alpha, du, dv, dw)},
+    )
 
 
 def _cmd_invariants(args) -> dict:
@@ -387,21 +373,20 @@ def _cmd_invariants(args) -> dict:
         ref = np.max(np.abs(series[0])) or 1.0
         return float(np.max(np.abs(series - series[0])) / ref)
 
-    return {
-        "meta": {"grid": _grid_meta(grid), "mass": geo.mass,
-                 "params": {"div_u0": args.div_u0, "samples": args.samples,
-                            "truncation": count}},
-        "results": {
-            "kappa": geo.kappa,
-            "period": period,
-            "angular_momentum_drift": rel_drift(h_series),
-            "nested_chain_drift": rel_drift(hk_series),
-            "projected_chain_drift": rel_drift(hp_series),
-            "position_leak": max(c.position_leak for c in coords),
-            "momentum_leak": max(c.momentum_leak for c in coords),
-        },
-        "diagnostics": {"times": ts.tolist()},
+    results = {
+        "kappa": geo.kappa,
+        "period": period,
+        "angular_momentum_drift": rel_drift(h_series),
+        "nested_chain_drift": rel_drift(hk_series),
+        "projected_chain_drift": rel_drift(hp_series),
+        "position_leak": max(c.position_leak for c in coords),
+        "momentum_leak": max(c.momentum_leak for c in coords),
     }
+    return _document(
+        grid, geo.mass,
+        {"div_u0": args.div_u0, "samples": args.samples, "truncation": count},
+        results, {"times": ts.tolist()},
+    )
 
 
 def _cmd_simplex_demo(args) -> dict:
@@ -422,28 +407,19 @@ def _cmd_simplex_demo(args) -> dict:
                 "total": float(np.sum(point.probs)),
             }
         )
-    return {
-        "meta": {"params": {"t": args.t, "t_range": args.t_range}},
-        "results": {"bounce_time": simplex.BOUNCE_TIME, "series": series},
-        "diagnostics": {},
-    }
+    return _document(None, None, {"t": args.t, "t_range": args.t_range},
+                     {"bounce_time": simplex.BOUNCE_TIME, "series": series}, {})
 
 
 def _cmd_heat_demo(args) -> dict:
     grid = _build_grid(args)
     rho0 = _density_from_spec(args.rho0, grid, args.mass)
     rho_t = spheregeo.heat_flow(rho0, args.t_final)
-    return {
-        "meta": {"grid": _grid_meta(grid), "mass": rho0.mass,
-                 "params": {"rho0": args.rho0, "t_final": args.t_final}},
-        "results": {
-            "initial": rho0.values.tolist(),
-            "final": rho_t.values.tolist(),
-        },
-        "diagnostics": {
-            "mass_drift": abs(integrate(rho_t.field) - rho0.mass) / rho0.mass,
-        },
-    }
+    return _document(
+        grid, rho0.mass, {"rho0": args.rho0, "t_final": args.t_final},
+        {"initial": rho0.values.tolist(), "final": rho_t.values.tolist()},
+        {"mass_drift": abs(integrate(rho_t.field) - rho0.mass) / rho0.mass},
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -349,7 +349,7 @@ def integrate_flow(
     def rate(t: float, y: np.ndarray) -> np.ndarray:
         eta, jac, back = y[:d], y[d], y[d + 1 :]
         u = laplacian_inverse_gradient(ScalarField(grid, recovered_rho(t, back)))
-        check_courant(grid, u, dt)
+        check_courant(grid, u, h)
         out = np.empty_like(y)
         out[:d] = _interp.SplineEvaluator(grid, u)(*eta)
         out[d] = rho_lagrangian(t) * jac

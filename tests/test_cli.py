@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -504,9 +505,25 @@ class TestErrorHandling:
             capsys, "simplex-demo", "--t-range", "0,1,3", "--format", "csv"
         )
         assert code == 0
-        lines = out.strip().splitlines()
-        assert lines[0].startswith("t,")
-        assert len(lines) == 4
+        lines = out.splitlines()
+        assert lines[0] == "path,value"
+        rows = dict(line.split(",") for line in lines[1:] if not line.startswith("#"))
+        assert [rows[f"results.series.{i}.t"] for i in range(3)] == ["0", "0.5", "1"]
+        assert "results.bounce_time" in rows
+        assert '# meta.params.t_range="0,1,3"' in lines
+
+    @pytest.mark.parametrize("amplitude", ["1e5", "3e5"])
+    def test_hs_residual_on_a_fast_blowup(self, capsys, amplitude):
+        # the residual's difference step scales with t_max, so a blowup
+        # within microseconds gives the same residual/κ² as amplitude 1
+        def scaled_residual(amp):
+            code, out = run_cli(capsys, "hs", "--div-u0", f"{amp}*sin(2*pi*x)",
+                                "--grid", "64", "--samples", "2")
+            assert code == 0, out
+            doc = strict_json(out)
+            return doc["diagnostics"]["equation_residual"] / doc["results"]["kappa"] ** 2
+
+        assert scaled_residual(amplitude) == pytest.approx(scaled_residual("1"), rel=1e-2)
 
 
 class TestSmallGridsAndOverflow:
@@ -640,14 +657,15 @@ _JUNK = ["--bogus", "junk", "--grid", "-1", "=", "--dim=3", "nan", "--samples", 
 
 
 @st.composite
-def _argv(draw):
+def _argv(draw, junk=2):
+    """A request of small flags, with up to ``junk`` stray tokens inserted."""
     command = draw(st.sampled_from(sorted(_FLAGS)))
     required, optional = _FLAGS[command]
     flags = list(required) + [f for f in optional if draw(st.booleans())]
     argv = [command]
     for flag in flags:
         argv += [flag, draw(st.sampled_from(_SMALL[flag]))]
-    for _ in range(draw(st.integers(0, 2))):
+    for _ in range(draw(st.integers(0, junk))):
         argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(_JUNK)))
     return argv
 
@@ -680,6 +698,55 @@ class TestRequestSequences:
                 assert doc["error"]["type"] != "InternalError", argv
             else:
                 assert set(doc) == {"meta", "results", "diagnostics"}, argv
+
+
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _numbers(node):
+    """Every number in a parsed JSON document."""
+    if isinstance(node, (dict, list)):
+        return [v for item in (node.values() if isinstance(node, dict) else node)
+                for v in _numbers(item)]
+    return [node] if _is_number(node) else []
+
+
+class TestCsvDocument:
+    @settings(max_examples=100)
+    @given(_argv(junk=0))
+    @example(["dist", "--a", "uniform", "--b", "1+0.5*cos(2*pi*x)", "--grid", "8"])
+    @example(["hs", "--div-u0", "sin(2*pi*x)", "--grid", "16", "--samples", "3"])
+    @example(["moser-lift", "--div-u0", "sin(2*pi*x)", "--grid", "16", "--t-final", "0.01"])
+    @example(["simplex-demo", "--t-range", "0,1,3"])
+    @example(["heat-demo", "--rho0", "1+0.5*cos(2*pi*x)", "--grid", "8"])
+    @example(["alpha", "--alpha", "0", "--u0", "sin(2*pi*x)", "--grid", "16", "--t-final", "0.01"])
+    @example(["invariants", "--div-u0", "sin(2*pi*x)", "--grid", "16", "--samples", "3"])
+    @example(["geodesic", "--a", "uniform", "--b", "1+0.5*sin(2*pi*x)*cos(2*pi*y)", "--grid", "8",
+              "--dim", "2", "--samples", "3"])
+    def test_csv_rows_are_the_json_numbers(self, argv):
+        outputs = []
+        for fmt in ("json", "csv"):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                outputs.append((main(argv + ["--format", fmt]), out.getvalue()))
+        (code, text), (csv_code, csv_text) = outputs
+        assert csv_code == code, argv
+        if code:
+            assert csv_text == text, argv  # error objects stay JSON
+            return
+        doc = strict_json(text)
+        lines = csv_text.splitlines()
+        assert lines[0] == "path,value", argv
+        rows = [line.split(",") for line in lines[1:] if not line.startswith("# ")]
+        for path, value in rows:
+            node = doc
+            for key in path.split("."):
+                node = node[int(key)] if isinstance(node, list) else node[key]
+            assert _is_number(node) and node == json.loads(value), argv
+        csv_numbers = [json.loads(value) for _, value in rows]
+        assert Counter((type(v), v) for v in csv_numbers) == Counter(
+            (type(v), v) for v in _numbers(doc)), argv
 
 
 _NDIMAGE_PROBE = """

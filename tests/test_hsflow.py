@@ -335,6 +335,18 @@ class TestIntegrateFlow:
         with pytest.raises(StepTooLarge):
             integrate_flow(geo, 0.8 * geo.t_max, 0.3)
 
+    def test_courant_number_checked_at_the_step_taken(self):
+        # t_final 0.5 at dt 0.3 takes two steps of 0.25: Courant 0.535 at
+        # 0.3, within bounds at the step taken, so it is the dt = 0.25 flow
+        grid = PeriodicGrid(16)
+        geo = HsGeodesic.from_divergence(
+            ScalarField(grid, 0.7 * np.sin(2 * np.pi * grid.coordinate(0))))
+        coarse, exact = integrate_flow(geo, 0.5, 0.3), integrate_flow(geo, 0.5, 0.25)
+        assert np.array_equal(coarse.times, exact.times)
+        for got, want in zip(coarse.positions + coarse.jacobians,
+                             exact.positions + exact.jacobians):
+            assert np.array_equal(got, want)
+
     @pytest.mark.parametrize("dt", [0.0, -1e-3])
     def test_nonpositive_step_rejected(self, dt):
         geo = sin_geodesic(64)
