@@ -29,7 +29,6 @@ from .grid import (
     PeriodicGrid,
     ScalarField,
     check_courant,
-    dealiased_product,
     derivative,
     fixed_steps,
     fourier,
@@ -72,11 +71,11 @@ class AlphaConnection:
         """Γ(v, w) = ((1+α)/2) A⁻¹ ∂ₓ(vₓ wₓ); symmetric and bilinear."""
         v.grid.check_compatible(w.grid)
         _require_circle(v)
-        coeff = 0.5 * (1.0 + self.alpha)
-        if coeff == 0.0:
-            return ScalarField(v.grid, np.zeros(v.grid.shape))
-        product = dealiased_product(derivative(v), derivative(w))
-        return ScalarField(v.grid, coeff * a_inverse(derivative(product)).values)
+        grid, n = v.grid, v.grid.shape[0]
+        vx, wx = np.fft.irfft(grid.ik[0] * np.fft.rfft([v.values, w.values]), n=n)
+        gamma = self._table(grid)[1:] * np.fft.rfft(vx * wx)  # no row where Γ = 0
+        gamma[:, 0] -= _at_origin(gamma)
+        return ScalarField(grid, np.fft.irfft(gamma.sum(axis=0), n=n))
 
     def _table(self, grid: PeriodicGrid) -> np.ndarray:
         """Multipliers of (u uₓ, uₓ²); Γ's row is dropped where it is zero (α = -1)."""

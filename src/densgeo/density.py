@@ -17,7 +17,8 @@ from .errors import MassMismatch, NegativeDensity, NonFiniteInput, NonPositiveIn
 from .errors import ValidationError
 from .grid import PeriodicGrid, ScalarField, integrate
 
-# values within this band of zero are treated as exact zeros
+# the largest share of the mass that negative values (roundoff) may carry;
+# sqrt_map drops them, which moves |sqrt ρ|² off the sphere by that share
 POSITIVITY_TOL = 1e-12
 
 
@@ -25,6 +26,8 @@ POSITIVITY_TOL = 1e-12
 class Density:
     """Non-negative field integrating to ``mass``.
 
+    Negative values are roundoff: together they may carry at most
+    ``POSITIVITY_TOL`` of the mass, the one negativity rule of the package.
     ``degenerate`` marks densities that arose by squaring a sign-changing
     sphere point (the continuation of a flow past blowup); such densities
     have genuine zeros.
@@ -38,10 +41,10 @@ class Density:
         values = self.field.values
         if not (np.all(np.isfinite(values)) and np.isfinite(self.mass)):
             raise NonFiniteInput("density values and mass must be finite")
-        if np.min(values) < -POSITIVITY_TOL * max(1.0, np.max(np.abs(values))):
-            raise NegativeDensity("density values must be non-negative")
         if not self.mass > 0.0:
             raise NonPositiveInput(f"density mass must be positive, got {self.mass!r}")
+        if self.grid.node_weight * np.sum(np.minimum(values, 0.0)) < -POSITIVITY_TOL * self.mass:
+            raise NegativeDensity("density values must be non-negative")
         total = integrate(self.field)
         if abs(total - self.mass) > 1e-10 * abs(self.mass):
             raise MassMismatch(
@@ -82,6 +85,13 @@ class SpherePoint:
         return self.field.values
 
 
+def _check_pair(a: Density, b: Density) -> None:
+    """Raise unless ``a`` and ``b`` share a grid and agree in mass to 1e-10."""
+    a.grid.check_compatible(b.grid)
+    if abs(a.mass - b.mass) > 1e-10 * max(a.mass, b.mass):
+        raise MassMismatch(f"masses differ: {a.mass!r} vs {b.mass!r}")
+
+
 def uniform_density(grid: PeriodicGrid, mass: float | None = None) -> Density:
     """Constant density; by default of mass mu(M), i.e. the value 1."""
     if mass is None:
@@ -90,11 +100,12 @@ def uniform_density(grid: PeriodicGrid, mass: float | None = None) -> Density:
 
 
 def sqrt_map(d: Density) -> SpherePoint:
-    """Pointwise square root, landing on the sphere of radius sqrt(mass)."""
-    values = d.values
-    if np.min(values) < -POSITIVITY_TOL:
-        raise NegativeDensity("cannot take the square root of a negative density")
-    values = np.where(values < 0.0, 0.0, values)
+    """Pointwise square root, landing on the sphere of radius sqrt(mass).
+
+    ``Density`` alone decides which negatives are roundoff; the ones it
+    admitted map to 0, and none is rejected here.
+    """
+    values = np.where(d.values < 0.0, 0.0, d.values)
     return SpherePoint(ScalarField(d.grid, np.sqrt(values)), float(np.sqrt(d.mass)))
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _interp
-from .density import Density, SpherePoint
+from .density import Density, SpherePoint, square_map
 from .errors import (
     BeyondBlowup,
     InconsistentZeroKappa,
@@ -123,22 +123,15 @@ def _refined_minimum(rho0: ScalarField) -> float:
     return min(grid_min, refined)
 
 
-def _rho_lagrangian(g: HsGeodesic, t: float, rho0_values: np.ndarray) -> np.ndarray:
-    """ρ(t, η(t,x)) given ρ0 sampled at the Lagrangian labels x."""
+def _characteristic_rho(g: HsGeodesic, rho0_values: np.ndarray | None = None):
+    """t -> ρ(t, η(t, x)) = 2κ tan(arctan(ρ0/2κ) - κt), given ρ0 at the labels
+    x (by default ``g.rho0``'s nodes); θ0 = arctan(ρ0/2κ) is computed once,
+    for time-stepping loops."""
+    values = g.rho0.values if rho0_values is None else rho0_values
     if g.kappa < KAPPA_EPS:
-        return np.zeros_like(rho0_values)
-    theta = np.arctan(rho0_values / (2.0 * g.kappa)) - g.kappa * t
-    return 2.0 * g.kappa * np.tan(theta)
-
-
-def _characteristic_rho(g: HsGeodesic):
-    """t -> ρ(t, η(t, x)) at the nodes, as ``_rho_lagrangian`` gives it for
-    ρ0, with θ0 = arctan(ρ0/2κ) computed once for a time-stepping loop."""
-    if g.kappa < KAPPA_EPS:
-        zero = np.zeros(g.grid.shape)
-        return lambda t: zero
+        return lambda t: np.zeros_like(values)
     kappa = g.kappa
-    theta0 = np.arctan(g.rho0.values / (2.0 * kappa))
+    theta0 = np.arctan(values / (2.0 * kappa))
     return lambda t: 2.0 * kappa * np.tan(theta0 - kappa * t)
 
 
@@ -146,7 +139,7 @@ def rho_along_flow(g: HsGeodesic, t: float) -> ScalarField:
     """Solution values at Lagrangian labels, 2κ tan(arctan(ρ0/2κ) - κt)."""
     if t >= g.t_max:
         raise BeyondBlowup(f"t = {t} is at or past the blowup time {g.t_max}")
-    return ScalarField(g.grid, _rho_lagrangian(g, t, g.rho0.values))
+    return ScalarField(g.grid, _characteristic_rho(g)(t))
 
 
 def jacobian_formula(g: HsGeodesic, t: float) -> ScalarField:
@@ -171,18 +164,15 @@ def sphere_velocity(g: HsGeodesic, t: float) -> ScalarField:
 
 
 def evolve_density_global(g: HsGeodesic, t: float) -> tuple[SpherePoint, Density]:
-    """Sphere point and squared density at any real t (global continuation).
+    """Sphere point and its ``square_map`` density at any real t (global
+    continuation).
 
     Past the blowup time the sphere point changes sign somewhere and the
-    returned density carries the degenerate flag.
+    returned density carries the degenerate flag.  Its mass is the squared
+    radius, within an ulp of μ(M).
     """
-    f = sphere_path(g, t)
-    point = SpherePoint(f, float(np.sqrt(g.mass)))
-    sign_change = bool(np.min(f.values) < 0.0 < np.max(f.values))
-    dens = Density(
-        ScalarField(g.grid, f.values**2), g.mass, degenerate=sign_change
-    )
-    return point, dens
+    point = SpherePoint(sphere_path(g, t), float(np.sqrt(g.mass)))
+    return point, square_map(point)
 
 
 def velocity_from_rho(rho: ScalarField) -> VectorField:
@@ -204,7 +194,7 @@ def flow_energy(g: HsGeodesic, t: float) -> float:
     """
     if t >= g.t_max:
         raise BeyondBlowup(f"t = {t} is at or past the blowup time {g.t_max}")
-    rho = _rho_lagrangian(g, t, g.rho0.values)
+    rho = _characteristic_rho(g)(t)
     jac = jacobian_formula(g, t).values
     return integrate(ScalarField(g.grid, rho**2 * jac))
 
@@ -238,7 +228,7 @@ def eulerian_rho(g: HsGeodesic, t: float) -> ScalarField:
     eta = anchored_flow_1d(g, t)
     labels = _interp.invert_monotone(grid, eta, grid.coordinate(0))
     rho0_at_labels = _interp.field_evaluator(grid, g.rho0.values)(labels)
-    return ScalarField(grid, _rho_lagrangian(g, t, rho0_at_labels))
+    return ScalarField(grid, _characteristic_rho(g, rho0_at_labels)(t))
 
 
 def eulerian_velocity(g: HsGeodesic, t: float) -> ScalarField:
@@ -342,7 +332,7 @@ def integrate_flow(
     rho_lagrangian = _characteristic_rho(g)
 
     def recovered_rho(t: float, back: np.ndarray) -> np.ndarray:
-        rho = _rho_lagrangian(g, t, rho0_eval(*(grid.identity + back)))
+        rho = _characteristic_rho(g, rho0_eval(*(grid.identity + back)))(t)
         return rho - np.mean(rho)
 
     # state rows: positions η (d rows), Jacobian (1 row), back-to-label map (d rows)

@@ -14,13 +14,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import _interp
-from .density import Density
-from .errors import (
-    InversionDiverged,
-    MassDrift,
-    MassMismatch,
-    NonPositiveJacobian,
-)
+from .density import Density, _check_pair
+from .errors import InversionDiverged, MassDrift, NonPositiveJacobian
 from .grid import (
     PeriodicGrid,
     ScalarField,
@@ -180,9 +175,7 @@ def transport_map(source: Density, target: Density, dt: float = 1e-3) -> FlowMap
     exact cumulative-distribution construction, the torus case flows
     X = ∇f / ρ_t with the single Poisson solve Δf = source - target.
     """
-    source.grid.check_compatible(target.grid)
-    if abs(source.mass - target.mass) > 1e-10 * max(source.mass, target.mass):
-        raise MassMismatch(f"masses differ: {source.mass!r} vs {target.mass!r}")
+    _check_pair(source, target)
     if np.min(source.values) <= 0.0 or np.min(target.values) <= 0.0:
         raise NonPositiveJacobian("transport requires strictly positive densities")
     grid = source.grid

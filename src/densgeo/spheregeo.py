@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import Density, SpherePoint, sqrt_map, square_map
-from .errors import MassMismatch
+from .density import Density, SpherePoint, _check_pair, sqrt_map, square_map
 from .grid import (
     ScalarField,
     VectorField,
@@ -30,12 +29,6 @@ from .grid import (
 SMALL_ANGLE = 1e-12
 
 
-def _check_pair(a: Density, b: Density) -> None:
-    a.grid.check_compatible(b.grid)
-    if abs(a.mass - b.mass) > 1e-10 * max(abs(a.mass), abs(b.mass)):
-        raise MassMismatch(f"masses differ: {a.mass!r} vs {b.mass!r}")
-
-
 def bhattacharyya(a: Density, b: Density) -> float:
     """Normalized affinity (1/mass) ∫ sqrt(da/dμ · db/dμ) dμ, clamped to [-1, 1]."""
     _check_pair(a, b)
@@ -48,7 +41,6 @@ def bhattacharyya(a: Density, b: Density) -> float:
 
 def spherical_distance(a: Density, b: Density) -> float:
     """Geodesic distance sqrt(mass) * arccos(BC); values lie in [0, π·sqrt(mass)/2)."""
-    _check_pair(a, b)
     return float(np.sqrt(a.mass) * np.arccos(bhattacharyya(a, b)))
 
 
@@ -90,12 +82,13 @@ class GeodesicPath:
 
 
 def geodesic(a: Density, b: Density) -> GeodesicPath:
-    """Great-circle interpolation between two equal-mass densities."""
-    _check_pair(a, b)
-    f = sqrt_map(a)
-    g = sqrt_map(b)
-    cos_angle = np.clip(l2_inner(f.field, g.field) / f.radius**2, -1.0, 1.0)
-    return GeodesicPath(f, g, float(np.arccos(cos_angle)))
+    """Great-circle interpolation between two equal-mass densities.
+
+    The angle is arccos of the Bhattacharyya coefficient, so ``length``
+    equals ``spherical_distance(a, b)`` bit for bit.
+    """
+    angle = float(np.arccos(bhattacharyya(a, b)))
+    return GeodesicPath(sqrt_map(a), sqrt_map(b), angle)
 
 
 def h1dot_inner(u: VectorField, v: VectorField) -> float:

@@ -163,6 +163,21 @@ class TestSubcommands:
         assert doc["results"]["spherical"] == pytest.approx(0.18277746193028777, abs=1e-10)
         assert doc["results"]["bhattacharyya"] == pytest.approx(0.9833426507751652, abs=1e-10)
 
+    @pytest.mark.parametrize("expr", ["1000*(1-cos(2*pi*x))-1e-10", "1e-5*(1-cos(2*pi*x))-1e-12"])
+    def test_dist_and_geodesic_accept_the_same_densities(self, capsys, expr):
+        # the first carries roundoff negatives that Density admits; the
+        # second's negatives carry 1.6e-9 of its mass, which it does not
+        codes = []
+        for command in ("dist", "geodesic"):
+            code, out = run_cli(capsys, command, "--a", expr, "--b", expr, "--grid", "64")
+            codes.append(code)
+            if code:
+                assert strict_error(out)["type"] == "NegativeDensity"
+            elif command == "geodesic":
+                doc = strict_json(out)
+                assert doc["results"]["length"] == doc["diagnostics"]["endpoint_distance"]
+        assert codes == ([0, 0] if expr.startswith("1000") else [2, 2])
+
     def test_simplex_demo_at_zero(self, capsys):
         code, out = run_cli(capsys, "simplex-demo", "--t", "0")
         assert code == 0
@@ -482,7 +497,7 @@ class TestErrorHandling:
         assert proc.stderr == ""
 
     def test_hs_evaluates_each_closed_form_once_per_sample(self, capsys, monkeypatch):
-        calls = {"sphere_path": 0, "_rho_lagrangian": 0}
+        calls = {"sphere_path": 0, "_characteristic_rho": 0}
         for name in calls:
             def counting(*args, _name=name, _raw=getattr(hsflow, name)):
                 calls[_name] += 1
@@ -493,7 +508,7 @@ class TestErrorHandling:
                 "--samples", "5"]
         code, out = run_cli(capsys, *argv)
         assert code == 0
-        assert calls == {"sphere_path": 5, "_rho_lagrangian": 5}
+        assert calls == {"sphere_path": 5, "_characteristic_rho": 5}
         monkeypatch.undo()
         args = cli.build_parser().parse_args(argv)
         geo = cli._make_hs(args, cli._build_grid(args))
@@ -670,6 +685,39 @@ def _argv(draw, junk=2):
     return argv
 
 
+def _valid_domain(dim, grid):
+    """Each flag's values for requests that must exit 0 on ``dim`` axes of
+    ``grid`` nodes: densities of mean 1, so any two share their mass;
+    non-trivial divergences whose blowup lies past every drawn horizon;
+    --truncation <= N/2 - 1."""
+    densities = ["uniform", "1+0.5*cos(2*pi*x)",
+                 "1+0.5*sin(2*pi*x)" if dim == 1 else "1+0.5*sin(2*pi*x)*cos(2*pi*y)"]
+    divergences = ["sin(2*pi*x)", "cos(2*pi*x)+0.5*sin(4*pi*x)"]
+    if dim == 2:
+        divergences.append("sin(2*pi*x)*cos(2*pi*y)")
+    return dict(
+        _SMALL, **{"--grid": [str(grid)], "--dim": [str(dim)],
+                   "--length": ["1", "2", "1,2"][: dim + 1], "--alpha": ["0", "1", "-2", "0.5"],
+                   "--truncation": [str(k) for k in range(2, grid // 2)],
+                   "--a": densities, "--b": densities, "--rho0": densities,
+                   "--div-u0": divergences, "--u0": divergences})
+
+
+@st.composite
+def _valid_argv(draw):
+    """A request inside every flag's domain and every rule across flags
+    (``alpha`` is one-dimensional, so it always has --dim 1)."""
+    command = draw(st.sampled_from(sorted(_FLAGS)))
+    dim = 1 if command == "alpha" else draw(st.sampled_from([1, 2]))
+    domain = _valid_domain(dim, draw(st.sampled_from([8, 16, 32])))
+    required, optional = _FLAGS[command]
+    argv = [command]
+    for flag in required + optional:
+        if flag in required or flag == "--dim" or draw(st.booleans()):
+            argv += [flag, draw(st.sampled_from(domain[flag]))]
+    return argv
+
+
 class TestRequestSequences:
     @settings(max_examples=100)
     @given(st.lists(_argv(), min_size=1, max_size=4))
@@ -712,6 +760,34 @@ def _numbers(node):
     return [node] if _is_number(node) else []
 
 
+def _check_csv_against_json(argv):
+    """Run ``argv`` as JSON and as CSV; on success the CSV rows must carry
+    exactly the JSON document's numbers.  Returns the exit code."""
+    outputs = []
+    for fmt in ("json", "csv"):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            outputs.append((main(argv + ["--format", fmt]), out.getvalue()))
+    (code, text), (csv_code, csv_text) = outputs
+    assert csv_code == code, argv
+    if code:
+        assert csv_text == text, argv  # error objects stay JSON
+        return code
+    doc = strict_json(text)
+    lines = csv_text.splitlines()
+    assert lines[0] == "path,value", argv
+    rows = [line.split(",") for line in lines[1:] if not line.startswith("# ")]
+    for path, value in rows:
+        node = doc
+        for key in path.split("."):
+            node = node[int(key)] if isinstance(node, list) else node[key]
+        assert _is_number(node) and node == json.loads(value), argv
+    csv_numbers = [json.loads(value) for _, value in rows]
+    assert Counter((type(v), v) for v in csv_numbers) == Counter(
+        (type(v), v) for v in _numbers(doc)), argv
+    return code
+
+
 class TestCsvDocument:
     @settings(max_examples=100)
     @given(_argv(junk=0))
@@ -725,28 +801,16 @@ class TestCsvDocument:
     @example(["geodesic", "--a", "uniform", "--b", "1+0.5*sin(2*pi*x)*cos(2*pi*y)", "--grid", "8",
               "--dim", "2", "--samples", "3"])
     def test_csv_rows_are_the_json_numbers(self, argv):
-        outputs = []
-        for fmt in ("json", "csv"):
-            out = io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-                outputs.append((main(argv + ["--format", fmt]), out.getvalue()))
-        (code, text), (csv_code, csv_text) = outputs
-        assert csv_code == code, argv
-        if code:
-            assert csv_text == text, argv  # error objects stay JSON
-            return
-        doc = strict_json(text)
-        lines = csv_text.splitlines()
-        assert lines[0] == "path,value", argv
-        rows = [line.split(",") for line in lines[1:] if not line.startswith("# ")]
-        for path, value in rows:
-            node = doc
-            for key in path.split("."):
-                node = node[int(key)] if isinstance(node, list) else node[key]
-            assert _is_number(node) and node == json.loads(value), argv
-        csv_numbers = [json.loads(value) for _, value in rows]
-        assert Counter((type(v), v) for v in csv_numbers) == Counter(
-            (type(v), v) for v in _numbers(doc)), argv
+        _check_csv_against_json(argv)
+
+    @settings(max_examples=100)
+    @given(_valid_argv())
+    @example(["invariants", "--div-u0", "sin(2*pi*x)", "--grid", "8", "--dim", "1",
+              "--truncation", "3"])
+    @example(["alpha", "--alpha", "-2", "--u0", "cos(2*pi*x)+0.5*sin(4*pi*x)", "--grid", "32",
+              "--t-final", "0.01", "--dim", "1", "--length", "2", "--dt", "1e-4"])
+    def test_valid_requests_exit_0_with_csv_rows_the_json_numbers(self, argv):
+        assert _check_csv_against_json(argv) == 0, argv
 
 
 _NDIMAGE_PROBE = """

@@ -33,7 +33,7 @@ from densgeo.hsflow import (
     rho_along_flow,
     velocity_from_rho,
 )
-from densgeo.hsflow import _characteristic_rho, _rho_lagrangian
+from densgeo.hsflow import _characteristic_rho
 
 KAPPA_SIN = 1.0 / (2.0 * np.sqrt(2.0))
 TMAX_SIN = 2.0 * np.sqrt(2.0) * (np.pi / 2.0 - np.arctan(np.sqrt(2.0)))
@@ -361,5 +361,8 @@ class TestIntegrateFlow:
         geo = HsGeodesic.from_divergence(
             ScalarField(grid, amp * np.sin(2 * np.pi * x) * np.cos(2 * np.pi * y)))
         rho = _characteristic_rho(geo)
+        kappa = geo.kappa
         for t in (0.0, 0.3 * min(geo.t_max, 1.0), 0.9 * min(geo.t_max, 1.0)):
-            assert np.array_equal(rho(t), _rho_lagrangian(geo, t, geo.rho0.values))
+            expected = (2.0 * kappa * np.tan(np.arctan(geo.rho0.values / (2.0 * kappa)) - kappa * t)
+                        if amp else np.zeros(grid.shape))
+            assert np.array_equal(rho(t), expected)

@@ -267,6 +267,11 @@ class TestTransport:
         with pytest.raises(MassMismatch):
             transport_map(uniform_density(grid), uniform_density(grid, 2.0))
 
+    def test_mass_mismatch_message(self):
+        grid = PeriodicGrid(64)
+        with pytest.raises(MassMismatch, match=r"^masses differ: 1\.0 vs 2\.0$"):
+            transport_map(uniform_density(grid), uniform_density(grid, 2.0))
+
     def test_torus_pushforward(self):
         grid = PeriodicGrid((48, 48))
         x, y = grid.coordinate(0), grid.coordinate(1)

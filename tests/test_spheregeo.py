@@ -3,7 +3,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from densgeo.density import Density, normalize, sqrt_map, square_map, uniform_density
+from densgeo.density import (
+    POSITIVITY_TOL,
+    Density,
+    normalize,
+    sqrt_map,
+    square_map,
+    uniform_density,
+)
 from densgeo.errors import GridMismatch, MassMismatch
 from densgeo.grid import (
     PeriodicGrid,
@@ -185,6 +192,21 @@ def spread_density(grid, rng, mass, power, zeros):
     return Density(ScalarField(grid, values * scale), mass)
 
 
+def admitted_density(grid, rng, mass, power, share, negatives):
+    """Random density of about the given mass whose nodes at a fraction
+    ``negatives`` are negative and carry ``share`` (< 1) of the negative
+    mass that Density admits, POSITIVITY_TOL of the mass."""
+    values = rng.random(grid.shape) ** power
+    values.flat[0] = 1.0  # some mass survives
+    mask = rng.random(grid.shape) < negatives
+    mask.flat[0] = False
+    positive = np.sum(values[~mask])
+    weights = rng.random(np.count_nonzero(mask))
+    values[mask] = -share * POSITIVITY_TOL * positive * weights / np.sum(weights)
+    values *= mass / (grid.node_weight * np.sum(values))
+    return Density(ScalarField(grid, values), integrate(ScalarField(grid, values)))
+
+
 class TestMetricProperties:
     SETTINGS = dict(
         shape=st.sampled_from([(16,), (64,), (8, 8)]),
@@ -223,6 +245,38 @@ class TestMetricProperties:
 
 
 class TestGeodesic:
+    @settings(max_examples=60)
+    @given(
+        shape=st.sampled_from([(16,), (64,), (8, 8)]),
+        log_mass=st.floats(-100.0, 100.0),
+        power=st.floats(1.0, 8.0),
+        share=st.floats(0.0, 0.99),
+        negatives=st.sampled_from([0.02, 0.5, 0.9]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_admitted_negatives_have_a_square_root(
+        self, shape, log_mass, power, share, negatives, seed
+    ):
+        # whatever Density admits, sqrt_map and geodesic accept
+        grid = PeriodicGrid(shape)
+        rng = np.random.default_rng(seed)
+        a, b = (admitted_density(grid, rng, 10.0**log_mass, power, share, negatives)
+                for _ in range(2))
+        b = Density(ScalarField(grid, b.values * (a.mass / b.mass)), a.mass)
+        root = sqrt_map(a)
+        assert np.array_equal(root.values, np.sqrt(np.clip(a.values, 0.0, None)))
+        for other in (a, b):
+            path = geodesic(a, other)
+            assert path.length == spherical_distance(a, other)
+
+    @settings(max_examples=100)
+    @given(**TestMetricProperties.SETTINGS)
+    def test_length_is_the_spherical_distance(self, shape, log_mass, power, zeros, seed):
+        grid = PeriodicGrid(shape)
+        rng = np.random.default_rng(seed)
+        a, b = (spread_density(grid, rng, 10.0**log_mass, power, zeros) for _ in range(2))
+        assert geodesic(a, b).length == spherical_distance(a, b)
+
     def test_degenerate_angle_branch(self):
         grid = PeriodicGrid(64)
         d = uniform_density(grid)
