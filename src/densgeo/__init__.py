@@ -14,7 +14,6 @@ from .circle import (
     a_inverse,
     alpha_one_explicit,
     alpha_one_residual,
-    classic_1d_step,
     duality_residual,
     evolve_classic,
 )
@@ -55,7 +54,6 @@ from .hsflow import (
     integrate_flow,
     jacobian_by_ode,
     jacobian_formula,
-    make_geodesic,
     map_jacobian,
     rho_along_flow,
     sphere_path,

@@ -108,9 +108,8 @@ def trig_eval(grid: PeriodicGrid, values: np.ndarray, *points: np.ndarray) -> np
     pts = [np.asarray(p, dtype=float) for p in points]
     out_shape = np.broadcast(*pts).shape
     phases = []  # e^{ikx}, (points, modes) per axis; the last axis keeps 0..N/2
-    for axis, (p, n, h) in enumerate(zip(pts, grid.shape, grid.spacings)):
-        k = np.fft.rfftfreq(n, d=h) if axis == grid.dim - 1 else np.fft.fftfreq(n, d=h)
-        e = np.exp(1j * np.outer(np.broadcast_to(p, out_shape), 2.0 * np.pi * k))
+    for p, n, k in zip(pts, grid.shape, grid.wavenumbers):
+        e = np.exp(1j * np.outer(np.broadcast_to(p, out_shape), k))
         e[:, n // 2] = e[:, n // 2].real  # cos(πNx/L): the Nyquist split between ±N/2
         phases.append(e)
     # einsum calls no BLAS, whose threads can stall this product for ~40 ms

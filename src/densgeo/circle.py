@@ -87,10 +87,6 @@ class AlphaConnection:
         """Right side of u_t = -(u uₓ + Γ(u, u)), Γ re-based to vanish at x = 0."""
         return _transform_rhs(u, self._table(u.grid), gauge=True)
 
-    def geodesic_step(self, u: ScalarField, dt: float) -> ScalarField:
-        """One RK4 step of the geodesic equation, re-based so u(0) = 0."""
-        return self.evolve(u, dt, dt)
-
     def evolve(self, u0: ScalarField, t_final: float, dt: float) -> ScalarField:
         """Fixed-step evolution to t_final (last step shortened to land exactly)."""
         return _evolve(u0, self._table(u0.grid), t_final, dt, gauge=True)
@@ -209,11 +205,6 @@ _EQUATIONS = {
     "hunter_saxton": (AlphaConnection(0.0)._table, True),
     "mu_burgers": (AlphaConnection(-1.0)._table, True),
 }
-
-
-def classic_1d_step(equation: str, u: ScalarField, dt: float) -> ScalarField:
-    """One RK4 step of the named 1D equation: a one-step ``evolve_classic``."""
-    return evolve_classic(equation, u, dt, dt)
 
 
 def evolve_classic(equation: str, u0: ScalarField, t_final: float, dt: float) -> ScalarField:

@@ -30,7 +30,7 @@ from itertools import repeat
 import numpy as np
 
 from . import circle, hsflow, invariants, moser, simplex, spheregeo
-from .density import Density, SpherePoint, normalize, uniform_density
+from .density import Density, SpherePoint, density_from_values, normalize, uniform_density
 from .errors import BeyondBlowup, DensgeoError, InternalError, NonFiniteResult, ValidationError
 from .exprparse import evaluate_on_grid
 from .grid import (
@@ -174,7 +174,7 @@ def _density_from_spec(spec: str, grid: PeriodicGrid, mass) -> Density:
     field = _field_from_spec(spec, grid)
     if mass is not None:
         return normalize(field, float(mass))
-    return Density(field, integrate(field))
+    return density_from_values(grid, field.values)
 
 
 def _document(grid, mass, params: dict, results: dict, diagnostics: dict) -> dict:

@@ -14,17 +14,21 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import MassMismatch, NegativeDensity, NonFiniteInput, NonPositiveInput
-from .errors import ValidationError
+from .errors import OffSphere, ValidationError
 from .grid import PeriodicGrid, ScalarField, integrate
 
 # the largest share of the mass that negative values (roundoff) may carry;
 # sqrt_map drops them, which moves |sqrt ρ|² off the sphere by that share
 POSITIVITY_TOL = 1e-12
+MASS_TOL = 1e-10  # of a quadrature against its mass, and between two masses
+# of |f|² against r²: both tolerances above, so every admitted density has a
+# square root, and 1e-13 for the roundoff of √ρ² and of the two quadratures
+SPHERE_TOL = MASS_TOL + POSITIVITY_TOL + 1e-13
 
 
 @dataclass(frozen=True)
 class Density:
-    """Non-negative field integrating to ``mass``.
+    """Non-negative field integrating to ``mass`` (to ``MASS_TOL`` of it).
 
     Negative values are roundoff: together they may carry at most
     ``POSITIVITY_TOL`` of the mass, the one negativity rule of the package.
@@ -46,7 +50,7 @@ class Density:
         if self.grid.node_weight * np.sum(np.minimum(values, 0.0)) < -POSITIVITY_TOL * self.mass:
             raise NegativeDensity("density values must be non-negative")
         total = integrate(self.field)
-        if abs(total - self.mass) > 1e-10 * abs(self.mass):
+        if abs(total - self.mass) > MASS_TOL * abs(self.mass):
             raise MassMismatch(
                 f"density integrates to {total!r}, expected mass {self.mass!r}"
             )
@@ -62,7 +66,7 @@ class Density:
 
 @dataclass(frozen=True)
 class SpherePoint:
-    """Square root of a density: a point on the radius-r sphere in L^2."""
+    """Square root of a density: a point on the radius-r sphere in L^2 (to SPHERE_TOL)."""
 
     field: ScalarField
     radius: float
@@ -71,8 +75,8 @@ class SpherePoint:
         if not (np.all(np.isfinite(self.field.values)) and np.isfinite(self.radius)):
             raise NonFiniteInput("sphere point values and radius must be finite")
         norm_sq = integrate(ScalarField(self.field.grid, self.field.values**2))
-        if abs(norm_sq - self.radius**2) > 1e-10 * self.radius**2:
-            raise ValueError(
+        if abs(norm_sq - self.radius**2) > SPHERE_TOL * self.radius**2:
+            raise OffSphere(
                 f"sphere constraint violated: |f|^2 = {norm_sq!r}, r^2 = {self.radius**2!r}"
             )
 
@@ -86,9 +90,9 @@ class SpherePoint:
 
 
 def _check_pair(a: Density, b: Density) -> None:
-    """Raise unless ``a`` and ``b`` share a grid and agree in mass to 1e-10."""
+    """Raise unless ``a`` and ``b`` share a grid and agree in mass to MASS_TOL."""
     a.grid.check_compatible(b.grid)
-    if abs(a.mass - b.mass) > 1e-10 * max(a.mass, b.mass):
+    if abs(a.mass - b.mass) > MASS_TOL * max(a.mass, b.mass):
         raise MassMismatch(f"masses differ: {a.mass!r} vs {b.mass!r}")
 
 

@@ -56,6 +56,10 @@ class NotTangent(ValidationError):
     pass
 
 
+class OffSphere(ValidationError, ValueError):
+    """A sphere point's squared norm is not its radius squared."""
+
+
 class NonPositiveJacobian(ValidationError):
     pass
 

@@ -10,10 +10,15 @@ along the other axis cancels: ``derivative``, ``gradient_values`` and
 ``divergence`` take the real FFT along axis a only (``_partial``), which in
 1-D is the same pair of transforms.  The Nyquist mode is zeroed in first
 derivatives so derivatives of real fields stay real.
+
+``real_modes`` is the one enumeration of a grid's real Fourier modes, as
+integer wave vectors: ``random_band_limited`` draws over it, and
+``invariants.fourier_basis`` sorts it by |k|².
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -49,8 +54,9 @@ class PeriodicGrid:
     multipliers ``ik`` (dim, *half), ``k2``, ``inv_laplacian`` and
     ``dealias_mask`` live on the real FFT's half spectrum, the only
     spectrum the package uses (``_interp`` evaluates off-grid from it too),
-    and are applied with ``fourier``.  ``ik_axes[a]`` is ikₐ on the half
-    spectrum of axis a alone, for ∂ₐ.
+    and are applied with ``fourier``.  ``wavenumbers[a]`` holds axis a's
+    angular wavenumbers kₐ on that spectrum, and ``ik_axes[a]`` is ikₐ on
+    the half spectrum of axis a alone, for ∂ₐ.
     """
 
     def __init__(self, points_per_axis, lengths=1.0):
@@ -85,10 +91,10 @@ class PeriodicGrid:
 
         # wavenumbers of the real FFT's half spectrum: the last axis keeps
         # the modes 0..N/2, the others all N modes in FFT order
-        waves = [2.0 * np.pi * np.fft.fftfreq(n, d=h)
-                 for n, h in zip(self.shape[:-1], self.spacings[:-1])]
-        waves.append(2.0 * np.pi * np.fft.rfftfreq(self.shape[-1], d=self.spacings[-1]))
-        k = np.array(np.meshgrid(*waves, indexing="ij"))
+        freqs = [np.fft.fftfreq] * (self.dim - 1) + [np.fft.rfftfreq]
+        self.wavenumbers = tuple(2.0 * np.pi * f(n, d=h)
+                                 for f, n, h in zip(freqs, self.shape, self.spacings))
+        k = np.array(np.meshgrid(*self.wavenumbers, indexing="ij"))
         # half-spectrum multipliers: |k|², Δ⁻¹ (0 on the zero mode), the
         # 2/3-rule dealias mask, and ik with the Nyquist mode of each axis
         # zeroed (odd there for even N)
@@ -100,10 +106,10 @@ class PeriodicGrid:
             np.moveaxis(k[axis], axis, 0)[n // 2] = 0.0
         self.ik = 1j * k
         self.ik_axes = []  # broadcast along their own axis of a (..., *shape) array
-        for axis, (n, h) in enumerate(zip(self.shape, self.spacings)):
-            ka = 2.0 * np.pi * np.fft.rfftfreq(n, d=h)
-            ka[-1] = 0.0
-            self.ik_axes.append((1j * ka).reshape((-1,) + (1,) * (self.dim - 1 - axis)))
+        for axis, (n, ka) in enumerate(zip(self.shape, self.wavenumbers)):
+            ika = 1j * ka[: n // 2 + 1]
+            ika[-1] = 0.0
+            self.ik_axes.append(ika.reshape((-1,) + (1,) * (self.dim - 1 - axis)))
 
     def coordinate(self, axis: int = 0) -> np.ndarray:
         """Full-shape array of node coordinates along ``axis``."""
@@ -265,10 +271,28 @@ def dealiased_product(f: ScalarField, g: ScalarField) -> ScalarField:
     return dealias(ScalarField(f.grid, f.values * g.values))
 
 
+def real_modes(grid: PeriodicGrid, bound: int) -> list[tuple[int, ...]]:
+    """Integer wave vectors k of the real Fourier modes with every |kₐ| <= bound:
+    one per ± pair, the zero vector left out.  The first axis runs from 0 up,
+    the other axis from -bound up, and k is kept when it is lexicographically
+    above 0; ``random_band_limited`` draws in this order."""
+    axes = [range(bound + 1)] + [range(-bound, bound + 1)] * (grid.dim - 1)
+    zero = (0,) * grid.dim
+    return [k for k in itertools.product(*axes) if k > zero]
+
+
+def _mode_phase(grid: PeriodicGrid, k: tuple) -> np.ndarray:
+    """k·x at the nodes, summed over the axes in order as (2π kₐ / Lₐ) xₐ."""
+    phase = 2.0 * np.pi * k[0] / grid.lengths[0] * grid.identity[0]
+    for ka, L, x in zip(k[1:], grid.lengths[1:], grid.identity[1:]):
+        phase += 2.0 * np.pi * ka / L * x
+    return phase
+
+
 def random_band_limited(
-    grid: PeriodicGrid, max_degree: int, rng: np.random.Generator, mean_zero: bool = True
+    grid: PeriodicGrid, max_degree: int, rng: np.random.Generator
 ) -> ScalarField:
-    """Random real trigonometric polynomial of per-axis degree <= max_degree.
+    """Random mean-zero real trigonometric polynomial over ``real_modes(grid, max_degree)``.
 
     Coefficients are drawn standard normal and damped by 1/(1+|k|) so sup
     norms stay O(1) across degrees.
@@ -276,32 +300,10 @@ def random_band_limited(
     if max_degree >= min(grid.shape) // 2:
         raise ValueError("max_degree must be below the Nyquist frequency")
     values = np.zeros(grid.shape)
-    if grid.dim == 1:
-        x = grid.coordinate(0)
-        for k in range(0 if not mean_zero else 1, max_degree + 1):
-            a, b = rng.standard_normal(2) / (1.0 + k)
-            w = 2.0 * np.pi * k / grid.lengths[0]
-            if k == 0:
-                values += a
-            else:
-                values += a * np.cos(w * x) + b * np.sin(w * x)
-    else:
-        x, y = grid.coordinate(0), grid.coordinate(1)
-        for kx in range(0, max_degree + 1):
-            for ky in range(-max_degree, max_degree + 1):
-                if kx == 0 and ky < 0:
-                    continue  # conjugate pair already counted
-                if kx == 0 and ky == 0:
-                    if mean_zero:
-                        continue
-                    values += rng.standard_normal()
-                    continue
-                a, b = rng.standard_normal(2) / (1.0 + np.hypot(kx, ky))
-                phase = (
-                    2.0 * np.pi * kx / grid.lengths[0] * x
-                    + 2.0 * np.pi * ky / grid.lengths[1] * y
-                )
-                values += a * np.cos(phase) + b * np.sin(phase)
+    for k in real_modes(grid, max_degree):
+        a, b = rng.standard_normal(2) / (1.0 + np.hypot.reduce(k))
+        phase = _mode_phase(grid, k)
+        values += a * np.cos(phase) + b * np.sin(phase)
     return ScalarField(grid, values)
 
 

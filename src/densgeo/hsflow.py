@@ -87,11 +87,6 @@ class HsGeodesic:
         return 4.0 * self.kappa**2 * self.mass
 
 
-def make_geodesic(u0: VectorField) -> HsGeodesic:
-    """Build the closed-form solution record from an initial velocity field."""
-    return HsGeodesic.from_velocity(u0)
-
-
 def _refined_minimum(rho0: ScalarField) -> float:
     """Grid minimum of ρ0 with one Newton step on the trigonometric interpolant.
 

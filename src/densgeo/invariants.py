@@ -5,7 +5,8 @@ Fourier basis, giving canonical coordinates (q, p).  The angular momenta
 h_ij = p_i q_j - p_j q_i are first integrals; two commuting chains are
 built from them: nested sums of squares H_m over leading blocks, and
 projected invariants H^(k) obtained by deleting the first k basis
-directions.
+directions.  The basis is the grid's own mode enumeration
+(``grid.real_modes``) ordered by squared frequency.
 """
 
 from __future__ import annotations
@@ -16,49 +17,27 @@ import numpy as np
 
 from .density import SpherePoint
 from .errors import GridMismatch, InvalidGrid, NotTangent
-from .grid import PeriodicGrid, ScalarField
+from .grid import PeriodicGrid, ScalarField, _mode_phase, real_modes
 
 
 def fourier_basis(grid: PeriodicGrid, count: int) -> np.ndarray:
     """First ``count`` real Fourier modes, orthonormal in L²(dμ).
 
     The first element is the constant 1/sqrt(μ(M)); subsequent elements are
-    cosine/sine pairs ordered by squared frequency.
+    cosine/sine pairs over ``grid.real_modes`` sorted by (|k|², k).
     """
     if count > min(grid.shape) // 2 - 1:
         raise InvalidGrid("basis size exceeds the resolvable mode count")
-    volume = grid.total_volume
-    fields = [np.full(grid.shape, 1.0 / np.sqrt(volume))]
-    amp = np.sqrt(2.0 / volume)
-    if grid.dim == 1:
-        x = grid.coordinate(0)
-        m = 1
-        while len(fields) < count:
-            w = 2.0 * np.pi * m / grid.lengths[0]
-            fields.append(amp * np.cos(w * x))
-            if len(fields) < count:
-                fields.append(amp * np.sin(w * x))
-            m += 1
-    else:
-        x, y = grid.coordinate(0), grid.coordinate(1)
-        modes = []
-        bound = max(grid.shape) // 2
-        for kx in range(0, bound):
-            for ky in range(-bound + 1, bound):
-                if kx == 0 and ky <= 0:
-                    continue  # one representative per conjugate pair
-                modes.append((kx * kx + ky * ky, kx, ky))
-        modes.sort()
-        for _, kx, ky in modes:
-            if len(fields) >= count:
-                break
-            phase = 2.0 * np.pi * (
-                kx * x / grid.lengths[0] + ky * y / grid.lengths[1]
-            )
-            fields.append(amp * np.cos(phase))
-            if len(fields) < count:
-                fields.append(amp * np.sin(phase))
-    return np.array(fields[:count])
+    # the first m = count // 2 modes by |k|² have |kₐ| <= m: (1, 0..), ..., (m, 0..) do
+    modes = sorted(real_modes(grid, count // 2), key=lambda k: (sum(a * a for a in k), k))
+    basis = np.empty((1 + 2 * (count // 2),) + grid.shape)
+    basis[0] = 1.0 / np.sqrt(grid.total_volume)
+    for k, cos, sin in zip(modes, basis[1::2], basis[2::2]):  # one mode's fields stay in cache
+        phase = _mode_phase(grid, k)
+        np.cos(phase, out=cos)
+        np.sin(phase, out=sin)
+    basis[1:] *= np.sqrt(2.0 / grid.total_volume)
+    return basis[:count]
 
 
 @dataclass(frozen=True)

@@ -64,20 +64,8 @@ def affinity(a: SimplexPoint, b: SimplexPoint) -> float:
     return float(np.clip(np.sum(np.sqrt(a.probs * b.probs)), 0.0, 1.0))
 
 
-def fisher_rao_distance(
-    a: SimplexPoint, b: SimplexPoint, convention: str = "sphericalHellinger"
-) -> float:
-    """Geodesic distance between discrete distributions.
-
-    ``sphericalHellinger`` is arccos of the affinity (unit-sphere, matching
-    the continuum density distance at total mass 1); ``fisherRao`` doubles
-    it (radius-2 embedding, the statistics convention).
-    """
-    angle = float(np.arccos(affinity(a, b)))
-    if convention == "sphericalHellinger":
-        return angle
-    if convention == "fisherRao":
-        return 2.0 * angle
-    raise ValidationError(
-        f"unknown convention {convention!r}; use 'sphericalHellinger' or 'fisherRao'"
-    )
+def fisher_rao_distance(a: SimplexPoint, b: SimplexPoint) -> float:
+    """Geodesic distance between discrete distributions on the unit sphere:
+    arccos of the affinity, matching the continuum density distance at total
+    mass 1.  The statistics convention (radius-2 embedding) is twice it."""
+    return float(np.arccos(affinity(a, b)))

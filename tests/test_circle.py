@@ -9,7 +9,6 @@ from densgeo.circle import (
     a_inverse,
     alpha_one_explicit,
     alpha_one_residual,
-    classic_1d_step,
     duality_residual,
     evolve_classic,
 )
@@ -108,7 +107,7 @@ class TestChristoffel:
 class TestGeodesicIntegrator:
     def test_zero_fixed_point(self):
         grid = PeriodicGrid(64)
-        out = AlphaConnection(0.5).geodesic_step(ScalarField.constant(grid, 0.0), 1e-3)
+        out = AlphaConnection(0.5).evolve(ScalarField.constant(grid, 0.0), 1e-3, 1e-3)
         assert np.allclose(out.values, 0.0)
 
     def test_alpha_zero_matches_explicit_flow(self):
@@ -147,7 +146,7 @@ class TestGeodesicIntegrator:
         x = grid.coordinate(0)
         u0 = ScalarField(grid, np.sin(2 * np.pi * x) - np.sin(0.0))
         with pytest.raises(StepTooLarge):
-            AlphaConnection(0.0).geodesic_step(u0, 0.1)
+            AlphaConnection(0.0).evolve(u0, 0.1, 0.1)
 
 
 class TestAlphaOneExplicit:
@@ -194,7 +193,7 @@ class TestAlphaOneExplicit:
 class TestClassicEquations:
     def test_burgers_zero(self):
         grid = PeriodicGrid(64)
-        out = classic_1d_step("burgers", ScalarField.constant(grid, 0.0), 1e-3)
+        out = evolve_classic("burgers", ScalarField.constant(grid, 0.0), 1e-3, 1e-3)
         assert np.allclose(out.values, 0.0)
 
     def test_burgers_characteristics(self):
@@ -233,22 +232,22 @@ class TestClassicEquations:
         grid = PeriodicGrid(128)
         x = grid.coordinate(0)
         u0 = ScalarField(grid, (1 - np.cos(2 * np.pi * x)) / (2 * np.pi))
-        direct = classic_1d_step("mu_burgers", u0, 1e-3)
-        via_alpha = AlphaConnection(-1.0).geodesic_step(u0, 1e-3)
+        direct = evolve_classic("mu_burgers", u0, 1e-3, 1e-3)
+        via_alpha = AlphaConnection(-1.0).evolve(u0, 1e-3, 1e-3)
         assert np.array_equal(direct.values, via_alpha.values)
 
     def test_hunter_saxton_is_levi_civita_geodesic(self):
         grid = PeriodicGrid(128)
         x = grid.coordinate(0)
         u0 = ScalarField(grid, (1 - np.cos(2 * np.pi * x)) / (2 * np.pi))
-        direct = classic_1d_step("hunter_saxton", u0, 1e-3)
-        via_alpha = AlphaConnection(0.0).geodesic_step(u0, 1e-3)
+        direct = evolve_classic("hunter_saxton", u0, 1e-3, 1e-3)
+        via_alpha = AlphaConnection(0.0).evolve(u0, 1e-3, 1e-3)
         assert np.array_equal(direct.values, via_alpha.values)
 
     def test_unknown_equation(self):
         grid = PeriodicGrid(64)
         with pytest.raises(ValidationError):
-            classic_1d_step("kdv", ScalarField.constant(grid, 0.0), 1e-3)
+            evolve_classic("kdv", ScalarField.constant(grid, 0.0), 1e-3, 1e-3)
 
 
 def _reference_terms(equation, u):

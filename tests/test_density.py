@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.special import i0
 
 from densgeo.density import (
+    MASS_TOL,
+    POSITIVITY_TOL,
     Density,
     SpherePoint,
     density_from_values,
@@ -16,6 +20,7 @@ from densgeo.errors import (
     NegativeDensity,
     NonFiniteInput,
     NonPositiveInput,
+    OffSphere,
     ValidationError,
 )
 from densgeo.grid import (
@@ -43,6 +48,43 @@ class TestSqrtMap:
         point = sqrt_map(d)
         norm_sq = integrate(ScalarField(grid, point.values**2))
         assert norm_sq == pytest.approx(1.0, abs=1e-12)
+
+    @settings(max_examples=200)
+    @given(
+        shape=st.sampled_from([(8,), (64,), (256,), (8, 8), (16, 24)]),
+        log_length=st.floats(-3.0, 3.0),
+        log_scale=st.floats(-100.0, 100.0),
+        edge=st.sampled_from([-1.0, 1.0]),
+        shave=st.floats(0.0, 4.0),
+        negatives=st.sampled_from([0.0, 0.5, 1.0 - 1e-9]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_densities_at_the_mass_edge_have_a_square_root(
+        self, shape, log_length, log_scale, edge, shave, negatives, seed
+    ):
+        # the mass sits MASS_TOL off the quadrature, within a few ulps, and
+        # three nodes carry up to the admitted negative share
+        grid = PeriodicGrid(shape, 10.0**log_length)
+        rng = np.random.default_rng(seed)
+        values = rng.uniform(0.01, 3.0, grid.shape) * 10.0**log_scale
+        nodes = rng.choice(values.size, 3, replace=False)
+        values.flat[nodes] = 0.0
+        values.flat[nodes] = -negatives * POSITIVITY_TOL * np.sum(values) / 3.0
+        field = ScalarField(grid, values)
+        mass = integrate(field) / (1.0 - edge * MASS_TOL) * (1.0 - shave * 1e-16)
+        try:
+            d = Density(field, mass)
+        except (MassMismatch, NegativeDensity):
+            assume(False)  # past an edge by roundoff
+        point = sqrt_map(d)
+        assert point.radius == np.sqrt(d.mass)
+        assert np.array_equal(point.values, np.sqrt(np.clip(values, 0.0, None)))
+
+    def test_off_sphere_point_is_a_validation_error(self):
+        grid = PeriodicGrid(64)
+        with pytest.raises(OffSphere) as caught:
+            SpherePoint(ScalarField.constant(grid, 1.0), 1.0 + 1e-9)
+        assert isinstance(caught.value, ValidationError) and caught.value.exit_code == 2
 
     def test_torus_mass_four(self):
         grid = PeriodicGrid((16, 16), (2.0, 2.0))

@@ -26,6 +26,7 @@ from densgeo.grid import (
     laplacian_inverse,
     periodic_primitive,
     random_band_limited,
+    real_modes,
     fixed_steps,
     fourier,
     rk4_step,
@@ -60,7 +61,8 @@ class TestQuadrature:
         grid = PeriodicGrid(32)
         rng = np.random.default_rng(3)
         for _ in range(10):
-            field = random_band_limited(grid, 15, rng, mean_zero=False)
+            wave = random_band_limited(grid, 15, rng).values
+            field = ScalarField(grid, wave + rng.standard_normal())
             spectrum = np.fft.fft(field.values) / grid.shape[0]
             analytic = spectrum[0].real * grid.total_volume
             assert integrate(field) == pytest.approx(analytic, abs=1e-12)
@@ -98,7 +100,8 @@ class TestSpectralCalculus:
     def test_divergence_integrates_to_zero(self, shape, lengths):
         grid = PeriodicGrid(shape, lengths)
         rng = np.random.default_rng(11)
-        comps = tuple(random_band_limited(grid, 6, rng, mean_zero=False)
+        comps = tuple(ScalarField(grid, random_band_limited(grid, 6, rng).values
+                                  + rng.standard_normal())
                       for _ in range(grid.dim))
         v = VectorField(grid, comps)
         sup = max(np.max(np.abs(c.values)) for c in comps)
@@ -320,6 +323,72 @@ class TestOneAxisDerivatives:
         assert fft_calls == ["rfft", "irfft"]
 
 
+def _band_limited_loops(grid, max_degree, rng):
+    """``random_band_limited`` as per-dimension loops over the modes: the
+    oracle of the stream of fields the benchmark and the tests draw."""
+    values = np.zeros(grid.shape)
+    if grid.dim == 1:
+        x = grid.coordinate(0)
+        for k in range(1, max_degree + 1):
+            a, b = rng.standard_normal(2) / (1.0 + k)
+            w = 2.0 * np.pi * k / grid.lengths[0]
+            values += a * np.cos(w * x) + b * np.sin(w * x)
+        return values
+    x, y = grid.coordinate(0), grid.coordinate(1)
+    for kx in range(0, max_degree + 1):
+        for ky in range(-max_degree, max_degree + 1):
+            if kx == 0 and ky <= 0:
+                continue  # the zero mode, and conjugate pairs already drawn
+            a, b = rng.standard_normal(2) / (1.0 + np.hypot(kx, ky))
+            phase = (2.0 * np.pi * kx / grid.lengths[0] * x
+                     + 2.0 * np.pi * ky / grid.lengths[1] * y)
+            values += a * np.cos(phase) + b * np.sin(phase)
+    return values
+
+
+class TestBandLimited:
+    @pytest.mark.parametrize("shape,lengths,degree", [
+        (256, 1.0, 4), (256, 0.7, 4), (512, 1.0, 4), (512, 3.1, 4),
+        ((48, 48), 1.0, 2), ((48, 48), (0.7, 3.1), 2), ((64, 64), 1.0, 2),
+        ((64, 64), (0.7, 3.1), 2), ((128, 128), 1.0, 2), ((128, 128), (0.7, 3.1), 2),
+        ((16, 24), (2.0, 1.0), 7),
+    ])
+    @pytest.mark.parametrize("seed", [0, 1, 42, 2024])
+    def test_matches_per_dimension_loops(self, shape, lengths, degree, seed):
+        # bit for bit, for three draws from one generator: the benchmark's
+        # inputs stay the same fields
+        grid = PeriodicGrid(shape, lengths)
+        ours, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(3):
+            drawn = random_band_limited(grid, degree, ours).values
+            assert np.array_equal(drawn, _band_limited_loops(grid, degree, oracle))
+        assert ours.standard_normal() == oracle.standard_normal()
+
+    def test_damping_rounds_as_hypot(self):
+        # from |k| = 45 on, 1 + np.hypot(k) and 1 + a rounded sqrt(k·k) differ
+        grid = PeriodicGrid((96, 96))
+        drawn = random_band_limited(grid, 45, np.random.default_rng(0)).values
+        assert np.array_equal(drawn, _band_limited_loops(grid, 45, np.random.default_rng(0)))
+
+    @pytest.mark.parametrize("shape", [64, (16, 24)])
+    def test_mean_zero(self, shape):
+        grid = PeriodicGrid(shape, 2.5)
+        field = random_band_limited(grid, 5, np.random.default_rng(3))
+        assert abs(integrate(field)) <= 1e-13 * np.max(np.abs(field.values))
+
+    def test_real_modes_one_per_pair(self):
+        assert real_modes(PeriodicGrid(16), 3) == [(1,), (2,), (3,)]
+        assert real_modes(PeriodicGrid((8, 16)), 1) == [(0, 1), (1, -1), (1, 0), (1, 1)]
+        modes = real_modes(PeriodicGrid((32, 32)), 5)
+        pairs = set(modes) | {(-kx, -ky) for kx, ky in modes}
+        assert len(modes) == (11 * 11 - 1) // 2 and len(pairs) == 2 * len(modes)
+        assert (0, 0) not in pairs
+
+    def test_degree_at_nyquist_rejected(self):
+        with pytest.raises(ValueError):
+            random_band_limited(PeriodicGrid((16, 32)), 8, np.random.default_rng(0))
+
+
 @pytest.mark.parametrize("shape", [(64,), (16, 24)])
 def test_stacked_spline_evaluator_equals_per_field(shape):
     grid = PeriodicGrid(shape, (1.5, 0.75)[: len(shape)])
@@ -404,9 +473,11 @@ class TestMetricDescent:
         rng = np.random.default_rng(17)
         w = divergence_free_field(grid, rng)
         for _ in range(5):
-            comps_u = tuple(random_band_limited(grid, 4, rng, mean_zero=False)
+            comps_u = tuple(ScalarField(grid, random_band_limited(grid, 4, rng).values
+                                        + rng.standard_normal())
                             for _ in range(grid.dim))
-            comps_v = tuple(random_band_limited(grid, 4, rng, mean_zero=False)
+            comps_v = tuple(ScalarField(grid, random_band_limited(grid, 4, rng).values
+                                        + rng.standard_normal())
                             for _ in range(grid.dim))
             u = VectorField(grid, comps_u)
             v = VectorField(grid, comps_v)

@@ -28,7 +28,6 @@ from densgeo.hsflow import (
     integrate_flow,
     jacobian_by_ode,
     jacobian_formula,
-    make_geodesic,
     map_jacobian,
     rho_along_flow,
     velocity_from_rho,
@@ -70,7 +69,7 @@ class TestGeodesicRecord:
     def test_divergence_free_gives_stationary(self):
         grid = PeriodicGrid(64)
         u0 = VectorField(grid, (ScalarField.constant(grid, 1.0),))
-        geo = make_geodesic(u0)
+        geo = HsGeodesic.from_velocity(u0)
         assert geo.kappa == 0.0
         assert geo.t_max == np.inf
 
@@ -78,7 +77,7 @@ class TestGeodesicRecord:
         grid = PeriodicGrid(64)
         x = grid.coordinate(0)
         u0 = velocity_from_rho(ScalarField(grid, np.sin(2 * np.pi * x)))
-        geo = make_geodesic(u0)
+        geo = HsGeodesic.from_velocity(u0)
         assert np.allclose(geo.rho0.values, divergence(u0).values, atol=1e-12)
         assert geo.kappa == pytest.approx(KAPPA_SIN, abs=1e-12)
 

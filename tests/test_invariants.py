@@ -44,6 +44,52 @@ class TestBasis:
         assert np.allclose(basis[0], 1.0 / np.sqrt(2.0))
 
 
+def _basis_loops(grid, count):
+    """``fourier_basis`` as per-dimension loops: in 1-D the modes 1, 2, …, in
+    2-D every mode below max(N)/2 sorted by (|k|², kx, ky)."""
+    volume = grid.total_volume
+    fields = [np.full(grid.shape, 1.0 / np.sqrt(volume))]
+    amp = np.sqrt(2.0 / volume)
+    if grid.dim == 1:
+        x = grid.coordinate(0)
+        m = 1
+        while len(fields) < count:
+            w = 2.0 * np.pi * m / grid.lengths[0]
+            fields += [amp * np.cos(w * x), amp * np.sin(w * x)]
+            m += 1
+        return np.array(fields[:count])
+    x, y = grid.coordinate(0), grid.coordinate(1)
+    bound = max(grid.shape) // 2
+    modes = sorted((kx * kx + ky * ky, kx, ky) for kx in range(bound)
+                   for ky in range(-bound + 1, bound) if kx > 0 or ky > 0)
+    for _, kx, ky in modes[: count // 2]:
+        phase = 2.0 * np.pi * (kx * x / grid.lengths[0] + ky * y / grid.lengths[1])
+        fields += [amp * np.cos(phase), amp * np.sin(phase)]
+    return np.array(fields[:count])
+
+
+class TestBasisOrder:
+    @pytest.mark.parametrize("n,length", [(64, 1.0), (256, 2.5), (1024, 1.0), (1024, 0.3)])
+    @pytest.mark.parametrize("count", [1, 2, 8, 33])
+    def test_one_dimensional_bit_for_bit(self, n, length, count):
+        count = min(count, n // 2 - 1)
+        grid = PeriodicGrid(n, length)
+        assert np.array_equal(fourier_basis(grid, count), _basis_loops(grid, count))
+
+    @pytest.mark.parametrize("shape,lengths", [
+        ((128, 128), 1.0), ((128, 128), (0.7, 3.1)), ((48, 48), 0.3), ((16, 24), (2.0, 1.0)),
+        ((32, 16), 1.0),
+    ])
+    @pytest.mark.parametrize("count", [2, 7, 8, 33])
+    def test_two_dimensional_order_kept(self, shape, lengths, count):
+        # the phase is summed per axis, so values move by roundoff only
+        count = min(count, min(shape) // 2 - 1)
+        grid = PeriodicGrid(shape, lengths)
+        ours, oracle = fourier_basis(grid, count), _basis_loops(grid, count)
+        assert ours.shape == oracle.shape == (count,) + grid.shape
+        assert np.max(np.abs(ours - oracle)) <= 1e-14 * np.sqrt(2.0 / grid.total_volume)
+
+
 class TestProjection:
     def test_north_pole(self):
         grid = PeriodicGrid(64)

@@ -42,9 +42,7 @@ class TestEmbedding:
             b = SimplexPoint(raw_b / raw_b.sum())
             cos_angle = embed(a) @ embed(b) / 4.0
             angle = np.arccos(np.clip(cos_angle, -1, 1))
-            assert 2.0 * angle == pytest.approx(
-                fisher_rao_distance(a, b, "fisherRao"), abs=1e-12
-            )
+            assert 2.0 * angle == pytest.approx(2 * fisher_rao_distance(a, b), abs=1e-12)
 
 
 class TestDemoGeodesic:
@@ -97,13 +95,12 @@ class TestDistances:
         assert fisher_rao_distance(a, b) == pytest.approx(np.pi / 2, abs=1e-14)
 
     def test_convention_factor(self):
-        assert fisher_rao_distance(UNIFORM3, HALF_HALF, "fisherRao") == pytest.approx(
-            2 * fisher_rao_distance(UNIFORM3, HALF_HALF), abs=1e-14
+        # the statistics convention, twice the unit-sphere angle, is the arc
+        # length between the radius-2 embeddings
+        cos_angle = embed(UNIFORM3) @ embed(HALF_HALF) / 4.0
+        assert 2 * fisher_rao_distance(UNIFORM3, HALF_HALF) == pytest.approx(
+            2.0 * np.arccos(cos_angle), abs=1e-14
         )
-
-    def test_unknown_convention(self):
-        with pytest.raises(ValidationError):
-            fisher_rao_distance(UNIFORM3, HALF_HALF, "other")
 
 
 class TestValidation:
