@@ -48,7 +48,6 @@ from .hsflow import (
     energy,
     equation_residual,
     eulerian_rho,
-    eulerian_velocity,
     evolve_density_global,
     flow_energy,
     integrate_flow,
@@ -82,9 +81,7 @@ from .simplex import (
 from .spheregeo import (
     GeodesicPath,
     bhattacharyya,
-    dirichlet_gradient,
     fisher_rao_inner,
-    functional_gradient,
     geodesic,
     h1dot_inner,
     heat_flow,

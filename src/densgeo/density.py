@@ -114,12 +114,13 @@ def sqrt_map(d: Density) -> SpherePoint:
 
 
 def square_map(p: SpherePoint) -> Density:
-    """Pointwise square; flags the result degenerate if f changes sign."""
+    """Pointwise square with its quadrature mass |f|², which ``SpherePoint``
+    has checked against r² to SPHERE_TOL; flags the result degenerate if f
+    changes sign."""
     values = p.values
     sign_change = bool(np.min(values) < 0.0 < np.max(values))
-    return Density(
-        ScalarField(p.grid, values**2), p.radius**2, degenerate=sign_change
-    )
+    squared = ScalarField(p.grid, values**2)
+    return Density(squared, integrate(squared), degenerate=sign_change)
 
 
 def normalize(field: ScalarField, mass: float) -> Density:

@@ -254,11 +254,12 @@ def periodic_primitive(grid: PeriodicGrid, values: np.ndarray) -> np.ndarray:
     return float(np.mean(values)) * grid.coordinate(0) + (w - w[0])
 
 
-def directional_derivative(v: VectorField, f: ScalarField) -> ScalarField:
-    """Advection term (v · ∇) f."""
-    v.grid.check_compatible(f.grid)
-    comps = np.array([c.values for c in v.components])
-    return ScalarField(f.grid, np.sum(comps * gradient_values(f.grid, f.values), axis=0))
+def directional_derivative(
+    grid: PeriodicGrid, velocity: np.ndarray, values: np.ndarray
+) -> np.ndarray:
+    """Advection term (X·∇)f = Σₐ Xₐ ∂ₐf for a velocity X of shape
+    (dim, *shape) and a field f (*shape) or a stack (m, *shape)."""
+    return np.sum(velocity * gradient_values(grid, values), axis=-grid.dim - 1)
 
 
 def dealias(field: ScalarField) -> ScalarField:

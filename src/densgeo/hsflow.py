@@ -32,9 +32,9 @@ from .grid import (
     check_courant,
     check_mean_zero,
     derivative,
+    directional_derivative,
     divergence,
     fixed_steps,
-    fourier,
     gradient_values,
     integrate,
     laplacian_inverse_gradient,
@@ -80,6 +80,11 @@ class HsGeodesic:
     @classmethod
     def from_velocity(cls, u0: VectorField) -> "HsGeodesic":
         return cls.from_divergence(divergence(u0))
+
+    def check_before_blowup(self, t: float) -> None:
+        """Raise BeyondBlowup unless t is before the blowup time."""
+        if t >= self.t_max:
+            raise BeyondBlowup(f"t = {t} is at or past the blowup time {self.t_max}")
 
     @property
     def conserved_energy(self) -> float:
@@ -132,8 +137,7 @@ def _characteristic_rho(g: HsGeodesic, rho0_values: np.ndarray | None = None):
 
 def rho_along_flow(g: HsGeodesic, t: float) -> ScalarField:
     """Solution values at Lagrangian labels, 2κ tan(arctan(ρ0/2κ) - κt)."""
-    if t >= g.t_max:
-        raise BeyondBlowup(f"t = {t} is at or past the blowup time {g.t_max}")
+    g.check_before_blowup(t)
     return ScalarField(g.grid, _characteristic_rho(g)(t))
 
 
@@ -163,8 +167,8 @@ def evolve_density_global(g: HsGeodesic, t: float) -> tuple[SpherePoint, Density
     continuation).
 
     Past the blowup time the sphere point changes sign somewhere and the
-    returned density carries the degenerate flag.  Its mass is the squared
-    radius, within an ulp of μ(M).
+    returned density carries the degenerate flag.  Its mass is the
+    quadrature of the squared sphere point, μ(M) up to roundoff.
     """
     point = SpherePoint(sphere_path(g, t), float(np.sqrt(g.mass)))
     return point, square_map(point)
@@ -187,8 +191,7 @@ def flow_energy(g: HsGeodesic, t: float) -> float:
     quadrature-exact for band-limited ρ0 at any t < t_max (the direct
     Eulerian quadrature needs ever finer grids as the peak compresses).
     """
-    if t >= g.t_max:
-        raise BeyondBlowup(f"t = {t} is at or past the blowup time {g.t_max}")
+    g.check_before_blowup(t)
     rho = _characteristic_rho(g)(t)
     jac = jacobian_formula(g, t).values
     return integrate(ScalarField(g.grid, rho**2 * jac))
@@ -217,8 +220,7 @@ def eulerian_rho(g: HsGeodesic, t: float) -> ScalarField:
     anchored flow; the label inversion is a Newton solve on the
     trigonometric interpolant, so the samples are exact up to roundoff.
     """
-    if t >= g.t_max:
-        raise BeyondBlowup(f"t = {t} is at or past the blowup time {g.t_max}")
+    g.check_before_blowup(t)
     grid = g.grid
     eta = anchored_flow_1d(g, t)
     labels = _interp.invert_monotone(grid, eta, grid.coordinate(0))
@@ -226,14 +228,10 @@ def eulerian_rho(g: HsGeodesic, t: float) -> ScalarField:
     return ScalarField(grid, _characteristic_rho(g, rho0_at_labels)(t))
 
 
-def eulerian_velocity(g: HsGeodesic, t: float) -> ScalarField:
-    """Transport velocity of the anchored gauge: the primitive of ρ(t, ·)
-    vanishing at x = 0 (it differs from the mean-zero gradient representative
-    by a time-dependent rigid rotation)."""
-    return _anchored_velocity(eulerian_rho(g, t))
-
-
 def _anchored_velocity(rho: ScalarField) -> ScalarField:
+    """Transport velocity of the anchored gauge: the primitive of ρ vanishing
+    at x = 0 (it differs from the mean-zero gradient representative by a
+    time-dependent rigid rotation)."""
     values = rho.values
     return ScalarField(rho.grid, periodic_primitive(rho.grid, values - np.mean(values)))
 
@@ -287,11 +285,18 @@ def map_jacobian(grid: PeriodicGrid, positions: np.ndarray) -> np.ndarray:
     return (1.0 + grads[0, 0]) * (1.0 + grads[1, 1]) - grads[0, 1] * grads[1, 0]
 
 
+def inverse_map_rate(grid: PeriodicGrid, velocity: np.ndarray, disp: np.ndarray) -> np.ndarray:
+    """∂ₜd = -X - (X·∇)d, the rate of the periodic displacement d of the
+    inverse of the flow of X, with the product taken at the nodes and not
+    truncated.  ``integrate_flow``'s back-to-label map and the Moser flows
+    both advance d by it."""
+    return -velocity - directional_derivative(grid, velocity, disp)
+
+
 def jacobian_by_ode(g: HsGeodesic, t_final: float, dt: float) -> ScalarField:
     """Integrate the Jacobian transport equation dJ/dt = (ρ∘η) J per node
     with RK4, driving it by the closed-form characteristic values."""
-    if t_final >= g.t_max:
-        raise BeyondBlowup(f"t_final = {t_final} reaches the blowup time {g.t_max}")
+    g.check_before_blowup(t_final)
     jac = np.ones(g.grid.shape)
     if g.kappa < KAPPA_EPS:
         return ScalarField(g.grid, jac)
@@ -311,15 +316,15 @@ def integrate_flow(
     """Fixed-step RK4 on particle positions and Jacobians.
 
     The Eulerian divergence is recovered each stage by evaluating the
-    Lagrangian formula at the back-to-label map (advected pseudo-spectrally
-    alongside the particles: the semi-Lagrangian recovery, which in 1D is
-    the composition with η⁻¹); the particle velocity is the gradient
-    representative of that field.  The Jacobian transport term uses the
-    closed-form characteristic values ρ(t, η(t, x)), which stay
-    well-conditioned near blowup.
+    Lagrangian formula at the back-to-label map (the semi-Lagrangian
+    recovery, which in 1D is the composition with η⁻¹); the particle
+    velocity is the gradient representative of that field.  The map's
+    periodic displacement is advected alongside the particles by
+    ``inverse_map_rate``, the rate the Moser flows advance too.  The
+    Jacobian transport term uses the closed-form characteristic values
+    ρ(t, η(t, x)), which stay well-conditioned near blowup.
     """
-    if t_final >= g.t_max:
-        raise BeyondBlowup(f"t_final = {t_final} reaches the blowup time {g.t_max}")
+    g.check_before_blowup(t_final)
     n_steps, h = fixed_steps(t_final, dt)
     grid = g.grid
     d = grid.dim
@@ -338,9 +343,7 @@ def integrate_flow(
         out = np.empty_like(y)
         out[:d] = _interp.SplineEvaluator(grid, u)(*eta)
         out[d] = rho_lagrangian(t) * jac
-        # ∂ₜbᵢ = -uᵢ - Σⱼ uⱼ ∂ⱼbᵢ, the products dealiased
-        advection = np.sum(u * gradient_values(grid, back), axis=1)
-        out[d + 1 :] = -u - fourier(grid, advection, grid.dealias_mask)
+        out[d + 1 :] = inverse_map_rate(grid, u, back)
         return out
 
     store_every = max(1, n_steps // max(1, n_store))

@@ -5,8 +5,10 @@ On the circle the lift is the exact primitive η(t, x) = ∫₀ˣ φ(t, s) ds.  
 the torus the lift is the inverse of the flow of X = ∇f/φ with
 Δf = -∂φ/∂t.  That inverse is never formed by inverting a map: its periodic
 displacement d solves ∂ₜd + (X·∇)d + X = 0 and is advected on the grid by
-pseudo-spectral RK4.  The torus transport map advects the same equation
-backward in time along the linear density interpolation.
+pseudo-spectral RK4, at the rate ``hsflow.inverse_map_rate`` that
+``integrate_flow`` advances its back-to-label map by (the product is not
+truncated spectrally in either).  The torus transport map advects the same
+equation backward in time along the linear density interpolation.
 """
 
 from __future__ import annotations
@@ -21,12 +23,11 @@ from .grid import (
     ScalarField,
     check_courant,
     fixed_steps,
-    gradient_values,
     laplacian_inverse_gradient,
     rk4_step,
 )
 from .grid import periodic_primitive as moser_primitive_1d
-from .hsflow import FlowMap, map_jacobian
+from .hsflow import FlowMap, inverse_map_rate, map_jacobian
 
 
 def _values_at(f):
@@ -146,9 +147,10 @@ def _advect_inverse(grid, velocity, t0, t1, dt, disp):
 
     With ξ the flow of X from t0, id + d(t) = (id + d(t0)) ∘ ξ(t)⁻¹, so
     from d = 0 the result is the displacement of ξ(t1)⁻¹.  Each stage
-    takes the stacked gradient of d spectrally; the velocity is evaluated
-    once per half step, 2n + 1 times in n steps (RK4's middle stages share
-    t + h/2, and a step's last stage is the next step's first).
+    takes ``inverse_map_rate``, with the stacked gradient of d taken
+    spectrally; the velocity is evaluated once per half step, 2n + 1 times
+    in n steps (RK4's middle stages share t + h/2, and a step's last stage
+    is the next step's first).
     """
     n_steps, h = fixed_steps(abs(t1 - t0), dt)
     h = h if t1 >= t0 else -h
@@ -159,9 +161,7 @@ def _advect_inverse(grid, velocity, t0, t1, dt, disp):
         if last[0] != stage:
             last[:] = stage, velocity(t)
             check_courant(grid, last[1], abs(h))
-        x = last[1]
-        # ∂ₜdᵢ = -Xᵢ - Σₐ Xₐ ∂ₐdᵢ
-        return -x - np.sum(x * gradient_values(grid, d), axis=1)
+        return inverse_map_rate(grid, last[1], d)
 
     for step in range(n_steps):
         disp = rk4_step(rate, t0 + step * h, disp, h)

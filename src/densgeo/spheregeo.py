@@ -22,7 +22,6 @@ from .grid import (
     fourier,
     integrate,
     l2_inner,
-    laplacian,
 )
 
 # angle below which great-circle interpolation degenerates to a linear blend
@@ -101,17 +100,6 @@ def fisher_rao_inner(u: VectorField, v: VectorField) -> float:
     """Information-metric pairing ∫ div u · div v dμ = 4 × h1dot_inner."""
     u.grid.check_compatible(v.grid)
     return l2_inner(divergence(u), divergence(v))
-
-
-def functional_gradient(h_prime, d: Density) -> ScalarField:
-    """Metric gradient of H(ρ) = ∫ h(ρ) dμ, which is h'(ρ) pointwise."""
-    return ScalarField(d.grid, np.asarray(h_prime(d.values), dtype=float))
-
-
-def dirichlet_gradient(d: Density) -> ScalarField:
-    """Metric gradient of the Dirichlet energy (1/2) ∫ |∇ρ|² dμ, i.e. -Δρ."""
-    lap = laplacian(d.field)
-    return ScalarField(d.grid, -lap.values)
 
 
 def heat_flow(d0: Density, t_final: float) -> Density:

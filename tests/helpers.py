@@ -49,15 +49,11 @@ def peaked_density(grid: PeriodicGrid, concentration: float, center=None) -> Den
 
 def lie_bracket(w: VectorField, u: VectorField) -> VectorField:
     """[w, u] = (w·∇)u - (u·∇)w, componentwise."""
-    comps = tuple(
-        ScalarField(
-            w.grid,
-            directional_derivative(w, u.components[a]).values
-            - directional_derivative(u, w.components[a]).values,
-        )
-        for a in range(w.grid.dim)
-    )
-    return VectorField(w.grid, comps)
+    w.grid.check_compatible(u.grid)
+    w_arr, u_arr = (np.array([c.values for c in f.components]) for f in (w, u))
+    bracket = (directional_derivative(w.grid, w_arr, u_arr)
+               - directional_derivative(w.grid, u_arr, w_arr))
+    return VectorField.from_arrays(w.grid, *bracket)
 
 
 def divergence_free_field(grid: PeriodicGrid, rng) -> VectorField:

@@ -17,6 +17,7 @@ from densgeo.grid import (
     check_courant,
     dealias,
     derivative,
+    directional_derivative,
     divergence,
     gradient,
     gradient_values,
@@ -311,6 +312,30 @@ class TestOneAxisDerivatives:
                 assert np.array_equal(actual, expected)
             elif expected.size:
                 assert np.max(np.abs(actual - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+    @settings(max_examples=60)
+    @given(
+        shape=st.one_of(st.tuples(_EVEN_SIZES), st.tuples(_EVEN_SIZES, _EVEN_SIZES)),
+        lengths=st.tuples(st.floats(0.25, 8.0), st.floats(0.25, 8.0)),
+        stack=st.sampled_from([None, 1, 2, 3]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_directional_derivative_sums_the_partials(self, shape, lengths, stack, seed):
+        grid = PeriodicGrid(shape, lengths[: len(shape)])
+        rng = np.random.default_rng(seed)
+        velocity = rng.standard_normal((grid.dim,) + shape)
+        values = rng.standard_normal(shape if stack is None else (stack,) + shape)
+
+        def along(f):  # X₀ ∂₀f + X₁ ∂₁f, one derivative call per axis
+            out = velocity[0] * derivative(ScalarField(grid, f), 0).values
+            for a in range(1, grid.dim):
+                out = out + velocity[a] * derivative(ScalarField(grid, f), a).values
+            return out
+
+        expected = along(values) if stack is None else np.array([along(f) for f in values])
+        actual = directional_derivative(grid, velocity, values)
+        assert actual.shape == expected.shape
+        assert np.max(np.abs(actual - expected)) <= 1e-13 * np.max(np.abs(expected))
 
     def test_two_dimensional_gradient_makes_no_full_grid_transform(self, fft_calls):
         grid = PeriodicGrid((16, 24), (1.5, 0.75))

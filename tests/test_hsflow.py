@@ -125,6 +125,17 @@ class TestLagrangianFormulas:
         with pytest.raises(BeyondBlowup):
             rho_along_flow(geo, geo.t_max)
 
+    @pytest.mark.parametrize("call", [
+        rho_along_flow, flow_energy, eulerian_rho,
+        lambda g, t: jacobian_by_ode(g, t, 1e-3),
+        lambda g, t: integrate_flow(g, t, 1e-3),
+    ], ids=["rho_along_flow", "flow_energy", "eulerian_rho", "jacobian_by_ode", "integrate_flow"])
+    def test_every_guard_raises_one_message(self, call):
+        geo = sin_geodesic(64)
+        with pytest.raises(BeyondBlowup) as caught:
+            call(geo, geo.t_max)
+        assert str(caught.value) == f"t = {geo.t_max} is at or past the blowup time {geo.t_max}"
+
     def test_blowup_certificate(self):
         # sup|ρ| crosses 10³ within 1% of the predicted breakdown time
         geo = sin_geodesic()
@@ -257,7 +268,7 @@ class TestEulerianReconstruction:
         t = 0.5 * geo.t_max
         # the residual as defined: the anchored velocity from its own ρ(t)
         rho_m, rho_0, rho_p = (eulerian_rho(geo, s).values for s in (t - 1e-5, t, t + 1e-5))
-        u = hsflow.eulerian_velocity(geo, t).values
+        u = hsflow._anchored_velocity(ScalarField(geo.grid, rho_0)).values
         rho_x = derivative(ScalarField(geo.grid, rho_0)).values
         const = energy(ScalarField(geo.grid, rho_0)) / (2.0 * geo.mass)
         expected = np.max(np.abs((rho_p - rho_m) / 2e-5 + u * rho_x + 0.5 * rho_0**2 + const))

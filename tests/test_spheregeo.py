@@ -4,28 +4,26 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from densgeo.density import (
+    MASS_TOL,
     POSITIVITY_TOL,
+    SPHERE_TOL,
     Density,
     normalize,
     sqrt_map,
     square_map,
     uniform_density,
 )
-from densgeo.errors import GridMismatch, MassMismatch
+from densgeo.errors import GridMismatch, MassMismatch, NegativeDensity
 from densgeo.grid import (
     PeriodicGrid,
     ScalarField,
     VectorField,
     integrate,
-    l2_inner,
-    random_band_limited,
 )
 from densgeo.hsflow import HsGeodesic, evolve_density_global, velocity_from_rho
 from densgeo.spheregeo import (
     bhattacharyya,
-    dirichlet_gradient,
     fisher_rao_inner,
-    functional_gradient,
     geodesic,
     h1dot_inner,
     heat_flow,
@@ -336,6 +334,42 @@ class TestGeodesic:
             assert np.max(np.abs(got.values - expected.values)) <= 1e-8
 
 
+class TestSphereClosure:
+    @settings(max_examples=100)
+    @given(
+        shape=st.sampled_from([(16,), (64,), (8, 8), (16, 24)]),
+        log_length=st.floats(-3.0, 3.0),
+        log_mass=st.floats(-100.0, 100.0),
+        power=st.sampled_from([0.0, 1.0, 4.0]),
+        share=st.floats(0.0, 0.99),
+        negatives=st.sampled_from([0.0, 0.02, 0.5]),
+        edge=st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_square_of_the_square_root_and_geodesic_ends_return_the_density(
+        self, shape, log_length, log_mass, power, share, negatives, edge, seed
+    ):
+        # the mass sits up to MASS_TOL off the quadrature and the negatives
+        # carry up to the admitted share, so |√ρ|² may sit SPHERE_TOL off r²
+        grid = PeriodicGrid(shape, 10.0**log_length)
+        rng = np.random.default_rng(seed)
+        d = admitted_density(grid, rng, 10.0**log_mass, power, share, negatives)
+        try:
+            d = Density(d.field, d.mass / (1.0 - edge * MASS_TOL))
+        except (MassMismatch, NegativeDensity):
+            assume(False)  # past an edge by roundoff
+
+        def gap(got, want):  # the share of the mass by which two densities differ
+            return grid.node_weight * np.sum(np.abs(got.values - want.values)) / want.mass
+
+        uniform = uniform_density(grid, d.mass)
+        back = square_map(sqrt_map(d))
+        path = geodesic(d, uniform)
+        for got, want in ((back, d), (path.density_at(0.0), d), (path.density_at(1.0), uniform)):
+            assert not got.degenerate
+            assert gap(got, want) <= SPHERE_TOL
+
+
 class TestInnerProducts:
     def test_factor_four(self):
         grid = PeriodicGrid(64)
@@ -358,38 +392,6 @@ class TestInnerProducts:
         u = velocity_from_rho(ScalarField(grid, np.sin(2 * np.pi * x)))
         v = velocity_from_rho(ScalarField(grid, np.cos(2 * np.pi * x)))
         assert abs(fisher_rao_inner(u, v)) <= 1e-12
-
-
-class TestFunctionalGradients:
-    def test_square_functional(self):
-        grid = PeriodicGrid(64)
-        grad = functional_gradient(lambda r: 2.0 * r, uniform_density(grid))
-        assert np.allclose(grad.values, 2.0)
-
-    def test_entropy_at_uniform(self):
-        grid = PeriodicGrid(64)
-        grad = functional_gradient(lambda r: 1.0 + np.log(r), uniform_density(grid))
-        assert np.allclose(grad.values, 1.0)
-
-    def test_directional_derivative_of_cubic(self):
-        grid = PeriodicGrid(128)
-        rng = np.random.default_rng(8)
-        d = random_positive_density(grid, rng)
-        beta = random_band_limited(grid, 6, rng)
-        grad = functional_gradient(lambda r: 3.0 * r**2, d)
-        expected = l2_inner(grad, beta)
-        eps = 1e-5
-        plus = integrate(ScalarField(grid, (d.values + eps * beta.values) ** 3))
-        minus = integrate(ScalarField(grid, (d.values - eps * beta.values) ** 3))
-        assert (plus - minus) / (2 * eps) == pytest.approx(expected, abs=1e-7)
-
-    def test_dirichlet_gradient(self):
-        grid = PeriodicGrid(64)
-        x = grid.coordinate(0)
-        d = Density(ScalarField(grid, 1 + 0.25 * np.sin(2 * np.pi * x)), 1.0)
-        grad = dirichlet_gradient(d)
-        expected = 4 * np.pi**2 * 0.25 * np.sin(2 * np.pi * x)
-        assert np.allclose(grad.values, expected, atol=1e-10)
 
 
 class TestHeatFlow:
