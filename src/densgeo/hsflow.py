@@ -14,6 +14,7 @@ the initial divergence ρ0 and the angular frequency
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -91,6 +92,18 @@ class HsGeodesic:
         """∫ ρ² dμ along the solution, equal to 4 κ² μ(M)."""
         return 4.0 * self.kappa**2 * self.mass
 
+    # per-node constants of the closed forms, computed once per solution
+    # (for κ > 0; the κ = 0 branches never read them)
+    @cached_property
+    def rho0_over_2kappa(self) -> np.ndarray:
+        """ρ0/2κ, the sine coefficient of the great circle."""
+        return self.rho0.values / (2.0 * self.kappa)
+
+    @cached_property
+    def theta0(self) -> np.ndarray:
+        """θ0 = arctan(ρ0/2κ), the initial phase of the characteristic tangent."""
+        return np.arctan(self.rho0_over_2kappa)
+
 
 def _refined_minimum(rho0: ScalarField) -> float:
     """Grid minimum of ρ0 with one Newton step on the trigonometric interpolant.
@@ -124,14 +137,14 @@ def _refined_minimum(rho0: ScalarField) -> float:
 
 
 def _characteristic_rho(g: HsGeodesic, rho0_values: np.ndarray | None = None):
-    """t -> ρ(t, η(t, x)) = 2κ tan(arctan(ρ0/2κ) - κt), given ρ0 at the labels
-    x (by default ``g.rho0``'s nodes); θ0 = arctan(ρ0/2κ) is computed once,
-    for time-stepping loops."""
-    values = g.rho0.values if rho0_values is None else rho0_values
+    """t -> ρ(t, η(t, x)) = 2κ tan(θ0 - κt) with θ0 = arctan(ρ0/2κ), given ρ0
+    at the labels x (by default ``g.rho0``'s nodes, whose θ0 is ``g.theta0``);
+    θ0 is computed once, for time-stepping loops."""
     if g.kappa < KAPPA_EPS:
+        values = g.rho0.values if rho0_values is None else rho0_values
         return lambda t: np.zeros_like(values)
     kappa = g.kappa
-    theta0 = np.arctan(values / (2.0 * kappa))
+    theta0 = g.theta0 if rho0_values is None else np.arctan(rho0_values / (2.0 * kappa))
     return lambda t: 2.0 * kappa * np.tan(theta0 - kappa * t)
 
 
@@ -150,7 +163,7 @@ def sphere_path(g: HsGeodesic, t: float) -> ScalarField:
     """Great-circle point cos κt + (ρ0/2κ) sin κt (the square root of the Jacobian)."""
     if g.kappa < KAPPA_EPS:
         return ScalarField(g.grid, np.ones(g.grid.shape))
-    values = np.cos(g.kappa * t) + g.rho0.values / (2.0 * g.kappa) * np.sin(g.kappa * t)
+    values = np.cos(g.kappa * t) + g.rho0_over_2kappa * np.sin(g.kappa * t)
     return ScalarField(g.grid, values)
 
 

@@ -29,8 +29,6 @@ def peaked_density(grid: PeriodicGrid, concentration: float, center=None) -> Den
     A periodic von-Mises profile exp(c (cos 2π(x-x0)/L - 1)); the sharpness
     c is chosen so the normalized peak height equals the concentration.
     """
-    from scipy.special import i0e
-
     c = concentration**2 / (2.0 * np.pi)
     x = grid.coordinate(0)
     x0 = grid.lengths[0] / 2.0 if center is None else center
