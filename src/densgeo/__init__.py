@@ -29,7 +29,6 @@ from .density import (
 from .grid import (
     PeriodicGrid,
     ScalarField,
-    VectorField,
     derivative,
     directional_derivative,
     divergence,
@@ -38,6 +37,7 @@ from .grid import (
     l2_inner,
     laplacian,
     laplacian_inverse,
+    laplacian_inverse_gradient,
     mean,
     random_band_limited,
 )
@@ -57,7 +57,6 @@ from .hsflow import (
     rho_along_flow,
     sphere_path,
     sphere_velocity,
-    velocity_from_rho,
 )
 from .invariants import (
     TruncatedSphereCoords,

@@ -11,6 +11,9 @@ along the other axis cancels: ``derivative``, ``gradient_values`` and
 1-D is the same pair of transforms.  The Nyquist mode is zeroed in first
 derivatives so derivatives of real fields stay real.
 
+A vector field is a (dim, *shape) array, row a its component along axis a
+(like ``PeriodicGrid.identity``), in every function that takes or returns one.
+
 ``real_modes`` is the one enumeration of a grid's real Fourier modes, as
 integer wave vectors: ``random_band_limited`` draws over it, and
 ``invariants.fourier_basis`` sorts it by |k|².
@@ -145,26 +148,6 @@ class ScalarField:
         return cls(grid, np.full(grid.shape, float(value)))
 
 
-@dataclass(frozen=True)
-class VectorField:
-    """Vector field with one scalar component per axis."""
-
-    grid: PeriodicGrid
-    components: tuple
-
-    def __post_init__(self):
-        comps = tuple(self.components)
-        if len(comps) != self.grid.dim:
-            raise ValueError("one component per axis required")
-        for c in comps:
-            self.grid.check_compatible(c.grid)
-        object.__setattr__(self, "components", comps)
-
-    @classmethod
-    def from_arrays(cls, grid: PeriodicGrid, *arrays) -> "VectorField":
-        return cls(grid, tuple(ScalarField(grid, a) for a in arrays))
-
-
 def integrate(field: ScalarField) -> float:
     """Quadrature of the field against the reference volume form."""
     return float(field.grid.node_weight * np.sum(field.values))
@@ -217,13 +200,18 @@ def derivative(field: ScalarField, axis: int = 0) -> ScalarField:
     return ScalarField(field.grid, _partial(field.grid, field.values, axis))
 
 
-def gradient(field: ScalarField) -> VectorField:
-    return VectorField.from_arrays(field.grid, *gradient_values(field.grid, field.values))
+def gradient(field: ScalarField) -> np.ndarray:
+    """Spectral gradient of a field, a vector field of shape (dim, *shape)."""
+    return gradient_values(field.grid, field.values)
 
 
-def divergence(v: VectorField) -> ScalarField:
-    parts = [_partial(v.grid, c.values, axis) for axis, c in enumerate(v.components)]
-    return ScalarField(v.grid, np.sum(parts, axis=0))
+def divergence(grid: PeriodicGrid, velocity: np.ndarray) -> ScalarField:
+    """Spectral divergence Σₐ ∂ₐXₐ of a vector field X; GridMismatch unless
+    X has shape (dim, *shape)."""
+    if np.shape(velocity) != (grid.dim, *grid.shape):
+        raise GridMismatch(f"vector field of shape {np.shape(velocity)} on {grid}")
+    parts = [_partial(grid, velocity[axis], axis) for axis in range(grid.dim)]
+    return ScalarField(grid, np.sum(parts, axis=0))
 
 
 def laplacian(field: ScalarField) -> ScalarField:
@@ -328,9 +316,9 @@ def rk4_step(f, t: float, y: np.ndarray, h: float) -> np.ndarray:
 
 
 def check_courant(grid: PeriodicGrid, velocity, dt: float) -> None:
-    """Raise StepTooLarge when the advective Courant number of ``velocity``
-    (one array per component) over a step ``dt`` exceeds 0.5 or is NaN."""
-    sup = max(float(np.max(np.abs(c))) for c in velocity)
+    """Raise StepTooLarge when the advective Courant number of ``velocity``,
+    a vector field (dim, *shape), over a step ``dt`` exceeds 0.5 or is NaN."""
+    sup = float(np.max(np.abs(velocity)))
     courant = sup * dt * max(n / L for n, L in zip(grid.shape, grid.lengths))
     if not courant <= 0.5:  # NaN velocities fail here too
         raise StepTooLarge(f"advective Courant number {courant:.3f} is not at most 0.5")

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import _interp
 from .density import Density, _check_pair
-from .errors import InversionDiverged, MassDrift, NonPositiveJacobian
+from .errors import InversionDiverged, MassDrift, NonFiniteInput, NonPositiveJacobian
 from .grid import (
     PeriodicGrid,
     ScalarField,
@@ -27,7 +27,7 @@ from .grid import (
     rk4_step,
 )
 from .grid import periodic_primitive as moser_primitive_1d
-from .hsflow import FlowMap, inverse_map_rate, map_jacobian
+from .hsflow import IDENTITY_TOL, FlowMap, inverse_map_rate, map_jacobian
 
 
 def _values_at(f):
@@ -41,6 +41,8 @@ def _values_at(f):
 
 
 def _validate_phi(grid: PeriodicGrid, values: np.ndarray, t: float) -> None:
+    if not np.all(np.isfinite(values)):  # NaN would pass the tests below
+        raise NonFiniteInput(f"prescribed Jacobian is not finite at t = {t}")
     if np.min(values) <= 0.0:
         raise NonPositiveJacobian(f"prescribed Jacobian is not positive at t = {t}")
     total = grid.node_weight * np.sum(values)
@@ -118,13 +120,14 @@ def lift_flow(
 
     dphi_at = central_difference if dphi is None else _values_at(dphi)
 
-    if np.max(np.abs(phi_at(0.0) - 1.0)) > 1e-10:
+    if np.max(np.abs(phi_at(0.0) - 1.0)) > IDENTITY_TOL:
         raise NonPositiveJacobian("the lift must start at the identity: φ(0) ≡ 1")
     for t in t_grid:
         _validate_phi(grid, phi_at(t), t)
 
+    positions = [grid.identity]  # on both grids, as φ(0) ≡ 1 to FlowMap's IDENTITY_TOL
     if grid.dim == 1:
-        positions = [moser_primitive_1d(grid, phi_at(t))[None, :] for t in t_grid]
+        positions += [moser_primitive_1d(grid, phi_at(t))[None, :] for t in t_grid[1:]]
     else:
         # each interval is bounded by MAX_STEPS, so bound their sum up front too
         fixed_steps(t_grid[-1], dt)
@@ -134,7 +137,7 @@ def lift_flow(
             rhs = dphi_values - np.mean(dphi_values)  # mean is zero up to FD noise
             return laplacian_inverse_gradient(ScalarField(grid, -rhs)) / phi_values
 
-        disp, positions = np.zeros_like(grid.identity), [grid.identity]
+        disp = np.zeros_like(grid.identity)
         for t, t_next in zip(t_grid[:-1], t_grid[1:]):
             disp = _advect_inverse(grid, velocity, t, t_next, dt, disp)
             positions.append(grid.identity + disp)

@@ -3,9 +3,10 @@
 Distances between densities reduce to angles between their square roots on
 the L^2 sphere: the geodesic distance is sqrt(mass) * arccos of the
 Bhattacharyya coefficient, the Hellinger distance is the chord, and
-geodesics are great-circle arcs.  Two inner products are exposed on
-divergence data: the quarter-normalized one whose sphere radius is
-sqrt(mass), and the information-metric convention, exactly 4 times larger.
+geodesics are great-circle arcs.  Two inner products pair vector fields,
+(dim, *shape) arrays, through their divergences: the quarter-normalized
+one whose sphere radius is sqrt(mass), and the information-metric
+convention, exactly 4 times larger.
 """
 
 from __future__ import annotations
@@ -15,14 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .density import Density, SpherePoint, _check_pair, sqrt_map, square_map
-from .grid import (
-    ScalarField,
-    VectorField,
-    divergence,
-    fourier,
-    integrate,
-    l2_inner,
-)
+from .grid import PeriodicGrid, ScalarField, divergence, fourier, integrate, l2_inner
 
 # angle below which great-circle interpolation degenerates to a linear blend
 SMALL_ANGLE = 1e-12
@@ -90,16 +84,15 @@ def geodesic(a: Density, b: Density) -> GeodesicPath:
     return GeodesicPath(sqrt_map(a), sqrt_map(b), angle)
 
 
-def h1dot_inner(u: VectorField, v: VectorField) -> float:
-    """Quarter-normalized divergence pairing (1/4) ∫ div u · div v dμ."""
-    u.grid.check_compatible(v.grid)
-    return 0.25 * l2_inner(divergence(u), divergence(v))
+def h1dot_inner(grid: PeriodicGrid, u: np.ndarray, v: np.ndarray) -> float:
+    """Quarter-normalized divergence pairing (1/4) ∫ div u · div v dμ of two
+    vector fields (dim, *shape); GridMismatch for any other shape."""
+    return 0.25 * fisher_rao_inner(grid, u, v)
 
 
-def fisher_rao_inner(u: VectorField, v: VectorField) -> float:
+def fisher_rao_inner(grid: PeriodicGrid, u: np.ndarray, v: np.ndarray) -> float:
     """Information-metric pairing ∫ div u · div v dμ = 4 × h1dot_inner."""
-    u.grid.check_compatible(v.grid)
-    return l2_inner(divergence(u), divergence(v))
+    return l2_inner(divergence(grid, u), divergence(grid, v))
 
 
 def heat_flow(d0: Density, t_final: float) -> Density:

@@ -6,8 +6,8 @@ from densgeo.density import Density
 from densgeo.grid import (
     PeriodicGrid,
     ScalarField,
-    VectorField,
     directional_derivative,
+    gradient,
     integrate,
     random_band_limited,
 )
@@ -45,28 +45,14 @@ def peaked_density(grid: PeriodicGrid, concentration: float, center=None) -> Den
     )
 
 
-def lie_bracket(w: VectorField, u: VectorField) -> VectorField:
-    """[w, u] = (w·∇)u - (u·∇)w, componentwise."""
-    w.grid.check_compatible(u.grid)
-    w_arr, u_arr = (np.array([c.values for c in f.components]) for f in (w, u))
-    bracket = (directional_derivative(w.grid, w_arr, u_arr)
-               - directional_derivative(w.grid, u_arr, w_arr))
-    return VectorField.from_arrays(w.grid, *bracket)
+def lie_bracket(grid: PeriodicGrid, w: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """[w, u] = (w·∇)u - (u·∇)w of two vector fields (dim, *shape)."""
+    return directional_derivative(grid, w, u) - directional_derivative(grid, u, w)
 
 
-def divergence_free_field(grid: PeriodicGrid, rng) -> VectorField:
-    """Random divergence-free field: a constant in 1D, a curl in 2D."""
+def divergence_free_field(grid: PeriodicGrid, rng) -> np.ndarray:
+    """Random divergence-free vector field: a constant in 1D, a curl in 2D."""
     if grid.dim == 1:
-        return VectorField(
-            grid, (ScalarField(grid, np.full(grid.shape, rng.standard_normal())),)
-        )
-    from densgeo.grid import derivative
-
-    stream = random_band_limited(grid, 5, rng)
-    return VectorField(
-        grid,
-        (
-            derivative(stream, 1),
-            ScalarField(grid, -derivative(stream, 0).values),
-        ),
-    )
+        return np.full((1,) + grid.shape, rng.standard_normal())
+    d0, d1 = gradient(random_band_limited(grid, 5, rng))
+    return np.array([d1, -d0])

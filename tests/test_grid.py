@@ -8,12 +8,11 @@ from hypothesis.extra import numpy as hnp
 from scipy import ndimage
 
 from densgeo import _interp
-from densgeo.errors import InvalidGrid, NonZeroMean, StepTooLarge, ValidationError
+from densgeo.errors import GridMismatch, InvalidGrid, NonZeroMean, StepTooLarge, ValidationError
 from densgeo.grid import (
     MAX_STEPS,
     PeriodicGrid,
     ScalarField,
-    VectorField,
     check_courant,
     dealias,
     derivative,
@@ -74,15 +73,14 @@ class TestSpectralCalculus:
         grid = PeriodicGrid(64)
         x = grid.coordinate(0)
         grad = gradient(ScalarField(grid, np.sin(2 * np.pi * x)))
-        assert np.allclose(
-            grad.components[0].values, 2 * np.pi * np.cos(2 * np.pi * x), atol=1e-12
-        )
+        assert grad.shape == (1, 64)
+        assert np.allclose(grad[0], 2 * np.pi * np.cos(2 * np.pi * x), atol=1e-12)
 
     def test_laplacian_eigenfunction(self):
         grid = PeriodicGrid(64)
         x = grid.coordinate(0)
         f = ScalarField(grid, np.sin(2 * np.pi * x))
-        lap = divergence(gradient(f))
+        lap = divergence(grid, gradient(f))
         assert np.allclose(lap.values, -4 * np.pi**2 * f.values, atol=1e-10)
 
     def test_laplacian_inverse_eigenvalue(self):
@@ -101,19 +99,22 @@ class TestSpectralCalculus:
     def test_divergence_integrates_to_zero(self, shape, lengths):
         grid = PeriodicGrid(shape, lengths)
         rng = np.random.default_rng(11)
-        comps = tuple(ScalarField(grid, random_band_limited(grid, 6, rng).values
-                                  + rng.standard_normal())
-                      for _ in range(grid.dim))
-        v = VectorField(grid, comps)
-        sup = max(np.max(np.abs(c.values)) for c in comps)
-        assert abs(integrate(divergence(v))) <= 1e-12 * sup
+        v = np.array([random_band_limited(grid, 6, rng).values + rng.standard_normal()
+                      for _ in range(grid.dim)])
+        assert abs(integrate(divergence(grid, v))) <= 1e-12 * np.max(np.abs(v))
+
+    @pytest.mark.parametrize("shape", [(16,), (2, 16), (1, 8), (1, 16, 16)])
+    def test_divergence_rejects_misshaped_vector_field(self, shape):
+        # a vector field on the 16-node circle has shape (1, 16)
+        with pytest.raises(GridMismatch):
+            divergence(PeriodicGrid(16), np.ones(shape))
 
     @pytest.mark.parametrize("shape,lengths", [(64, 1.0), ((32, 32), (1.0, 2.0))])
     def test_poisson_roundtrip(self, shape, lengths):
         grid = PeriodicGrid(shape, lengths)
         rng = np.random.default_rng(5)
         f = random_band_limited(grid, 6, rng)
-        back = divergence(gradient(laplacian_inverse(f)))
+        back = divergence(grid, gradient(laplacian_inverse(f)))
         scale = np.max(np.abs(f.values))
         assert np.max(np.abs(back.values - f.values)) <= 1e-10 * scale
 
@@ -237,11 +238,11 @@ class TestRealFFTLayer:
         ref_grad = np.array([_reference_multiply(values, 1j * k) for k in kd])
         for axis in range(grid.dim):
             _assert_close(derivative(field, axis).values, ref_grad[axis])
-        _assert_close(np.array([c.values for c in gradient(field).components]), ref_grad)
+        _assert_close(gradient(field), ref_grad)
 
         comps = rng.standard_normal((grid.dim,) + shape)
         ref_div = sum(_reference_multiply(c, 1j * k) for c, k in zip(comps, kd))
-        _assert_close(divergence(VectorField.from_arrays(grid, *comps)).values, ref_div)
+        _assert_close(divergence(grid, comps).values, ref_div)
 
         _assert_close(laplacian(field).values, _reference_multiply(values, -k2))
         zero_mean = values - np.mean(values)
@@ -302,7 +303,7 @@ class TestOneAxisDerivatives:
 
         pairs = [(gradient_values(grid, values), reference(values)),
                  (gradient_values(grid, fields), reference(fields)),
-                 (divergence(VectorField.from_arrays(grid, *comps)).values,
+                 (divergence(grid, comps).values,
                   np.sum([fourier(grid, c, k) for c, k in zip(comps, grid.ik)], axis=0))]
         pairs += [(derivative(ScalarField(grid, values), a).values, reference(values)[a])
                   for a in range(grid.dim)]
@@ -498,21 +499,16 @@ class TestMetricDescent:
         rng = np.random.default_rng(17)
         w = divergence_free_field(grid, rng)
         for _ in range(5):
-            comps_u = tuple(ScalarField(grid, random_band_limited(grid, 4, rng).values
-                                        + rng.standard_normal())
-                            for _ in range(grid.dim))
-            comps_v = tuple(ScalarField(grid, random_band_limited(grid, 4, rng).values
-                                        + rng.standard_normal())
-                            for _ in range(grid.dim))
-            u = VectorField(grid, comps_u)
-            v = VectorField(grid, comps_v)
-            ad_w_u = lie_bracket(w, u)  # ad_w = -[w, ·]; the sign cancels in the sum
-            ad_w_v = lie_bracket(w, v)
+            u, v = (np.array([random_band_limited(grid, 4, rng).values + rng.standard_normal()
+                              for _ in range(grid.dim)])
+                    for _ in range(2))
+            ad_w_u = lie_bracket(grid, w, u)  # ad_w = -[w, ·]; the sign cancels in the sum
+            ad_w_v = lie_bracket(grid, w, v)
             total = 0.25 * (
-                l2_inner(divergence(ad_w_u), divergence(v))
-                + l2_inner(divergence(u), divergence(ad_w_v))
+                l2_inner(divergence(grid, ad_w_u), divergence(grid, v))
+                + l2_inner(divergence(grid, u), divergence(grid, ad_w_v))
             )
             scale = max(
-                abs(l2_inner(divergence(u), divergence(v))), 1.0
+                abs(l2_inner(divergence(grid, u), divergence(grid, v))), 1.0
             )
             assert abs(total) <= 1e-10 * scale

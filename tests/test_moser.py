@@ -9,6 +9,7 @@ from densgeo.errors import (
     InversionDiverged,
     MassDrift,
     MassMismatch,
+    NonFiniteInput,
     NonPositiveJacobian,
     StepTooLarge,
     ValidationError,
@@ -22,6 +23,7 @@ from densgeo.grid import (
     random_band_limited,
 )
 from densgeo.hsflow import (
+    FlowMap,
     HsGeodesic,
     jacobian_formula,
     map_jacobian,
@@ -100,6 +102,44 @@ class TestLift1D:
         x = grid.coordinate(0)
         with pytest.raises(NonPositiveJacobian):
             lift_flow(lambda t: 1.0 + 0.1 * np.sin(2 * np.pi * x), [0.0, 1.0], grid)
+
+
+class TestFlowStart:
+    """``lift_flow`` rejects a non-finite φ, and every flow starts at the
+    identity to ``IDENTITY_TOL``, with no relative slack."""
+
+    @pytest.mark.parametrize("shape", [16, (16, 16)])
+    def test_nonfinite_jacobian_rejected(self, shape):
+        # NaN passes every comparison-based test, so it is rejected first
+        grid = PeriodicGrid(shape)
+        wave = np.sin(2 * np.pi * grid.coordinate(0))
+
+        def phi(t):
+            values = 1.0 + 0.1 * t * wave
+            if t == 0.1:
+                values.flat[5] = np.nan
+            return values
+
+        with pytest.raises(NonFiniteInput):
+            lift_flow(phi, [0.0, 0.1], grid, dt=1e-2)
+
+    @pytest.mark.parametrize("shape", [16, (16, 16)])
+    def test_start_within_identity_tolerance_lifts(self, shape):
+        grid = PeriodicGrid(shape)
+        flow = lift_flow(lambda t: np.full(grid.shape, 1.0 + 5e-11), [0.0, 0.5], grid,
+                         dt=0.1, dphi=lambda t: np.zeros(grid.shape))
+        assert np.array_equal(flow.positions[0], grid.identity)
+        assert np.all(flow.jacobians[0] == 1.0)
+
+    @pytest.mark.parametrize("lengths", [1.0, 8.0])
+    def test_start_one_part_in_a_million_off_rejected(self, lengths):
+        grid = PeriodicGrid((16, 16), lengths)
+        one, times = np.ones(grid.shape), np.array([0.0])
+        with pytest.raises(ValueError, match="identity"):
+            FlowMap(grid, times, [grid.identity * (1.0 + 1e-6)], [one])
+        with pytest.raises(ValueError, match="Jacobian"):
+            FlowMap(grid, times, [grid.identity], [one * (1.0 + 1e-6)])
+        FlowMap(grid, times, [grid.identity * (1.0 + 1e-11)], [one * (1.0 + 1e-11)])
 
 
 class TestPoissonStep:

@@ -17,10 +17,10 @@ from densgeo.errors import GridMismatch, MassMismatch, NegativeDensity
 from densgeo.grid import (
     PeriodicGrid,
     ScalarField,
-    VectorField,
     integrate,
+    laplacian_inverse_gradient,
 )
-from densgeo.hsflow import HsGeodesic, evolve_density_global, velocity_from_rho
+from densgeo.hsflow import HsGeodesic, evolve_density_global
 from densgeo.spheregeo import (
     bhattacharyya,
     fisher_rao_inner,
@@ -374,24 +374,34 @@ class TestInnerProducts:
     def test_factor_four(self):
         grid = PeriodicGrid(64)
         x = grid.coordinate(0)
-        u = velocity_from_rho(ScalarField(grid, np.sin(2 * np.pi * x)))
-        assert fisher_rao_inner(u, u) == pytest.approx(0.5, abs=1e-12)
-        assert h1dot_inner(u, u) == pytest.approx(0.125, abs=1e-12)
+        u = laplacian_inverse_gradient(ScalarField(grid, np.sin(2 * np.pi * x)))
+        assert fisher_rao_inner(grid, u, u) == pytest.approx(0.5, abs=1e-12)
+        assert h1dot_inner(grid, u, u) == pytest.approx(0.125, abs=1e-12)
 
     def test_divergence_free_degeneracy(self):
         grid = PeriodicGrid(64)
-        u = velocity_from_rho(
+        u = laplacian_inverse_gradient(
             ScalarField(grid, np.sin(2 * np.pi * grid.coordinate(0)))
         )
-        const = VectorField(grid, (ScalarField.constant(grid, 3.0),))
-        assert abs(fisher_rao_inner(u, const)) <= 1e-12
+        assert abs(fisher_rao_inner(grid, u, np.full((1, 64), 3.0))) <= 1e-12
 
     def test_mode_orthogonality(self):
         grid = PeriodicGrid(64)
         x = grid.coordinate(0)
-        u = velocity_from_rho(ScalarField(grid, np.sin(2 * np.pi * x)))
-        v = velocity_from_rho(ScalarField(grid, np.cos(2 * np.pi * x)))
-        assert abs(fisher_rao_inner(u, v)) <= 1e-12
+        u = laplacian_inverse_gradient(ScalarField(grid, np.sin(2 * np.pi * x)))
+        v = laplacian_inverse_gradient(ScalarField(grid, np.cos(2 * np.pi * x)))
+        assert abs(fisher_rao_inner(grid, u, v)) <= 1e-12
+
+    @pytest.mark.parametrize("shape", [(64,), (2, 64), (1, 32), (2, 16, 16)])
+    def test_misshaped_vector_field_rejected(self, shape):
+        # a vector field on the 64-node circle has shape (1, 64)
+        grid = PeriodicGrid(64)
+        u = np.ones((1, 64))
+        for inner in (h1dot_inner, fisher_rao_inner):
+            with pytest.raises(GridMismatch):
+                inner(grid, u, np.ones(shape))
+            with pytest.raises(GridMismatch):
+                inner(grid, np.ones(shape), u)
 
 
 class TestHeatFlow:
