@@ -14,7 +14,7 @@ the initial divergence ρ0 and the angular frequency
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -304,7 +304,7 @@ def jacobian_by_ode(g: HsGeodesic, t_final: float, dt: float) -> ScalarField:
     jac = np.ones(g.grid.shape)
     if g.kappa < KAPPA_EPS:
         return ScalarField(g.grid, jac)
-    rho = _characteristic_rho(g)
+    rho = lru_cache(maxsize=1)(_characteristic_rho(g))  # RK4's middle stages share t
     n_steps, h = fixed_steps(t_final, dt)
     for step in range(n_steps):
         jac = rk4_step(lambda t, j: rho(t) * j, step * h, jac, h)

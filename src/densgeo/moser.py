@@ -132,8 +132,11 @@ def lift_flow(
         # each interval is bounded by MAX_STEPS, so bound their sum up front too
         fixed_steps(t_grid[-1], dt)
 
-        def velocity(t):  # X = ∇f/φ with Δf = -∂φ/∂t
+        def velocity(t):  # X = ∇f/φ with Δf = -∂φ/∂t; φ and ∂ₜφ checked at each stage time
             phi_values, dphi_values = phi_at(t), dphi_at(t)
+            _validate_phi(grid, phi_values, t)
+            if not np.all(np.isfinite(dphi_values)):
+                raise NonFiniteInput(f"∂ₜ of the prescribed Jacobian is not finite at t = {t}")
             rhs = dphi_values - np.mean(dphi_values)  # mean is zero up to FD noise
             return laplacian_inverse_gradient(ScalarField(grid, -rhs)) / phi_values
 

@@ -352,6 +352,24 @@ class TestSpectralStepper:
         _evolve(equation, u0, steps * 1e-3, 1e-3)
         assert len(fft_calls) == 8 * steps + 2
 
+    # the stage's table shapes: one row (Burgers, α = -1), two (α ≠ -1), three (Camassa-Holm)
+    @pytest.mark.parametrize("equation", ["burgers", -1.0, 0.5, "camassa_holm"])
+    def test_courant_guard_on_first_stage(self, fft_calls, equation):
+        grid = PeriodicGrid(64)
+        u0 = ScalarField(grid, 1.0 - np.cos(2 * np.pi * grid.coordinate(0)))
+        with pytest.raises(StepTooLarge):  # Courant number 2 · 0.1 · 64
+            _evolve(equation, u0, 1.0, 0.1)
+        assert fft_calls == ["rfft", "irfft"]  # u0's spectrum, then the first stage's u
+
+    def test_gauge_preserved_without_gamma_row(self):
+        # α = -1 has no Γ row to re-base, only the per-step gauge (test_gauge_preserved: α = 0.4)
+        grid = PeriodicGrid(128)
+        x = grid.coordinate(0)
+        u0 = (1 - np.cos(2 * np.pi * x)) / (2 * np.pi) + 0.01 * (-1.0) ** np.arange(128)
+        u = AlphaConnection(-1.0).evolve(ScalarField(grid, u0 - u0[0]), 0.2, 1e-3)
+        assert u.values[0] == pytest.approx(0.0, abs=1e-15)
+        assert np.all(np.isfinite(u.values))
+
 
 class TestDuality:
     def test_zero_direction(self):

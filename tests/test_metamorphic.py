@@ -10,16 +10,26 @@ zero-padding its spectrum leaves κ and ∫ρ² unchanged.  t_max is left out
 of the refinement: it rests on the minimum of ρ0 that one Newton step from
 the lowest node finds, and the finer grid moves that minimum by up to 10 %.
 
-Every bound is relative, a few times the largest roundoff measured over
-1,500 random draws of the strategies below (roll 3.7e-14, mass 4.7e-14,
-refinement 9.2e-16).
+The drifts that ``densgeo invariants`` reports are first integrals along
+the great circle, so they are roundoff-sized, and a roll of ρ0 moves them
+by roundoff only.
+
+Every bound is a few times the largest roundoff measured over 1,500 random
+draws of the strategies below: relative for roll (3.7e-14), mass (4.7e-14)
+and refinement (9.2e-16), and absolute for the drifts, which are already
+relative (2.1e-15).
 """
+
+import contextlib
+import io
+import json
+import tempfile
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from densgeo import _interp
+from densgeo import _interp, cli
 from densgeo.density import Density
 from densgeo.grid import PeriodicGrid, ScalarField, random_band_limited
 from densgeo.hsflow import HsGeodesic
@@ -29,6 +39,8 @@ from helpers import random_positive_density
 ROLL_TOL = 2e-13
 MASS_SCALING_TOL = 2e-13
 REFINEMENT_TOL = 1e-14
+DRIFT_ROLL_TOL = 1e-14
+DRIFTS = ("angular_momentum_drift", "nested_chain_drift", "projected_chain_drift")
 
 SHAPES = st.sampled_from([(64,), (32, 32), (16, 48)])
 LENGTHS = st.tuples(st.floats(0.5, 4.0), st.floats(0.5, 4.0))
@@ -88,3 +100,29 @@ def test_refinement_keeps_kappa_and_energy(shape, lengths, seed, data):
     assert _relative(
         [refined.kappa, refined.conserved_energy], [coarse.kappa, coarse.conserved_energy]
     ) <= REFINEMENT_TOL
+
+
+def _drifts(values: np.ndarray) -> list[float]:
+    """The invariants drifts of ``densgeo invariants`` for ρ0 given as a node-value file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/div_u0.json"
+        with open(path, "w") as fh:
+            json.dump({"values": values.tolist()}, fh)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(["invariants", "--div-u0", "@" + path, "--grid", str(values.shape[0]),
+                             "--dim", str(values.ndim), "--samples", "12"])
+    assert code == 0, out.getvalue()
+    return [json.loads(out.getvalue())["results"][key] for key in DRIFTS]
+
+
+@settings(max_examples=40, deadline=None)
+@given(shape=st.sampled_from([(16,), (64,), (128,), (16, 16)]), seed=SEEDS,
+       amp=st.floats(1e-3, 1e3), data=st.data())
+def test_grid_roll_leaves_invariants_drifts_unchanged(shape, seed, amp, data):
+    grid = PeriodicGrid(shape)
+    shift = data.draw(st.tuples(*(st.integers(1, n - 1) for n in shape)), label="shift")
+    degree = data.draw(st.integers(1, min(shape) // 4), label="degree")
+    rho0 = amp * random_band_limited(grid, degree, np.random.default_rng(seed)).values
+    rolled = np.roll(rho0, shift, axis=tuple(range(grid.dim)))
+    assert np.max(np.abs(np.subtract(_drifts(rolled), _drifts(rho0)))) <= DRIFT_ROLL_TOL

@@ -123,6 +123,21 @@ class TestFlowStart:
         with pytest.raises(NonFiniteInput):
             lift_flow(phi, [0.0, 0.1], grid, dt=1e-2)
 
+    def test_nonfinite_jacobian_between_output_times_rejected(self):
+        # finite at both t_grid points, NaN at the stage times in (0.04, 0.06):
+        # an input error (exit 2), not a step too large for a NaN Courant number
+        grid = PeriodicGrid((16, 16))
+
+        def phi(t):
+            values = np.ones(grid.shape)
+            if 0.04 < t < 0.06:
+                values.flat[5] = np.nan
+            return values
+
+        with pytest.raises(NonFiniteInput) as raised:
+            lift_flow(phi, [0.0, 0.1], grid, dt=1e-2)
+        assert raised.value.exit_code == 2
+
     @pytest.mark.parametrize("shape", [16, (16, 16)])
     def test_start_within_identity_tolerance_lifts(self, shape):
         grid = PeriodicGrid(shape)
