@@ -50,6 +50,7 @@ from .hsflow import (
     eulerian_rho,
     evolve_density_global,
     flow_energy,
+    great_circle,
     integrate_flow,
     jacobian_by_ode,
     jacobian_formula,

@@ -257,15 +257,14 @@ def _cmd_hs(args) -> dict:
     ts = np.linspace(0.0, horizon, args.samples)
 
     def sample(t):
-        jac = hsflow.jacobian_formula(geo, float(t)).values
-        rho = hsflow.rho_along_flow(geo, float(t)).values
+        f, fdot = hsflow.great_circle(geo, float(t))
+        jac = f**2
         return {
             "t": float(t),
             "min_jacobian": float(np.min(jac)),
             "jacobian_mass": float(grid.node_weight * np.sum(jac)),
-            "sup_rho": float(np.max(np.abs(rho))),
-            # flow_energy's quadrature ∫ ρ(t,η)² Jac dμ on the values above
-            "energy": integrate(ScalarField(grid, rho**2 * jac)),
+            "sup_rho": float(np.max(np.abs(2.0 * fdot / f))),
+            "energy": hsflow.energy(ScalarField(grid, 2.0 * fdot)),  # flow_energy's bits
         }
 
     series = [sample(t) for t in ts]
@@ -298,9 +297,8 @@ def _cmd_moser_lift(args) -> dict:
     t_grid = np.linspace(0.0, horizon, args.samples)
     flow = moser.lift_flow(
         lambda t: hsflow.jacobian_formula(geo, t), t_grid, grid, dt=args.dt,
-        # φ = f² on the great circle f, so ∂ₜφ = 2 f ∂ₜf in closed form
-        dphi=lambda t: 2.0 * (hsflow.sphere_path(geo, t).values
-                              * hsflow.sphere_velocity(geo, t).values),
+        # φ = f² on the great circle f, so ∂ₜφ = 2fḟ in closed form
+        dphi=lambda t: 2.0 * math.prod(hsflow.great_circle(geo, t)),
     )
     series = []
     for i, t in enumerate(t_grid):
@@ -360,9 +358,9 @@ def _cmd_invariants(args) -> dict:
     def coords_at(t):
         # project the raw great-circle point: past blowup it changes sign,
         # which is fine on the sphere
-        point = SpherePoint(hsflow.sphere_path(geo, float(t)), np.sqrt(geo.mass))
-        fdot = hsflow.sphere_velocity(geo, float(t))
-        return invariants.project(point, fdot, basis)
+        f, fdot = hsflow.great_circle(geo, float(t))
+        point = SpherePoint(ScalarField(grid, f), np.sqrt(geo.mass))
+        return invariants.project(point, ScalarField(grid, fdot), basis)
 
     coords = [coords_at(t) for t in ts]
     h_series = np.array([invariants.angular_momenta(c) for c in coords])

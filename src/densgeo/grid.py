@@ -306,6 +306,27 @@ def fixed_steps(span: float, dt: float) -> tuple[int, float]:
     return n, span / n
 
 
+def sinc(x: float) -> float:
+    """sin(x)/x of a scalar, 1 at x = 0 (``math`` costs far less than ``np.sinc``)."""
+    return math.sin(x) / x if x else 1.0
+
+
+def per_half_step(f, t0: float, h: float):
+    """t -> f(t), evaluated once per RK4 half step from t0 with step h, so n
+    steps evaluate f 2n + 1 times (the middle stages share t + h/2, a step's
+    last stage is the next one's first).  The key is the half-step count,
+    not t: t + h may miss t0 + (k + 1)h in its last bits."""
+    last = [None, None]  # the latest half-step count and its value
+
+    def at(t):
+        count = round(2.0 * (t - t0) / h) if h else 0
+        if last[0] != count:
+            last[:] = count, f(t)
+        return last[1]
+
+    return at
+
+
 def rk4_step(f, t: float, y: np.ndarray, h: float) -> np.ndarray:
     """One classical Runge-Kutta step of y' = f(t, y) on arrays."""
     k1 = f(t, y)
@@ -315,10 +336,11 @@ def rk4_step(f, t: float, y: np.ndarray, h: float) -> np.ndarray:
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def check_courant(grid: PeriodicGrid, velocity, dt: float) -> None:
-    """Raise StepTooLarge when the advective Courant number of ``velocity``,
-    a vector field (dim, *shape), over a step ``dt`` exceeds 0.5 or is NaN."""
+def check_courant(grid: PeriodicGrid, velocity, dt: float):
+    """``velocity``, a vector field (dim, *shape), once its advective Courant
+    number over a step ``dt`` is at most 0.5; StepTooLarge otherwise (NaN too)."""
     sup = float(np.max(np.abs(velocity)))
     courant = sup * dt * max(n / L for n, L in zip(grid.shape, grid.lengths))
     if not courant <= 0.5:  # NaN velocities fail here too
         raise StepTooLarge(f"advective Courant number {courant:.3f} is not at most 0.5")
+    return velocity

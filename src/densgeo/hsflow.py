@@ -3,18 +3,20 @@ Hunter-Saxton equation
 
     ρ_t + u·∇ρ + ρ²/2 = -∫ρ² dμ / (2 μ(M)),      div u = ρ.
 
-Along particle paths the solution is an explicit tangent, the flow Jacobian
-is an explicit squared cosine, and the square root of the Jacobian traces a
-great circle on the density sphere.  Everything here is parameterized by
-the initial divergence ρ0 and the angular frequency
-
-    κ² = ∫ ρ0² dμ / (4 μ(M)).
+Everything here is parameterized by the initial divergence ρ0 and the
+angular frequency κ² = ∫ ρ0² dμ / (4 μ(M)).  The square root of the flow
+Jacobian traces the great circle f = cos κt + (ρ0/2κ) sin κt on the
+density sphere, and every closed form is a function of (f, ḟ), which one
+kernel, ``great_circle``, evaluates: Jac = f², ρ∘η = 2ḟ/f (an explicit
+tangent) and ρ²·Jac = 4ḟ².  It takes sin(κt)/κ as t·sinc(κt), so κ = 0
+needs no branch: there the solution is the stationary one, ρ0 = 0, with
+f ≡ 1 and ρ ≡ 0 exactly.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -38,7 +40,9 @@ from .grid import (
     integrate,
     laplacian_inverse_gradient,
     periodic_primitive,
+    per_half_step,
     rk4_step,
+    sinc,
 )
 
 KAPPA_EPS = 1e-13
@@ -54,7 +58,7 @@ class HsGeodesic:
     kappa: float
     t_max: float
     mass: float
-    rho0_min: float = np.nan
+    rho0_min: float
 
     @classmethod
     def from_divergence(cls, rho0: ScalarField) -> "HsGeodesic":
@@ -72,7 +76,8 @@ class HsGeodesic:
                 raise InconsistentZeroKappa(
                     "kappa vanished for a non-zero divergence; quadrature is inconsistent"
                 )
-            return cls(grid, rho0, 0.0, np.inf, mass, 0.0)
+            # the stationary solution: ρ0 ≡ 0, so f ≡ 1 and ρ ≡ 0 exactly
+            return cls(grid, ScalarField.constant(grid, 0.0), 0.0, np.inf, mass, 0.0)
         rho0_min = _refined_minimum(rho0)
         t_max = np.pi / (2.0 * kappa) + np.arctan(rho0_min / (2.0 * kappa)) / kappa
         return cls(grid, rho0, kappa, float(t_max), mass, float(rho0_min))
@@ -86,18 +91,6 @@ class HsGeodesic:
     def conserved_energy(self) -> float:
         """∫ ρ² dμ along the solution, equal to 4 κ² μ(M)."""
         return 4.0 * self.kappa**2 * self.mass
-
-    # per-node constants of the closed forms, computed once per solution
-    # (for κ > 0; the κ = 0 branches never read them)
-    @cached_property
-    def rho0_over_2kappa(self) -> np.ndarray:
-        """ρ0/2κ, the sine coefficient of the great circle."""
-        return self.rho0.values / (2.0 * self.kappa)
-
-    @cached_property
-    def theta0(self) -> np.ndarray:
-        """θ0 = arctan(ρ0/2κ), the initial phase of the characteristic tangent."""
-        return np.arctan(self.rho0_over_2kappa)
 
 
 def _refined_minimum(rho0: ScalarField) -> float:
@@ -131,43 +124,41 @@ def _refined_minimum(rho0: ScalarField) -> float:
     return min(grid_min, refined)
 
 
-def _characteristic_rho(g: HsGeodesic, rho0_values: np.ndarray | None = None):
-    """t -> ρ(t, η(t, x)) = 2κ tan(θ0 - κt) with θ0 = arctan(ρ0/2κ), given ρ0
-    at the labels x (by default ``g.rho0``'s nodes, whose θ0 is ``g.theta0``);
-    θ0 is computed once, for time-stepping loops."""
-    if g.kappa < KAPPA_EPS:
-        values = g.rho0.values if rho0_values is None else rho0_values
-        return lambda t: np.zeros_like(values)
-    kappa = g.kappa
-    theta0 = g.theta0 if rho0_values is None else np.arctan(rho0_values / (2.0 * kappa))
-    return lambda t: 2.0 * kappa * np.tan(theta0 - kappa * t)
+def great_circle(g: HsGeodesic, t: float, rho0_values: np.ndarray | None = None):
+    """(f, ḟ) on the great circle at time t, given ρ0 at the labels (by
+    default ``g.rho0``'s nodes): f = cos κt + ½ρ0·S and ḟ = ½ρ0·cos κt - κ²·S,
+    with S = sin(κt)/κ = t·sinc(κt).  At κ = 0, where ρ0 ≡ 0, f ≡ 1.0 and
+    ḟ ≡ 0.0 exactly."""
+    rho0 = g.rho0.values if rho0_values is None else rho0_values
+    cos_kt, s = math.cos(g.kappa * t), t * sinc(g.kappa * t)
+    return cos_kt + (0.5 * s) * rho0, (0.5 * cos_kt) * rho0 - g.kappa**2 * s
+
+
+def _rho(g: HsGeodesic, t: float, rho0_values: np.ndarray | None = None) -> np.ndarray:
+    """ρ(t, η(t, x)) = 2ḟ/f at the labels x, given ρ0 there (``great_circle``)."""
+    f, fdot = great_circle(g, t, rho0_values)
+    return 2.0 * fdot / f
 
 
 def rho_along_flow(g: HsGeodesic, t: float) -> ScalarField:
-    """Solution values at Lagrangian labels, 2κ tan(arctan(ρ0/2κ) - κt)."""
+    """Solution values at Lagrangian labels, 2ḟ/f on the great circle."""
     g.check_before_blowup(t)
-    return ScalarField(g.grid, _characteristic_rho(g)(t))
+    return ScalarField(g.grid, _rho(g, t))
 
 
 def jacobian_formula(g: HsGeodesic, t: float) -> ScalarField:
-    """Flow Jacobian (cos κt + (ρ0/2κ) sin κt)², valid for all real t."""
-    return ScalarField(g.grid, sphere_path(g, t).values ** 2)
+    """Flow Jacobian f² = (cos κt + (ρ0/2κ) sin κt)², valid for all real t."""
+    return ScalarField(g.grid, great_circle(g, t)[0] ** 2)
 
 
 def sphere_path(g: HsGeodesic, t: float) -> ScalarField:
-    """Great-circle point cos κt + (ρ0/2κ) sin κt (the square root of the Jacobian)."""
-    if g.kappa < KAPPA_EPS:
-        return ScalarField(g.grid, np.ones(g.grid.shape))
-    values = np.cos(g.kappa * t) + g.rho0_over_2kappa * np.sin(g.kappa * t)
-    return ScalarField(g.grid, values)
+    """Great-circle point f = cos κt + (ρ0/2κ) sin κt (the square root of the Jacobian)."""
+    return ScalarField(g.grid, great_circle(g, t)[0])
 
 
 def sphere_velocity(g: HsGeodesic, t: float) -> ScalarField:
-    """Time derivative of the great circle; at t = 0 it equals ρ0/2."""
-    if g.kappa < KAPPA_EPS:
-        return ScalarField(g.grid, np.zeros(g.grid.shape))
-    values = -g.kappa * np.sin(g.kappa * t) + 0.5 * g.rho0.values * np.cos(g.kappa * t)
-    return ScalarField(g.grid, values)
+    """Time derivative ḟ of the great circle; at t = 0 it equals ρ0/2."""
+    return ScalarField(g.grid, great_circle(g, t)[1])
 
 
 def evolve_density_global(g: HsGeodesic, t: float) -> tuple[SpherePoint, Density]:
@@ -190,14 +181,12 @@ def energy(rho: ScalarField) -> float:
 def flow_energy(g: HsGeodesic, t: float) -> float:
     """Energy of the exact solution at time t, ∫ ρ(t,·)² dμ.
 
-    Evaluated in Lagrangian variables as ∫ ρ(t,η)² Jac dμ, which is
+    Evaluated in Lagrangian variables as ∫ ρ(t,η)² Jac dμ = 4∫ ḟ² dμ, which is
     quadrature-exact for band-limited ρ0 at any t < t_max (the direct
     Eulerian quadrature needs ever finer grids as the peak compresses).
     """
     g.check_before_blowup(t)
-    rho = _characteristic_rho(g)(t)
-    jac = jacobian_formula(g, t).values
-    return integrate(ScalarField(g.grid, rho**2 * jac))
+    return energy(ScalarField(g.grid, 2.0 * great_circle(g, t)[1]))  # ρ²·Jac = (2ḟ)²
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +217,7 @@ def eulerian_rho(g: HsGeodesic, t: float) -> ScalarField:
     eta = anchored_flow_1d(g, t)
     labels = _interp.invert_monotone(grid, eta, grid.coordinate(0))
     rho0_at_labels = _interp.field_evaluator(grid, g.rho0.values)(labels)
-    return ScalarField(grid, _characteristic_rho(g, rho0_at_labels)(t))
+    return ScalarField(grid, _rho(g, t, rho0_at_labels))
 
 
 def _anchored_velocity(rho: ScalarField) -> ScalarField:
@@ -302,10 +291,8 @@ def jacobian_by_ode(g: HsGeodesic, t_final: float, dt: float) -> ScalarField:
     with RK4, driving it by the closed-form characteristic values."""
     g.check_before_blowup(t_final)
     jac = np.ones(g.grid.shape)
-    if g.kappa < KAPPA_EPS:
-        return ScalarField(g.grid, jac)
-    rho = lru_cache(maxsize=1)(_characteristic_rho(g))  # RK4's middle stages share t
     n_steps, h = fixed_steps(t_final, dt)
+    rho = per_half_step(lambda t: _rho(g, t), 0.0, h)
     for step in range(n_steps):
         jac = rk4_step(lambda t, j: rho(t) * j, step * h, jac, h)
     return ScalarField(g.grid, jac)
@@ -333,20 +320,19 @@ def integrate_flow(
     grid = g.grid
     d = grid.dim
     rho0_eval = _interp.SplineEvaluator(grid, g.rho0.values)
-    rho_lagrangian = _characteristic_rho(g)
 
     def recovered_rho(t: float, back: np.ndarray) -> np.ndarray:
-        rho = _characteristic_rho(g, rho0_eval(*(grid.identity + back)))(t)
+        rho = _rho(g, t, rho0_eval(*(grid.identity + back)))
         return rho - np.mean(rho)
 
     # state rows: positions η (d rows), Jacobian (1 row), back-to-label map (d rows)
     def rate(t: float, y: np.ndarray) -> np.ndarray:
         eta, jac, back = y[:d], y[d], y[d + 1 :]
-        u = laplacian_inverse_gradient(ScalarField(grid, recovered_rho(t, back)))
-        check_courant(grid, u, h)
+        u = check_courant(grid, laplacian_inverse_gradient(
+            ScalarField(grid, recovered_rho(t, back))), h)
         out = np.empty_like(y)
         out[:d] = _interp.SplineEvaluator(grid, u)(*eta)
-        out[d] = rho_lagrangian(t) * jac
+        out[d] = _rho(g, t) * jac
         out[d + 1 :] = inverse_map_rate(grid, u, back)
         return out
 
@@ -373,7 +359,7 @@ def integrate_flow(
             )
         if step % store_every == 0 or step == n_steps:
             rec_eval = _interp.SplineEvaluator(grid, recovered_rho(t, y[d + 1 :]))
-            residuals.append(float(np.max(np.abs(rec_eval(*y[:d]) - rho_lagrangian(t)))))
+            residuals.append(float(np.max(np.abs(rec_eval(*y[:d]) - _rho(g, t)))))
             times.append(t)
             positions.append(y[:d].copy())
             jacobians.append(y[d].copy())

@@ -1,7 +1,8 @@
 """Moser lifts: diffeomorphism flows realizing a prescribed positive Jacobian,
 and transport maps between densities.
 
-On the circle the lift is the exact primitive η(t, x) = ∫₀ˣ φ(t, s) ds.  On
+On the circle the lift is the exact primitive η(t, x) = ∫₀ˣ φ(t, s) ds / ⟨φ(t)⟩,
+with ⟨φ⟩ the quadrature mean (1 up to the ``MassDrift`` tolerance).  On
 the torus the lift is the inverse of the flow of X = ∇f/φ with
 Δf = -∂φ/∂t.  That inverse is never formed by inverting a map: its periodic
 displacement d solves ∂ₜd + (X·∇)d + X = 0 and is advected on the grid by
@@ -24,6 +25,7 @@ from .grid import (
     check_courant,
     fixed_steps,
     laplacian_inverse_gradient,
+    per_half_step,
     rk4_step,
 )
 from .grid import periodic_primitive as moser_primitive_1d
@@ -86,7 +88,8 @@ def lift_flow(
 ) -> FlowMap:
     """Family of diffeomorphisms η(t) with Jac_μ η(t) = φ(t), φ(0) = 1.
 
-    On the circle η(t) is the exact primitive of φ(t).  On the torus η(t)
+    On the circle η(t) is the exact primitive of φ(t)/⟨φ(t)⟩, the
+    degree-one circle map (⟨φ⟩ is the quadrature mean).  On the torus η(t)
     is the inverse of the flow of X = ∇f/φ, Δf = -∂φ/∂t, whose displacement
     is advected on the grid by RK4 (see ``_advect_inverse``).
 
@@ -127,7 +130,9 @@ def lift_flow(
 
     positions = [grid.identity]  # on both grids, as φ(0) ≡ 1 to FlowMap's IDENTITY_TOL
     if grid.dim == 1:
-        positions += [moser_primitive_1d(grid, phi_at(t))[None, :] for t in t_grid[1:]]
+        # φ/⟨φ⟩ integrates to the period, so its primitive is a degree-one circle map
+        positions += [moser_primitive_1d(grid, phi / np.mean(phi))[None, :]
+                      for phi in map(phi_at, t_grid[1:])]
     else:
         # each interval is bounded by MAX_STEPS, so bound their sum up front too
         fixed_steps(t_grid[-1], dt)
@@ -154,23 +159,15 @@ def _advect_inverse(grid, velocity, t0, t1, dt, disp):
     With ξ the flow of X from t0, id + d(t) = (id + d(t0)) ∘ ξ(t)⁻¹, so
     from d = 0 the result is the displacement of ξ(t1)⁻¹.  Each stage
     takes ``inverse_map_rate``, with the stacked gradient of d taken
-    spectrally; the velocity is evaluated once per half step, 2n + 1 times
-    in n steps (RK4's middle stages share t + h/2, and a step's last stage
-    is the next step's first).
+    spectrally; the velocity is evaluated once per half step
+    (``per_half_step``), 2n + 1 times in n steps.
     """
     n_steps, h = fixed_steps(abs(t1 - t0), dt)
     h = h if t1 >= t0 else -h
-    last = [None, None]  # the latest stage's half-step count from t0, and its velocity
-
-    def rate(t, d):
-        stage = round(2.0 * (t - t0) / h) if h else 0  # not t: t + h may miss t0 + (step + 1) h
-        if last[0] != stage:
-            last[:] = stage, velocity(t)
-            check_courant(grid, last[1], abs(h))
-        return inverse_map_rate(grid, last[1], d)
-
+    velocity_at = per_half_step(lambda t: check_courant(grid, velocity(t), abs(h)), t0, h)
     for step in range(n_steps):
-        disp = rk4_step(rate, t0 + step * h, disp, h)
+        disp = rk4_step(lambda t, d: inverse_map_rate(grid, velocity_at(t), d),
+                        t0 + step * h, disp, h)
     return disp
 
 

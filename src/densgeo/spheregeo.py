@@ -3,7 +3,9 @@
 Distances between densities reduce to angles between their square roots on
 the L^2 sphere: the geodesic distance is sqrt(mass) * arccos of the
 Bhattacharyya coefficient, the Hellinger distance is the chord, and
-geodesics are great-circle arcs.  Two inner products pair vector fields,
+geodesics are great-circle arcs, interpolated by slerp with the weights
+sin(sθ)/sin θ = s·sinc(sθ)/sinc(θ), so equal endpoints (θ = 0) need no
+separate formula.  Two inner products pair vector fields,
 (dim, *shape) arrays, through their divergences: the quarter-normalized
 one whose sphere radius is sqrt(mass), and the information-metric
 convention, exactly 4 times larger.
@@ -16,10 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .density import Density, SpherePoint, _check_pair, sqrt_map, square_map
-from .grid import PeriodicGrid, ScalarField, divergence, fourier, integrate, l2_inner
-
-# angle below which great-circle interpolation degenerates to a linear blend
-SMALL_ANGLE = 1e-12
+from .grid import PeriodicGrid, ScalarField, divergence, fourier, integrate, l2_inner, sinc
 
 
 def bhattacharyya(a: Density, b: Density) -> float:
@@ -54,16 +53,11 @@ class GeodesicPath:
 
     def samples(self, t: float) -> SpherePoint:
         """Point at parameter t; arc length from start is t * angle * radius."""
-        f, g = self.start.values, self.end.values
-        if self.angle <= SMALL_ANGLE:
-            blend = (1.0 - t) * f + t * g
-            norm = np.sqrt(
-                integrate(ScalarField(self.start.grid, blend**2))
-            )
-            blend = blend * (self.start.radius / norm)
-        else:
-            s = np.sin(self.angle)
-            blend = (np.sin((1.0 - t) * self.angle) * f + np.sin(t * self.angle) * g) / s
+        # slerp weights sin(sθ)/sin θ = s·sinc(sθ)/sinc(θ), 1 - t and t at θ = 0
+        theta, norm = self.angle, sinc(self.angle)
+        w_start = (1.0 - t) * sinc((1.0 - t) * theta) / norm
+        w_end = t * sinc(t * theta) / norm
+        blend = w_start * self.start.values + w_end * self.end.values
         return SpherePoint(ScalarField(self.start.grid, blend), self.start.radius)
 
     def density_at(self, t: float) -> Density:

@@ -72,6 +72,14 @@ class TestLift1D:
             mass = geo.grid.node_weight * np.sum(flow.jacobians[i])
             assert mass == pytest.approx(geo.mass, abs=1e-8)
 
+    @pytest.mark.parametrize("n", [16, 64, 256])
+    def test_mean_off_one_lifts_a_circle_map(self, n):
+        # φ's mean is 1 + 1e-9, within the MassDrift tolerance: the primitive
+        # of φ/⟨φ⟩ is a degree-one circle map, whose Jacobian is φ/⟨φ⟩ ≡ 1
+        grid = PeriodicGrid(n)
+        flow = lift_flow(lambda t: np.full(grid.shape, 1.0 + 1e-9 * t), [0.0, 1.0], grid)
+        assert np.max(np.abs(flow.jacobians[1] - (1.0 + 1e-9))) <= 1.1e-9
+
     def test_base_point_fixed(self):
         geo = sin_geodesic()
         eta = moser_primitive_1d(geo.grid, jacobian_formula(geo, 0.7).values)

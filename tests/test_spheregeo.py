@@ -283,6 +283,17 @@ class TestGeodesic:
         for t in (0.0, 0.4, 1.0):
             assert np.allclose(path.samples(t).values, 1.0, atol=1e-12)
 
+    @pytest.mark.parametrize("n", [64, 128])
+    def test_equal_endpoints_give_the_start_point(self, n):
+        # θ = 0: the slerp weights' limits 1 - t and t, with no separate blend
+        grid = PeriodicGrid(n)
+        d = random_positive_density(grid, np.random.default_rng(n))
+        path = geodesic(d, d)
+        assert path.angle == 0.0
+        root = sqrt_map(d).values
+        for t in (0.0, 0.25, 0.5, 0.9, 1.0):
+            assert np.max(np.abs(path.samples(t).values - root)) <= 1e-15 * np.max(root)
+
     def test_endpoints_reproduced(self):
         grid = PeriodicGrid(128)
         a, b = uniform_density(grid), wavy_density(grid)
