@@ -35,7 +35,6 @@ from .grid import (
     gradient,
     integrate,
     l2_inner,
-    laplacian,
     laplacian_inverse,
     laplacian_inverse_gradient,
     mean,

@@ -4,8 +4,8 @@ Both routes evaluate the trigonometric interpolant from the real half
 spectrum that ``grid.fourier`` uses, with each axis's Nyquist coefficient
 split between ±N/2 so the interpolant is real, and both take one field
 (*shape) or a stack (m, *shape) sampled at the same points.  ``trig_eval``
-sums the spectrum exactly, O(N) per point and field (one-shot oracles and
-Newton solves), its phases e^{ikx} built from one cos and one sin of kx.
+sums a ``half_spectrum`` exactly with ``trig_sum``, O(N) per point and field;
+a Newton solve keeps the spectrum, so its steps transform nothing.
 ``SplineEvaluator`` zero-pads the spectrum onto a finer grid and evaluates
 a quintic B-spline there (inside time-stepping loops).  On a periodic grid
 the spline's prefilter is a Fourier multiplier, applied to the padded
@@ -18,7 +18,7 @@ route, from a cubic Hermite inverse on a padded sampling.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from .grid import PeriodicGrid, fourier
 # for one-shot evaluation of a field above EXACT_EVAL_LIMIT nodes
 PAD_FACTOR = 4
 FIELD_PAD_FACTOR = 8
-# invert_monotone stops when a Newton step is below NEWTON_TOL periods
+# invert_monotone and hsflow's inf ρ0 stop at a Newton step below NEWTON_TOL periods
 NEWTON_TOL = 1e-15
 NEWTON_MAX_ITER = 60
 
@@ -60,18 +60,18 @@ def _quintic_prefilter(n: int) -> np.ndarray:
 
 def _pad_axis(spec: np.ndarray, axis: int, n: int, n_fine: int, prefilter: bool) -> np.ndarray:
     """Zero-pad one spectral axis from n to n_fine modes, splitting the
-    Nyquist coefficient between ±n/2 so the fine signal stays real, and
-    optionally apply the spline prefilter.  The half-spectrum axis (length
-    n/2 + 1) keeps only its modes 0..n_fine/2."""
+    Nyquist coefficient between ±n/2 so the fine signal stays real (at
+    n_fine = n it stays whole), and optionally apply the spline prefilter.
+    The half-spectrum axis (length n/2 + 1) keeps only its modes 0..n_fine/2."""
     spec = spec.swapaxes(axis, -1)
     half = n // 2
     full = spec.shape[-1] == n
     out = np.zeros(spec.shape[:-1] + (n_fine if full else n_fine // 2 + 1,), dtype=complex)
     out[..., :half] = spec[..., :half]
-    out[..., half] = 0.5 * spec[..., half]
+    out[..., half] = nyquist = (0.5 if n_fine > n else 1.0) * spec[..., half]
     if full:
         out[..., n_fine - half + 1 :] = spec[..., half + 1 :]
-        out[..., n_fine - half] = 0.5 * spec[..., half]
+        out[..., n_fine - half] = nyquist
     if prefilter:
         out *= _quintic_prefilter(n_fine)[: out.shape[-1]]
     return out.swapaxes(-1, axis)
@@ -100,14 +100,17 @@ class SplineEvaluator:
         return values[0] if self._coeffs.ndim == self.grid.dim else np.array(values)
 
 
-def trig_eval(grid: PeriodicGrid, values: np.ndarray, *points: np.ndarray) -> np.ndarray:
-    """Evaluate the trigonometric interpolant of a field (*shape) or a stack
-    (m, *shape) exactly at arbitrary points (one array per axis), giving the
-    points' shape after the stack axis.  The half spectrum counts its
-    interior modes twice, for their conjugates, so the sum's real part is
-    the interpolant."""
+def half_spectrum(grid: PeriodicGrid, values: np.ndarray) -> np.ndarray:
+    """``trig_sum``'s coefficients of a field (*shape) or a stack (m, *shape): the
+    real FFT over the node count, interior modes twice, for their conjugates."""
     spec = (np.fft.rfft(values) if grid.dim == 1 else np.fft.rfft2(values)) / grid.node_count
     spec[..., 1 : grid.shape[-1] // 2] *= 2.0
+    return spec
+
+
+def trig_sum(grid: PeriodicGrid, spec: np.ndarray, *points: np.ndarray) -> np.ndarray:
+    """The interpolant of a ``half_spectrum`` (a stack, or Fourier multiples, too) exactly
+    at points (one array per axis), giving the points' shape after the stack axis."""
     pts = [np.asarray(p, dtype=float) for p in points]
     out_shape = np.broadcast(*pts).shape
     phases = []  # e^{ikx}, (points, modes) per axis; the last axis keeps 0..N/2
@@ -128,6 +131,11 @@ def trig_eval(grid: PeriodicGrid, values: np.ndarray, *points: np.ndarray) -> np
     return result.real.reshape(spec.shape[: -grid.dim] + out_shape)
 
 
+def trig_eval(grid: PeriodicGrid, values: np.ndarray, *points: np.ndarray) -> np.ndarray:
+    """The interpolant of a field or a stack at the points: ``trig_sum`` of its spectrum."""
+    return trig_sum(grid, half_spectrum(grid, values), *points)
+
+
 # below this node count exact trig evaluation is cheap; above it, a padded
 # spline matches the interpolant to roundoff at a fraction of the cost
 EXACT_EVAL_LIMIT = 1024
@@ -137,7 +145,7 @@ def field_evaluator(grid: PeriodicGrid, values: np.ndarray):
     """Callable evaluating the trigonometric interpolant of a field or a
     stack (m, *shape) at scattered points, shaped as ``trig_eval``'s."""
     if grid.node_count <= EXACT_EVAL_LIMIT:
-        return lambda *pts: trig_eval(grid, values, *pts)
+        return partial(trig_sum, grid, half_spectrum(grid, values))
     return SplineEvaluator(grid, values, factor=FIELD_PAD_FACTOR)
 
 

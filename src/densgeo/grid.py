@@ -214,11 +214,6 @@ def divergence(grid: PeriodicGrid, velocity: np.ndarray) -> ScalarField:
     return ScalarField(grid, np.sum(parts, axis=0))
 
 
-def laplacian(field: ScalarField) -> ScalarField:
-    grid = field.grid
-    return ScalarField(grid, fourier(grid, field.values, -grid.k2))
-
-
 def laplacian_inverse(field: ScalarField) -> ScalarField:
     """Zero-mean solution f of Δf = input; the input must have zero mean."""
     check_mean_zero(field, "laplacian_inverse")

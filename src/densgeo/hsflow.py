@@ -27,6 +27,7 @@ from .errors import (
     InconsistentZeroKappa,
     NonFiniteInput,
     StepTooLarge,
+    ValidationError,
 )
 from .grid import (
     PeriodicGrid,
@@ -51,7 +52,8 @@ IDENTITY_TOL = 1e-10  # of a flow's start: |J - 1|, and |η - id| over the longe
 
 @dataclass(frozen=True)
 class HsGeodesic:
-    """Initial data and derived constants of one explicit solution."""
+    """Initial data and derived constants of one explicit solution; ``rho0_min``
+    is the infimum over M of ρ0's trigonometric interpolant, not over the nodes."""
 
     grid: PeriodicGrid
     rho0: ScalarField
@@ -64,7 +66,6 @@ class HsGeodesic:
     def from_divergence(cls, rho0: ScalarField) -> "HsGeodesic":
         grid = rho0.grid
         check_mean_zero(rho0, "the initial divergence")
-        sup = float(np.max(np.abs(rho0.values)))
         mass = grid.total_volume
         with np.errstate(over="ignore"):
             kappa_sq = integrate(ScalarField(grid, rho0.values**2)) / (4.0 * mass)
@@ -72,13 +73,13 @@ class HsGeodesic:
             raise NonFiniteInput("the energy integral of rho0**2 overflows for this divergence")
         kappa = float(np.sqrt(max(kappa_sq, 0.0)))
         if kappa < KAPPA_EPS:
-            if sup > 1e-10:
+            if np.max(np.abs(rho0.values)) > 1e-10:
                 raise InconsistentZeroKappa(
                     "kappa vanished for a non-zero divergence; quadrature is inconsistent"
                 )
             # the stationary solution: ρ0 ≡ 0, so f ≡ 1 and ρ ≡ 0 exactly
             return cls(grid, ScalarField.constant(grid, 0.0), 0.0, np.inf, mass, 0.0)
-        rho0_min = _refined_minimum(rho0)
+        rho0_min = _infimum(rho0)
         t_max = np.pi / (2.0 * kappa) + np.arctan(rho0_min / (2.0 * kappa)) / kappa
         return cls(grid, rho0, kappa, float(t_max), mass, float(rho0_min))
 
@@ -93,35 +94,32 @@ class HsGeodesic:
         return 4.0 * self.kappa**2 * self.mass
 
 
-def _refined_minimum(rho0: ScalarField) -> float:
-    """Grid minimum of ρ0 with one Newton step on the trigonometric interpolant.
-
-    For band-limited data whose minimum falls on a node this is a no-op;
-    otherwise it removes the O(h²) sampling error of the raw grid minimum.
-    """
-    grid = rho0.grid
-    values = rho0.values
-    idx = np.unravel_index(np.argmin(values), grid.shape)
-    grid_min = float(values[idx])
-    x0 = grid.identity[(slice(None),) + idx]
-
-    firsts = gradient_values(grid, values)
-    seconds = gradient_values(grid, firsts)  # [a, b] = ∂_b ∂_a ρ0
-    at_x0 = _interp.trig_eval(
-        grid, np.concatenate([firsts, seconds.reshape((-1,) + grid.shape)]), *x0
-    )
-    g_vec = at_x0[: grid.dim]
-    upper = np.triu(at_x0[grid.dim :].reshape(grid.dim, grid.dim))
-    hess = upper + np.triu(upper, 1).T
-    try:
-        step = np.linalg.solve(hess, -g_vec)
-    except np.linalg.LinAlgError:
-        return grid_min
-    if not np.all(np.linalg.eigvalsh(hess) > 0.0):
-        return grid_min
-    step = np.clip(step, [-h for h in grid.spacings], list(grid.spacings))
-    refined = float(_interp.trig_eval(grid, values, *(x0 + step)))
-    return min(grid_min, refined)
+def _infimum(rho0: ScalarField) -> float:
+    """inf over M of ρ0's trigonometric interpolant: Newton on its exact
+    gradient and Hessian (spectra ik·ĉ and ik ik·ĉ) from the argmin of a
+    sampling refined by the least power of two giving 32 samples per
+    wavelength of the highest mode present (|ĉ| above roundoff), up to 2²⁰
+    nodes; the lower of that sample minimum and Newton's end."""
+    grid, d = rho0.grid, rho0.grid.dim
+    spec = _interp.half_spectrum(grid, rho0.values)
+    present = np.nonzero(np.abs(spec) > 1e-13 * np.sum(np.abs(spec)))
+    wanted = max(32 * np.max(np.minimum(j, n - j)) / n for n, j in zip(grid.shape, present))
+    factor = 1
+    while factor < wanted and grid.node_count * (2 * factor) ** d <= 2**20:
+        factor *= 2
+    fine = _interp.pad_values(grid, rho0.values, factor)
+    node = np.unravel_index(np.argmin(fine), fine.shape)
+    x = np.array(node) * grid.spacings / factor
+    grad = grid.ik * spec
+    derivs = np.concatenate([grad, (grid.ik[:, None] * grad).reshape((d * d,) + spec.shape)])
+    for _ in range(_interp.NEWTON_MAX_ITER):
+        at = _interp.trig_sum(grid, derivs, *x)
+        # least squares: a flat direction (a singular Hessian) gets no step
+        step = np.linalg.lstsq(at[d:].reshape(d, d), at[:d], rcond=None)[0]
+        x = x - step
+        if np.all(np.abs(step) < _interp.NEWTON_TOL * np.array(grid.lengths)):
+            break
+    return min(float(fine[node]), float(_interp.trig_sum(grid, spec, *x)))
 
 
 def great_circle(g: HsGeodesic, t: float, rho0_values: np.ndarray | None = None):
@@ -201,7 +199,7 @@ def anchored_flow_1d(g: HsGeodesic, t: float) -> np.ndarray:
     Jacobian; its velocity vanishes at x = 0 for all time.
     """
     if g.grid.dim != 1:
-        raise ValueError("anchored flow reconstruction is one-dimensional")
+        raise ValidationError("anchored flow reconstruction is one-dimensional")
     return periodic_primitive(g.grid, jacobian_formula(g, t).values)
 
 

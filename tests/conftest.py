@@ -17,7 +17,7 @@ settings.load_profile("densgeo")
 def fft_calls(monkeypatch):
     """Names of the numpy.fft functions called, in order."""
     calls = []
-    for name in ("fft", "ifft", "rfft", "irfft", "rfftn", "irfftn"):
+    for name in ("fft", "ifft", "rfft", "irfft", "rfft2", "rfftn", "irfftn"):
         real = getattr(np.fft, name)
         monkeypatch.setattr(
             np.fft, name, lambda *a, _f=real, _n=name, **k: calls.append(_n) or _f(*a, **k)

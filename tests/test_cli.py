@@ -431,6 +431,24 @@ class TestErrorHandling:
             doc = json.loads(out)
             assert doc["error"]["type"] == "BeyondBlowup"
 
+    # degree-3 data with its minimum off the nodes of every grid below
+    OFF_NODE_2D = "sin(2*pi*x+0.3)+sin(6*pi*y+0.2)+0.9*cos(2*pi*(2*x+y)+0.4)"
+
+    @pytest.mark.parametrize("grid", ["16", "24", "32", "64"])
+    def test_hs_blowup_time_does_not_depend_on_the_grid(self, capsys, grid):
+        code, out = run_cli(capsys, "hs", "--div-u0", self.OFF_NODE_2D, "--dim", "2",
+                            "--grid", grid, "--samples", "2")
+        assert code == 0
+        assert json.loads(out)["results"]["t_max"] == pytest.approx(0.66701565909929, abs=1e-12)
+
+    def test_blowup_between_nodes_exits_1_on_a_coarse_grid(self, capsys):
+        # 0.68 is past the blowup at 0.667; a grid minimum of the 16² nodes
+        # would put it at 0.689
+        code, out = run_cli(capsys, "hs", "--div-u0", self.OFF_NODE_2D, "--dim", "2",
+                            "--grid", "16", "--t-final", "0.68")
+        assert code == 1
+        assert json.loads(out)["error"]["type"] == "BeyondBlowup"
+
     def test_every_numeric_flag_declares_its_domain(self):
         parser = cli.build_parser()
         subparsers = next(a for a in parser._actions

@@ -94,16 +94,26 @@ class TestGeodesicRecord:
         assert geo.kappa == pytest.approx(KAPPA_SIN, abs=1e-12)
 
     def test_off_grid_minimum_refined(self):
-        # shifted profile puts the minimum between nodes; one Newton step on
-        # the interpolant recovers it to near machine precision
+        # shifted profile puts the minimum between nodes; Newton on the
+        # interpolant recovers it to roundoff
         grid = PeriodicGrid(64)
         x = grid.coordinate(0)
         shift = 0.37 * grid.spacings[0]
         geo = HsGeodesic.from_divergence(
             ScalarField(grid, np.sin(2 * np.pi * (x - shift)))
         )
-        assert geo.rho0_min == pytest.approx(-1.0, abs=1e-9)
-        assert geo.rho0_min >= -1.0 - 1e-12
+        assert geo.rho0_min == pytest.approx(-1.0, abs=4 * np.finfo(float).eps)
+
+    @pytest.mark.parametrize("n", [16, 24, 32, 64])
+    def test_off_grid_minimum_refined_2d(self, n):
+        # degree-3 data whose minimum lies off the nodes of every grid; the
+        # reference is the root of its analytic gradient, solved to 30 digits
+        grid = PeriodicGrid((n, n))
+        x, y = grid.identity
+        rho0 = (np.sin(2 * np.pi * x + 0.3) + np.sin(6 * np.pi * y + 0.2)
+                + 0.9 * np.cos(2 * np.pi * (2 * x + y) + 0.4))
+        geo = HsGeodesic.from_divergence(ScalarField(grid, rho0))
+        assert geo.rho0_min == pytest.approx(-2.8405856537979728, abs=4e-15)
 
     def test_nonzero_mean_rejected(self):
         grid = PeriodicGrid(64)
@@ -323,6 +333,15 @@ class TestEulerianReconstruction:
         at_flow = _interp.trig_eval(geo.grid, rho_eul.values, eta)
         lag = rho_along_flow(geo, t).values
         assert np.max(np.abs(at_flow - lag)) <= 1e-7  # interpolant of tan composition
+
+    def test_two_dimensional_grid_rejected(self):
+        # the anchored gauge is one-dimensional: ValidationError (exit 2), as
+        # for the other circle-only operations
+        grid = PeriodicGrid((16, 16))
+        geo = HsGeodesic.from_divergence(ScalarField(grid, np.sin(2 * np.pi * grid.coordinate(0))))
+        for reconstruct in (anchored_flow_1d, eulerian_rho, equation_residual):
+            with pytest.raises(ValidationError):
+                reconstruct(geo, 0.1)
 
     def test_equation_residual_resolved(self):
         geo = sin_geodesic(256)

@@ -41,6 +41,14 @@ def test_matches_padding_at_fine_nodes(shape, lengths, stack):
 
 
 @pytest.mark.parametrize("shape, lengths", CASES)
+def test_padding_by_one_keeps_the_values(shape, lengths):
+    # the Nyquist modes stay whole when the grid is not refined
+    grid = PeriodicGrid(shape, lengths)
+    values = np.random.default_rng(3).standard_normal(grid.shape)
+    assert np.max(np.abs(_interp.pad_values(grid, values, 1) - values)) <= 1e-14
+
+
+@pytest.mark.parametrize("shape, lengths", CASES)
 def test_stack_rows_equal_single_fields(shape, lengths):
     grid = PeriodicGrid(shape, lengths)
     rng = np.random.default_rng(11)
@@ -134,34 +142,45 @@ def test_invert_monotone_solves_to_roundoff_and_keeps_order(n, length, frac, see
 
 def test_eulerian_rho_at_readme_data_makes_three_exact_evaluations(monkeypatch):
     """The README hs request's residual time, 0.4 t_max on 256 nodes: two
-    Newton evaluations from the Hermite first guess, then rho0 at the labels."""
+    Newton evaluations from the Hermite first guess, then rho0 at the labels,
+    each one phase sum."""
     grid = PeriodicGrid(256)
     rho0 = ScalarField(grid, np.sin(2.0 * np.pi * grid.coordinate(0)))
     geo = hsflow.HsGeodesic.from_divergence(rho0)
     calls = []
-    original = _interp.trig_eval
+    original = _interp.trig_sum
 
-    def counting(g, values, *points):
-        calls.append(values.shape)
-        return original(g, values, *points)
+    def counting(g, spec, *points):
+        calls.append(spec.shape)
+        return original(g, spec, *points)
 
-    monkeypatch.setattr(_interp, "trig_eval", counting)
+    monkeypatch.setattr(_interp, "trig_sum", counting)
     hsflow.eulerian_rho(geo, 0.4 * geo.t_max)
-    assert len(calls) <= 3
+    assert 1 <= len(calls) <= 3
 
 
 @pytest.mark.parametrize("shape", [(64,), (16, 24)])
-def test_refined_minimum_makes_two_exact_evaluations(monkeypatch, shape):
+def test_infimum_transforms_rho0_before_newton_only(monkeypatch, fft_calls, shape):
+    """from_divergence transforms ρ0 forward twice, for the spectrum that
+    Newton sums and in pad_values's fine sampling; each Newton step is one
+    phase sum of the gradient and Hessian spectra, with no transform, and
+    the end point's value is one more sum of ρ0's spectrum."""
     grid = PeriodicGrid(shape)
     rho0 = random_band_limited(grid, 3, np.random.default_rng(5))
-    calls = []
-    original = _interp.trig_eval
+    sums = []
+    original = _interp.trig_sum
 
-    def counting(g, values, *points):
-        calls.append(values.shape)
-        return original(g, values, *points)
+    def counting(g, spec, *points):
+        sums.append(spec.shape)
+        return original(g, spec, *points)
 
-    monkeypatch.setattr(_interp, "trig_eval", counting)
-    hsflow._refined_minimum(ScalarField(grid, rho0.values))
+    monkeypatch.setattr(_interp, "trig_sum", counting)
+    hsflow.HsGeodesic.from_divergence(rho0)
     d = grid.dim
-    assert calls == [(d + d * d,) + grid.shape, grid.shape]
+    half = grid.shape[:-1] + (grid.shape[-1] // 2 + 1,)
+    if d == 1:
+        assert fft_calls == ["rfft", "rfftn", "irfft"]
+    else:
+        assert fft_calls == ["rfft2", "rfftn", "ifft", "irfft"]
+    assert len(sums) >= 3  # the minimum is off the nodes: Newton takes steps
+    assert sums == [(d + d * d,) + half] * (len(sums) - 1) + [half]
