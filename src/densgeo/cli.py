@@ -325,8 +325,8 @@ def _cmd_alpha(args) -> dict:
         raise ValidationError("the alpha family lives on the circle (--dim 1)")
     u0 = _field_from_spec(args.u0, grid)
     u0 = ScalarField(grid, u0.values - u0.values[0])
-    conn = circle.AlphaConnection(args.alpha)
-    u_final = conn.evolve(u0, args.t_final, args.dt)
+    u_final, error, steps, steps_total = circle.evolve_to_tolerance(
+        circle.AlphaConnection(args.alpha).evolve, u0, args.t_final, args.dt)
 
     def h1dot_energy(u):
         ux = derivative(u).values
@@ -338,11 +338,13 @@ def _cmd_alpha(args) -> dict:
     du, dv, dw = (random_band_limited(grid, degree, rng) for _ in range(3))
     return _document(
         grid, grid.total_volume,
-        {"alpha": args.alpha, "u0": args.u0, "t_final": args.t_final, "dt": args.dt,
-         "seed": args.seed},
+        {"alpha": args.alpha, "u0": args.u0, "t_final": args.t_final,
+         "dt": args.t_final / steps, "seed": args.seed},
         {"u_final": u_final.values.tolist(), "h1dot_energy_initial": h1dot_energy(u0),
          "h1dot_energy_final": h1dot_energy(u_final)},
-        {"duality_residual": circle.duality_residual(args.alpha, du, dv, dw)},
+        {"duality_residual": circle.duality_residual(args.alpha, du, dv, dw),
+         "time_error_estimate": error if math.isfinite(error) else None,  # None: no companion finished
+         "steps": steps, "steps_total": steps_total},
     )
 
 
@@ -532,7 +534,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=_FINITE, required=True)
     p.add_argument("--u0", required=True)
     p.add_argument("--t-final", type=_NON_NEGATIVE, default=0.3, dest="t_final")
-    p.add_argument("--dt", type=_POSITIVE, default=1e-4)
+    p.add_argument("--dt", type=_POSITIVE, default=None, help="fixed RK4 step; omit to choose it")
 
     p = sub.add_parser("invariants", parents=[gridded], help="conserved-quantity drift table")
     p.add_argument("--div-u0", required=True, dest="div_u0")

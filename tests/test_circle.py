@@ -1,3 +1,6 @@
+import functools
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +14,7 @@ from densgeo.circle import (
     alpha_one_residual,
     duality_residual,
     evolve_classic,
+    evolve_to_tolerance,
 )
 from densgeo.errors import NonZeroMean, StepTooLarge, ValidationError
 from densgeo.grid import (
@@ -369,6 +373,195 @@ class TestSpectralStepper:
         u = AlphaConnection(-1.0).evolve(ScalarField(grid, u0 - u0[0]), 0.2, 1e-3)
         assert u.values[0] == pytest.approx(0.0, abs=1e-15)
         assert np.all(np.isfinite(u.values))
+
+
+_STEPPERS = {
+    "alpha_one": AlphaConnection(1.0).evolve,
+    "alpha_zero": AlphaConnection(0.0).evolve,
+    "burgers": functools.partial(evolve_classic, "burgers"),
+}
+
+
+def _scaled_wave(n, degree, amp, seed):
+    grid = PeriodicGrid(n)
+    wave = random_band_limited(grid, degree, np.random.default_rng(seed)).values
+    wave -= wave[0]
+    return ScalarField(grid, amp * wave / np.max(np.abs(wave)))
+
+
+def _tracks(error, true, u):
+    """E within 10x of the true error, unless that is at roundoff level."""
+    floor = 100 * np.finfo(float).eps * np.max(np.abs(u.values))
+    return true <= floor or true / 10 <= error <= 10 * true
+
+
+class TestEvolveToTolerance:
+    # resolved data: degree 1 on 64 nodes, 2 on 256, and sup <= 0.1 keep the spectra well
+    # inside N/3 up to t = 0.3, so alpha_one_explicit's error is the time error alone
+    @settings(max_examples=40)
+    @given(
+        equation=st.sampled_from(sorted(_STEPPERS)),
+        n_degree=st.sampled_from([(64, 1), (256, 2)]),
+        amp=st.floats(0.01, 0.1),
+        t_final=st.floats(0.01, 0.3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_estimate_tracks_the_true_time_error(self, equation, n_degree, amp, t_final, seed):
+        u0 = _scaled_wave(*n_degree, amp, seed)
+        evolve = _STEPPERS[equation]
+        u, error, steps, _ = evolve_to_tolerance(evolve, u0, t_final)
+        if equation == "alpha_one":
+            reference = alpha_one_explicit(u0, t_final)[0]
+        else:  # 8⁴ times less time error
+            reference = evolve(u0, t_final, t_final / (8 * steps))
+        true = float(np.max(np.abs(u.values - reference.values)))
+        assert true <= 10 * circle.TIME_TOL and _tracks(error, true, u)
+
+    # content up to N/3, which the dealiased products cut as it steepens: the gauged
+    # steppers converge at first order there, and a loop that meets no TIME_TOL runs the
+    # DEFAULT_DT count; t_final is at most half the time 1/max|u0ₓ| in which slopes blow up
+    @settings(max_examples=20)
+    @given(
+        equation=st.sampled_from(sorted(_STEPPERS)),
+        n=st.sampled_from([64, 128]),
+        degree_frac=st.floats(0.0, 1.0 / 3.0),
+        amp=st.floats(0.01, 0.5),
+        slope_time=st.floats(0.05, 0.5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_estimate_tracks_the_time_error_of_under_resolved_data(
+        self, equation, n, degree_frac, amp, slope_time, seed
+    ):
+        u0 = _scaled_wave(n, max(1, int(degree_frac * n)), amp, seed)
+        t_final = min(0.05, slope_time / np.max(np.abs(derivative(u0).values)))
+        evolve = _STEPPERS[equation]
+        u, error, steps, total = evolve_to_tolerance(evolve, u0, t_final)
+        reference = evolve(u0, t_final, t_final / (8 * steps))  # 8 times less at first order
+        true = float(np.max(np.abs(u.values - reference.values)))
+        assert _tracks(error, true, u)
+        assert total <= 2 * fixed_steps(t_final, circle.DEFAULT_DT)[0]
+
+    def test_first_order_error_is_reported_not_hidden(self):
+        # the order-4 estimate from the K- and K/2-step runs reads 4e-12 here, and the one
+        # from the K run and the last coarse run read 6e-13; the error is 6e-11
+        grid = PeriodicGrid(64)
+        x = grid.coordinate(0)
+        u0 = ScalarField(grid, 0.19 * np.sin(2 * np.pi * x) + 0.1 * np.cos(4 * np.pi * x) - 0.1)
+        evolve = AlphaConnection(0.0).evolve
+        u, error, steps, total = evolve_to_tolerance(evolve, u0, 0.287)
+        assert steps == fixed_steps(0.287, circle.DEFAULT_DT)[0] and total <= 2 * steps
+        true = np.max(np.abs(u.values - evolve(u0, 0.287, 0.287 / (4 * steps)).values))
+        assert error > 10 * circle.TIME_TOL and _tracks(error, true, u)
+
+    def _data(self, n=64):
+        grid = PeriodicGrid(n)
+        return ScalarField(grid, np.sin(2 * np.pi * grid.coordinate(0)) / (2 * np.pi))
+
+    def test_given_step_is_that_run_with_half_and_quarter_step_companions(self):
+        u0 = self._data()
+        evolve = AlphaConnection(1.0).evolve
+        u, error, steps, total = evolve_to_tolerance(evolve, u0, 0.1, 1e-3)
+        assert np.array_equal(u.values, evolve(u0, 0.1, 1e-3).values)
+        assert (steps, total) == (100, 175)
+        true = np.max(np.abs(u.values - alpha_one_explicit(u0, 0.1)[0].values))
+        assert _tracks(error, true, u)
+
+    def test_one_step_gets_two_and_four_step_companions(self):
+        u0 = self._data()
+        u, error, steps, total = evolve_to_tolerance(AlphaConnection(1.0).evolve, u0, 1e-3, 1.0)
+        true = np.max(np.abs(u.values - alpha_one_explicit(u0, 1e-3)[0].values))
+        assert (steps, total) == (1, 7) and _tracks(error, true, u)
+
+    def test_companions_refine_where_fewer_steps_are_too_large(self):
+        # 3 steps of 1/30 are Courant number 0.34; 2 and 1 steps would be 0.51 and 1.02
+        u0 = self._data()
+        u, error, steps, total = evolve_to_tolerance(AlphaConnection(1.0).evolve, u0, 0.1, 0.039)
+        true = np.max(np.abs(u.values - alpha_one_explicit(u0, 0.1)[0].values))
+        assert (steps, total) == (3, 24)  # the StepTooLarge runs of 2 and 1 steps count too
+        assert _tracks(error, true, u)
+
+    def test_non_finite_companions_are_skipped(self):
+        evolve = AlphaConnection(1.0).evolve
+        starts = []
+
+        def stepper(finite, v, t, dt):
+            starts.append(fixed_steps(t, dt)[0])
+            u = evolve(v, t, dt)
+            return u if finite(starts[-1]) else ScalarField(v.grid, np.full(v.grid.shape, np.nan))
+
+        u0 = self._data()
+        run = functools.partial(stepper, lambda n: n >= 100)
+        u, error, steps, total = evolve_to_tolerance(run, u0, 0.1, 1e-3)
+        assert starts == [100, 50, 25, 200, 400] and total == sum(starts)
+        true = np.max(np.abs(u.values - alpha_one_explicit(u0, 0.1)[0].values))
+        assert _tracks(error, true, u)
+        starts.clear()  # no finite companion: no estimate, and no error either
+        u, error, steps, total = evolve_to_tolerance(
+            functools.partial(stepper, lambda n: n == 100), u0, 0.1, 1e-3)
+        assert starts == [100, 50, 25, 200, 400] and error == math.inf
+        assert np.array_equal(u.values, evolve(u0, 0.1, 1e-3).values)
+
+    @pytest.mark.parametrize("t_final, scale", [(0.0, 1.0), (0.3, 0.0)])
+    @pytest.mark.parametrize("dt", [None, 1e-2])
+    def test_stationary_request_is_one_exact_run(self, t_final, scale, dt):
+        u0 = ScalarField(self._data().grid, scale * self._data().values)
+        u, error, steps, total = evolve_to_tolerance(AlphaConnection(0.0).evolve, u0, t_final, dt)
+        assert error == 0.0 and steps == total
+        assert steps == (1 if dt is None or t_final == 0.0 else 30)
+        assert np.max(np.abs(u.values - u0.values)) <= 1e-16  # the FFT round trip only
+
+    def test_runs_stop_at_the_default_step_count(self):
+        # a stepper whose runs differ by 1e-9 never meets TIME_TOL
+        u0 = self._data()
+        rng = np.random.default_rng(0)
+        evolve = AlphaConnection(1.0).evolve
+        dts = []
+
+        def noisy(v, t, dt):
+            dts.append(dt)
+            return ScalarField(v.grid, evolve(v, t, dt).values + 1e-9 * rng.standard_normal(64))
+
+        cap = fixed_steps(0.3, circle.DEFAULT_DT)[0]
+        _, error, steps, total = evolve_to_tolerance(noisy, u0, 0.3)
+        assert steps == cap and circle.DEFAULT_DT in dts and len(dts) > 3
+        assert error > circle.TIME_TOL and total <= 2 * cap
+
+    def test_fast_data_runs_the_default_step_at_once(self):
+        # 13 steps at Courant number 1/8, with their companions, exceed a quarter of 20
+        grid = PeriodicGrid(64)
+        u0 = ScalarField(grid, 12.0 * np.sin(2 * np.pi * grid.coordinate(0)))
+        evolve = AlphaConnection(1.0).evolve
+        u, _, steps, total = evolve_to_tolerance(evolve, u0, 0.002)
+        assert (steps, total) == (20, 35)
+        assert np.array_equal(u.values, evolve(u0, 0.002, circle.DEFAULT_DT).values)
+
+    def test_step_too_large_below_the_cap_refines(self):
+        u0 = self._data()
+        evolve = AlphaConnection(1.0).evolve
+        starts = []
+
+        def stepper(v, t, dt):
+            starts.append(fixed_steps(t, dt)[0])
+            if starts[-1] < 100:
+                raise StepTooLarge("coarse")
+            return evolve(v, t, dt)
+
+        # 100 steps have no finished companion, 200 have one: a first-order upper estimate
+        u, error, steps, total = evolve_to_tolerance(stepper, u0, 0.3)
+        assert starts == [25, 50, 100, 200] and total == sum(starts)
+        assert error <= circle.TIME_TOL and steps == 200
+        with pytest.raises(StepTooLarge):  # at the cap it propagates
+            evolve_to_tolerance(stepper, u0, 0.3, 0.3 / 50)
+
+    def test_non_finite_run_ends_the_loop(self):
+        starts = []
+
+        def stepper(v, t, dt):
+            starts.append(dt)
+            return ScalarField(v.grid, np.full(v.grid.shape, np.nan))
+
+        u, error, _, _ = evolve_to_tolerance(stepper, self._data(), 0.3)
+        assert math.isnan(error) and len(starts) == 1
 
 
 class TestDuality:

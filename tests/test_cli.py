@@ -15,11 +15,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import densgeo
-from densgeo import cli, hsflow
+from densgeo import circle, cli, hsflow
 from densgeo.cli import dumps, main
 from densgeo.exprparse import evaluate_on_grid, parse_expression
 from densgeo.errors import NonFiniteResult, ValidationError
-from densgeo.grid import PeriodicGrid
+from densgeo.grid import PeriodicGrid, ScalarField
 
 
 def run_cli(capsys, *argv):
@@ -514,8 +514,11 @@ class TestErrorHandling:
              "--dt", "1e-300"),
             ("alpha", "--alpha", "0", "--u0", "sin(2*pi*x)/(2*pi)", "--grid", "16",
              "--t-final", "1e300", "--dt", "1e-300"),
+            ("alpha", "--alpha", "0", "--u0", "sin(2*pi*x)/(2*pi)", "--grid", "16",
+             "--t-final", "1e300"),
         ],
-        ids=["seed", "alpha-steps", "moser-lift-steps", "alpha-infinite-ratio"],
+        ids=["seed", "alpha-steps", "moser-lift-steps", "alpha-infinite-ratio",
+             "alpha-default-steps"],
     )
     def test_entry_point_rejects_promptly_without_traceback(self, argv):
         # a separate process, so a request that never returns fails by timeout
@@ -566,6 +569,77 @@ class TestErrorHandling:
             return doc["diagnostics"]["equation_residual"] / doc["results"]["kappa"] ** 2
 
         assert scaled_residual(amplitude) == pytest.approx(scaled_residual("1"), rel=1e-2)
+
+
+class TestAlphaTimeStep:
+    README = ("alpha", "--alpha", "1", "--u0", "sin(2*pi*x)/(2*pi)", "--t-final", "0.3")
+
+    @staticmethod
+    def readme_u0():
+        grid = PeriodicGrid(256)
+        values = evaluate_on_grid("sin(2*pi*x)/(2*pi)", grid)
+        return ScalarField(grid, values - values[0])
+
+    @pytest.fixture
+    def rk4_steps(self, monkeypatch):
+        calls = []
+        step = circle.rk4_step
+        monkeypatch.setattr(circle, "rk4_step", lambda *args: calls.append(1) or step(*args))
+        return calls
+
+    def test_readme_example_meets_the_tolerance_in_few_steps(self, capsys, rk4_steps):
+        code, out = run_cli(capsys, *self.README)
+        doc = strict_json(out)
+        diagnostics = doc["diagnostics"]
+        assert code == 0 and len(rk4_steps) == diagnostics["steps_total"] <= 200
+        assert doc["meta"]["params"]["dt"] == 0.3 / diagnostics["steps"]
+        explicit = circle.alpha_one_explicit(self.readme_u0(), 0.3)[0].values
+        true = np.max(np.abs(np.array(doc["results"]["u_final"]) - explicit))
+        estimate = diagnostics["time_error_estimate"]
+        assert estimate <= circle.TIME_TOL and true / 10 <= estimate <= 10 * true
+
+    def test_near_breaking_runs_the_default_step_with_two_companions(self, capsys, rk4_steps):
+        # the default step took 3,000 steps; the printed run is that run, and its estimate
+        # needs runs of 1,500 and 750 steps
+        code, out = run_cli(capsys, "alpha", "--alpha", "0", "--u0", "sin(2*pi*x)",
+                            "--t-final", "0.3")
+        diagnostics = strict_json(out)["diagnostics"]
+        assert code == 0 and len(rk4_steps) == diagnostics["steps_total"] <= 1.75 * 3000
+        assert diagnostics["steps"] == 3000
+        assert diagnostics["time_error_estimate"] <= circle.TIME_TOL
+
+    def test_overflow_ends_after_one_run(self, capsys, monkeypatch):
+        runs = []
+        evolve = circle._evolve
+        monkeypatch.setattr(circle, "_evolve", lambda *a, **k: runs.append(1) or evolve(*a, **k))
+        code, out = run_cli(capsys, "alpha", "--alpha", "1e308", "--u0", "sin(2*pi*x)/(2*pi)",
+                            "--t-final", "0.001", "--grid", "64")
+        # 4 steps and their companions pass a quarter of the default step's 10, so the one
+        # run is those 10: the first step overflows to NaN, and the next Courant check stops it
+        assert code == 1 and strict_error(out)["type"] == "StepTooLarge"
+        assert len(runs) == 1
+
+    def test_given_step_prints_that_run_bit_for_bit(self, capsys):
+        code, out = run_cli(capsys, *self.README, "--dt", "1e-4")
+        doc = strict_json(out)
+        expected = circle.AlphaConnection(1.0).evolve(self.readme_u0(), 0.3, 1e-4).values
+        assert code == 0 and np.array_equal(doc["results"]["u_final"], expected)
+        assert (doc["diagnostics"]["steps"], doc["diagnostics"]["steps_total"]) == (3000, 5250)
+
+    def test_missing_estimate_prints_null_not_an_error(self, capsys):
+        # one step of the default is the longest run, and no coarser one exists
+        code, out = run_cli(capsys, "alpha", "--alpha", "1", "--u0", "sin(2*pi*x)/(2*pi)",
+                            "--t-final", "1e-4")
+        diagnostics = strict_json(out)["diagnostics"]
+        assert code == 0 and diagnostics["time_error_estimate"] is None
+        assert diagnostics["steps"] == diagnostics["steps_total"] == 1
+
+    @pytest.mark.parametrize("u0, t_final", [("sin(2*pi*x)/(2*pi)", "0"), ("0*x", "0.3")])
+    def test_stationary_request_is_one_run(self, capsys, rk4_steps, u0, t_final):
+        code, out = run_cli(capsys, "alpha", "--alpha", "1", "--u0", u0, "--t-final", t_final)
+        diagnostics = strict_json(out)["diagnostics"]
+        assert code == 0 and len(rk4_steps) == 1
+        assert diagnostics["time_error_estimate"] == 0 and diagnostics["steps_total"] == 1
 
 
 class TestSmallGridsAndOverflow:
