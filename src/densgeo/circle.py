@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _interp
-from .errors import StepTooLarge, ValidationError
+from .errors import NonFiniteInput, StepTooLarge, ValidationError
 from .grid import (
     PeriodicGrid,
     ScalarField,
@@ -136,8 +136,11 @@ def _transform_rhs(u: ScalarField, multipliers, gauge=False) -> ScalarField:
 def _evolve(u0: ScalarField, multipliers, t_final, dt, gauge: bool) -> ScalarField:
     """Fixed-step RK4 of u_t = -Σᵣ mᵣ(pᵣ) on the half spectrum c = rfft(u), through one
     ``_stage`` built per run, so a stage does no set-up (see the module docstring);
-    ``gauge`` re-bases u(0) = 0 before every step and at the end."""
+    ``gauge`` re-bases u(0) = 0 before every step and at the end.  A non-finite u0 is
+    NonFiniteInput before any step."""
     _require_circle(u0)
+    if not np.all(np.isfinite(u0.values)):
+        raise NonFiniteInput("the initial velocity u0 is not finite")
     n_steps, h = fixed_steps(t_final, dt)
     rate = _stage(u0.grid, multipliers, gauge, courant_dt=h)
     c = np.fft.rfft(u0.values)

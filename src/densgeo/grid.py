@@ -301,8 +301,11 @@ def fixed_steps(span: float, dt: float) -> tuple[int, float]:
     return n, span / n
 
 
-def sinc(x: float) -> float:
-    """sin(x)/x of a scalar, 1 at x = 0 (``math`` costs far less than ``np.sinc``)."""
+def sinc(x):
+    """sin(x)/x, 1 at x = 0, of a scalar (by ``math``, which costs far less than
+    ``np.sinc``) or elementwise of an array."""
+    if isinstance(x, np.ndarray):
+        return np.divide(np.sin(x), x, out=np.ones_like(x), where=x != 0.0)
     return math.sin(x) / x if x else 1.0
 
 
@@ -310,7 +313,8 @@ def per_half_step(f, t0: float, h: float):
     """t -> f(t), evaluated once per RK4 half step from t0 with step h, so n
     steps evaluate f 2n + 1 times (the middle stages share t + h/2, a step's
     last stage is the next one's first).  The key is the half-step count,
-    not t: t + h may miss t0 + (k + 1)h in its last bits."""
+    not t: t + h may miss t0 + (k + 1)h in its last bits.  Its one caller is
+    ``moser._advect_inverse``."""
     last = [None, None]  # the latest half-step count and its value
 
     def at(t):

@@ -16,7 +16,7 @@ from densgeo.circle import (
     evolve_classic,
     evolve_to_tolerance,
 )
-from densgeo.errors import NonZeroMean, StepTooLarge, ValidationError
+from densgeo.errors import NonFiniteInput, NonZeroMean, StepTooLarge, ValidationError
 from densgeo.grid import (
     PeriodicGrid,
     ScalarField,
@@ -151,6 +151,24 @@ class TestGeodesicIntegrator:
         u0 = ScalarField(grid, np.sin(2 * np.pi * x) - np.sin(0.0))
         with pytest.raises(StepTooLarge):
             AlphaConnection(0.0).evolve(u0, 0.1, 0.1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("evolve", [
+        AlphaConnection(0.0).evolve,
+        functools.partial(evolve_classic, "burgers"),
+        lambda u0, t, dt: evolve_to_tolerance(AlphaConnection(1.0).evolve, u0, t, dt),
+        lambda u0, t, dt: evolve_to_tolerance(AlphaConnection(1.0).evolve, u0, t),
+    ], ids=["evolve", "evolve_classic", "to_tolerance_given_dt", "to_tolerance"])
+    def test_non_finite_u0_rejected_before_any_step(self, evolve, bad, monkeypatch):
+        # it used to end as StepTooLarge, a NaN Courant number at the first stage
+        grid = PeriodicGrid(64)
+        values = np.sin(2 * np.pi * grid.coordinate(0)) / (2 * np.pi)
+        values[5] = bad
+        steps = []
+        monkeypatch.setattr(circle, "rk4_step", lambda *args: steps.append(args) or rk4_step(*args))
+        with pytest.raises(NonFiniteInput):
+            evolve(ScalarField(grid, values), 0.1, 1e-3)
+        assert steps == []
 
 
 class TestAlphaOneExplicit:

@@ -18,9 +18,11 @@ from densgeo.grid import (
     ScalarField,
     derivative,
     divergence,
+    fixed_steps,
     integrate,
     laplacian_inverse_gradient,
     random_band_limited,
+    rk4_step,
 )
 from densgeo.hsflow import (
     HsGeodesic,
@@ -208,6 +210,21 @@ class TestGreatCircleKernel:
         assert np.max(np.abs(difference - velocity)) <= KERNEL_VELOCITY_TOL * np.max(
             np.abs(velocity))
 
+    @settings(max_examples=40, deadline=None)
+    @given(shape=st.sampled_from([(64,), (32, 32)]), seed=st.integers(0, 2**32 - 1),
+           fracs=st.lists(st.floats(0.0, 0.99), min_size=1, max_size=6), data=st.data())
+    def test_time_array_is_the_stacked_scalar_calls(self, shape, seed, fracs, data):
+        grid = PeriodicGrid(shape)
+        degree = data.draw(st.integers(1, min(shape) // 4), label="degree")
+        geo = HsGeodesic.from_divergence(
+            random_band_limited(grid, degree, np.random.default_rng(seed)))
+        times = np.array([0.0] + fracs) * geo.t_max
+        for got, want in zip(hsflow.great_circle(geo, times),
+                             zip(*(hsflow.great_circle(geo, float(t)) for t in times))):
+            want = np.stack(want)
+            assert got.shape == (len(times),) + shape
+            assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
 
 class TestStationaryLimit:
     """κ below KAPPA_EPS: the stationary solution ρ0 ≡ 0, exactly."""
@@ -231,6 +248,8 @@ class TestStationaryLimit:
             assert np.all(jacobian_formula(geo, t).values == 1.0)
             assert np.all(rho_along_flow(geo, t).values == 0.0)
             assert flow_energy(geo, t) == 0.0
+        f, fdot = hsflow.great_circle(geo, np.array([0.0, 0.5, 3.0, 1e6]))
+        assert np.all(f == 1.0) and np.all(fdot == 0.0)
         if geo.grid.dim == 1:
             assert np.all(eulerian_rho(geo, 0.5).values == 0.0)
 
@@ -386,15 +405,43 @@ class TestJacobianTransport:
         expected = jacobian_formula(geo, t)
         assert np.max(np.abs(jac.values - expected.values)) <= 1e-9
 
-    def test_one_kernel_call_per_half_step(self, monkeypatch):
-        # criterion 4's input: n = 15,668 RK4 steps share stages at each half step
+    def test_one_kernel_evaluation_per_half_step(self, monkeypatch):
+        # criterion 4's input: n = 15,668 RK4 steps over many chunks take the
+        # kernel at each of their 2n + 1 half steps once, however the calls
+        # batch the times
         calls = []
         kernel = hsflow.great_circle
         monkeypatch.setattr(hsflow, "great_circle",
                             lambda *args: calls.append(args[1]) or kernel(*args))
         geo = sin_geodesic()
         jacobian_by_ode(geo, 0.9 * geo.t_max, 1e-4)
-        assert len(calls) == 2 * 15668 + 1
+        times = np.concatenate(calls)
+        assert len(calls) > 2 and len(times) == 2 * 15668 + 1
+        assert len(np.unique(times)) == len(times)
+
+    @settings(max_examples=30, deadline=None)
+    @given(shape=st.sampled_from([(64,), (512,), (32, 32)]), seed=st.integers(0, 2**32 - 1),
+           frac=st.floats(0.01, 0.9), chunks=st.sampled_from(["one step", "partial", "several"]),
+           data=st.data())
+    def test_factor_product_is_per_step_rk4(self, shape, seed, frac, chunks, data):
+        # the reference steps J' = ρ(t, η(t, x))·J with rk4_step, one step at a time
+        grid = PeriodicGrid(shape)
+        degree = data.draw(st.integers(1, min(shape) // 4), label="degree")
+        geo = HsGeodesic.from_divergence(
+            random_band_limited(grid, degree, np.random.default_rng(seed)))
+        per_chunk = max(1, hsflow._CHUNK_VALUES // (2 * grid.node_count))
+        low, high = {"one step": (1, 1), "partial": (per_chunk + 1, 2 * per_chunk - 1),
+                     "several": (2 * per_chunk + 1, 4 * per_chunk)}[chunks]
+        n = data.draw(st.integers(low, high), label="steps")
+        t = frac * geo.t_max
+        n_steps, h = fixed_steps(t, t / n)
+        assert n_steps == n
+        reference = np.ones(shape)
+        for step in range(n):
+            reference = rk4_step(lambda s, j: rho_along_flow(geo, s).values * j,
+                                 step * h, reference, h)
+        jac = jacobian_by_ode(geo, t, t / n).values
+        assert np.max(np.abs(jac - reference)) <= 1e-12 * np.max(np.abs(reference))
 
     def test_energy_conserved_along_ode(self):
         geo = sin_geodesic()
