@@ -4,7 +4,9 @@ Both routes evaluate the trigonometric interpolant from the real half
 spectrum that ``grid.fourier`` uses, with each axis's Nyquist coefficient
 split between ±N/2 so the interpolant is real, and both take one field
 (*shape) or a stack (m, *shape) sampled at the same points.  ``trig_eval``
-sums a ``half_spectrum`` exactly with ``trig_sum``, O(N) per point and field;
+sums a ``half_spectrum`` exactly with ``trig_sum``, O(N) multiply-adds per
+point and field; in 1-D its phases come from two tables of about √(N/2)
+entries per point, so a point costs O(√N) cos and sin calls, not O(N);
 a Newton solve keeps the spectrum, so its steps transform nothing.
 ``SplineEvaluator`` zero-pads the spectrum onto a finer grid and evaluates
 a quintic B-spline there (inside time-stepping loops).  On a periodic grid
@@ -18,6 +20,7 @@ route, from a cubic Hermite inverse on a padded sampling.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache, partial
 
 import numpy as np
@@ -108,25 +111,63 @@ def half_spectrum(grid: PeriodicGrid, values: np.ndarray) -> np.ndarray:
     return spec
 
 
+def _phases(angles: np.ndarray) -> np.ndarray:
+    """e^{iθ}, with cos θ and sin θ written into one complex array: a complex
+    exp of 1j·θ would allocate the product and then cost about twice as much."""
+    e = np.empty(angles.shape, dtype=complex)
+    np.cos(angles, out=e.real)
+    np.sin(angles, out=e.imag)
+    return e
+
+
+@lru_cache(maxsize=16)
+def _mode_blocks(n: int) -> tuple[int, int, np.ndarray]:
+    """``_sum_1d``'s split of the modes j = 0..N/2 as j = qB + r: the block
+    B = ⌈√(N/2 + 1)⌉, the number of rows q, and the multiples of one phase
+    table, r = 0..B-1 and then qB."""
+    modes = n // 2 + 1
+    block = math.isqrt(modes - 1) + 1
+    rows = -(-modes // block)
+    multiples = np.append(np.arange(block), block * np.arange(rows)).astype(float)
+    multiples.flags.writeable = False
+    return block, rows, multiples
+
+
+def _sum_1d(grid: PeriodicGrid, spec: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Σ_k c_k e^{ikx} at the points x (flat), (stack, points), from √N-size phase
+    tables: e^{ikx} for mode j = qB + r is the coarse e^{2πi·qB·x/L} times the
+    fine e^{2πi·r·x/L}, so the sum is Σ_q coarse[p, q] Σ_r fine[p, r] c[q, r],
+    and no (points × modes) array is formed.  The angles are taken in periods,
+    with whole turns removed exactly from x/L and then from each multiple of
+    it, so each is within π of 0 and rounds no worse than the points do."""
+    n = grid.shape[0]
+    block, rows, multiples = _mode_blocks(n)
+    coeffs = np.zeros(spec.shape[:-1] + (rows * block,), dtype=complex)
+    coeffs[..., : n // 2 + 1] = spec
+    coeffs[..., n // 2] = spec[..., n // 2].real  # cos(πNx/L): the Nyquist split between ±N/2
+    periods = x / grid.lengths[0]
+    periods -= np.rint(periods)
+    turns = periods[:, None] * multiples
+    turns -= np.rint(turns)
+    table = _phases(2.0 * np.pi * turns)  # fine, then coarse
+    inner = np.einsum("pr,jr->pj", table[:, :block], coeffs.reshape(-1, block))
+    return np.einsum("pq,psq->sp", table[:, block:], inner.reshape(len(x), -1, rows))
+
+
 def trig_sum(grid: PeriodicGrid, spec: np.ndarray, *points: np.ndarray) -> np.ndarray:
     """The interpolant of a ``half_spectrum`` (a stack, or Fourier multiples, too) exactly
     at points (one array per axis), giving the points' shape after the stack axis."""
     pts = [np.asarray(p, dtype=float) for p in points]
     out_shape = np.broadcast(*pts).shape
-    phases = []  # e^{ikx}, (points, modes) per axis; the last axis keeps 0..N/2
-    for p, n, k in zip(pts, grid.shape, grid.wavenumbers):
-        # cos θ and sin θ written into one complex array: a complex exp of
-        # 1j·θ would allocate the product and then cost about twice as much
-        theta = np.outer(np.broadcast_to(p, out_shape), k)
-        e = np.empty(theta.shape, dtype=complex)
-        np.cos(theta, out=e.real)
-        np.sin(theta, out=e.imag)
-        e.imag[:, n // 2] = 0.0  # cos(πNx/L): the Nyquist split between ±N/2
-        phases.append(e)
-    # einsum calls no BLAS, whose threads can stall this product for ~40 ms
+    # einsum calls no BLAS, whose threads can stall a product for ~40 ms
     if grid.dim == 1:
-        result = np.einsum("pi,...i->...p", phases[0], spec)
+        result = _sum_1d(grid, spec, pts[0].ravel())
     else:
+        phases = []  # e^{ikx}, (points, modes) per axis; the last axis keeps 0..N/2
+        for p, n, k in zip(pts, grid.shape, grid.wavenumbers):
+            e = _phases(np.outer(np.broadcast_to(p, out_shape), k))
+            e.imag[:, n // 2] = 0.0  # cos(πNx/L): the Nyquist split between ±N/2
+            phases.append(e)
         result = np.einsum("pi,...ij,pj->...p", phases[0], spec, phases[1])
     return result.real.reshape(spec.shape[: -grid.dim] + out_shape)
 

@@ -12,7 +12,9 @@ tangent) and ρ²·Jac = 4ḟ².  It takes sin(κt)/κ as t·sinc(κt), so κ = 
 needs no branch: there the solution is the stationary one, ρ0 = 0, with
 f ≡ 1 and ρ ≡ 0 exactly.  Given an array of times it evaluates them all in
 one call, time axis first, which is how ``jacobian_by_ode`` and
-``integrate_flow`` take the Jacobian's RK4 as a product of per-step factors.
+``integrate_flow`` take the Jacobian's RK4 as a product of per-step factors
+and how the CLI's ``hs`` takes its sample series, in chunks of
+``_CHUNK_VALUES`` values.
 """
 
 from __future__ import annotations
@@ -49,10 +51,14 @@ from .grid import (
 
 KAPPA_EPS = 1e-13
 IDENTITY_TOL = 1e-10  # of a flow's start: |J - 1|, and |η - id| over the longest period
-# values of ρ (times × nodes) per chunk of ``_rk4_factors``: on a 2-vCPU Xeon
-# (2 MB L2 per core), 2¹⁴ to 2¹⁷ ran criterion 4's jacobian_by_ode in 75-79 ms
-# and 2²⁰, whose temporaries outgrow the cache, in 152 ms
-_CHUNK_VALUES = 2**15
+# values of ρ (times × nodes) per chunk of ``_rk4_factors`` and of the CLI's hs
+# series: a chunk's arrays of 8·2¹⁴ bytes stay at glibc's default mmap and trim
+# threshold (128 KiB, mallopt(3)), where its heap keeps them.  At 2¹⁵ a process
+# that has not yet freed a block above 256 KiB (which raises both thresholds)
+# returns each chunk's arrays to the kernel and faults them in afresh: 17,000
+# minor faults and 80-100 ms per jacobian_by_ode call at N = 512 on a 2-vCPU
+# Xeon, against 200-350 faults and 50-60 ms at 2¹⁴, fresh or warm
+_CHUNK_VALUES = 2**14
 
 
 @dataclass(frozen=True)

@@ -533,16 +533,20 @@ class TestErrorHandling:
         kernel = hsflow.great_circle
         monkeypatch.setattr(hsflow, "great_circle",
                             lambda *args: calls.append(args[1]) or kernel(*args))
-        # on the torus, so no equation_residual adds evaluations
+        # on the torus, so no equation_residual adds evaluations; 200 samples
+        # of 16² nodes span several chunks of the time-array kernel
         argv = ["hs", "--div-u0", "sin(2*pi*x)*cos(2*pi*y)", "--grid", "16", "--dim", "2",
-                "--samples", "5"]
+                "--samples", "200"]
         code, out = run_cli(capsys, *argv)
         assert code == 0
-        assert len(calls) == 5  # one great-circle point per sample
+        assert len(calls) > 1
+        times = np.concatenate(calls)  # one great-circle point per sample
         monkeypatch.undo()
         args = cli.build_parser().parse_args(argv)
         geo = cli._make_hs(args, cli._build_grid(args))
-        for row in json.loads(out)["results"]["series"]:
+        series = json.loads(out)["results"]["series"]
+        assert times.tolist() == [row["t"] for row in series]
+        for row in series:
             assert row["energy"] == hsflow.flow_energy(geo, row["t"])
 
     def test_csv_output(self, capsys):

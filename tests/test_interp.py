@@ -1,5 +1,7 @@
 """Exact off-grid evaluation on the real half spectrum."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,13 +14,6 @@ from densgeo.grid import PeriodicGrid, ScalarField, random_band_limited
 # pad_values measures the evaluator and not the rounding of the points
 CASES = [((8,), 2.5), ((64,), 2.5), ((512,), 2.5),
          ((16, 24), (1.5, 0.75)), ((24, 16), (1.5, 0.75)), ((32, 32), (2.0, 3.0))]
-
-
-def complex_fft_eval(grid, values, x):
-    """The full-spectrum formula trig_eval used before, one field, 1-D."""
-    spec = np.fft.fftn(values) / values.size
-    k = 2.0 * np.pi * np.fft.fftfreq(grid.shape[0], d=grid.spacings[0])
-    return (np.exp(1j * np.outer(x.ravel(), k)) @ spec).real.reshape(x.shape)
 
 
 def fine_nodes(grid, factor):
@@ -61,16 +56,67 @@ def test_stack_rows_equal_single_fields(shape, lengths):
         assert np.max(np.abs(row - single)) <= 1e-14 * np.max(np.abs(single))
 
 
+def longdouble_sum(grid, spec, x):
+    """The 1-D interpolant of a ``half_spectrum`` stack at the points x, in
+    long double, with whole turns taken out of each mode's angle j·x/L."""
+    n, length = grid.shape[0], grid.lengths[0]
+    coeffs = spec.astype(np.clongdouble)
+    coeffs[..., n // 2] = coeffs[..., n // 2].real
+    turns = np.outer(x.ravel().astype(np.longdouble) / length, np.arange(n // 2 + 1))
+    angles = 8.0 * np.arctan(np.longdouble(1.0)) * (turns - np.rint(turns))
+    return (np.cos(angles) @ coeffs.real.T - np.sin(angles) @ coeffs.imag.T).T
+
+
+def rounding_bound(grid, spec, x):
+    """2ε·Σₖ|cₖ|(1 + |k·x|) per field and point: the roundoff of the phase sum
+    with k·x rounded once."""
+    k_x = np.abs(np.outer(x.ravel(), grid.wavenumbers[0]))
+    return 2.0 * np.finfo(float).eps * (np.abs(spec) @ (1.0 + k_x).T)
+
+
+def assert_within_rounding_bound(grid, values, x):
+    spec = _interp.half_spectrum(grid, values)
+    got = _interp.trig_eval(grid, values, x).reshape(spec.shape[:-1] + (-1,))
+    ratio = np.abs(got - longdouble_sum(grid, spec, x).astype(float)) / rounding_bound(grid, spec, x)
+    assert np.max(ratio) <= 1.0
+
+
 @pytest.mark.parametrize("n", [8, 64, 512])
-def test_one_dimensional_matches_complex_fft_formula(n):
+def test_one_dimensional_within_rounding_bound_of_longdouble(n):
     grid = PeriodicGrid(n, 2.5)
     rng = np.random.default_rng(n)
-    values = rng.standard_normal((3, n))
-    x = rng.uniform(-2.5, 5.0, (4, 25))
-    stacked = _interp.trig_eval(grid, values, x)
-    for row, field in zip(stacked, values):
-        reference = complex_fft_eval(grid, field, x)
-        assert np.max(np.abs(row - reference)) <= 1e-14 * np.max(np.abs(reference))
+    assert_within_rounding_bound(grid, rng.standard_normal((3, n)), rng.uniform(-5.0, 7.5, (4, 25)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(4, 512).map(lambda half: 2 * half),
+    length=st.floats(0.25, 8.0),
+    stack=st.sampled_from([(), (1,), (3,)]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_one_dimensional_rounding_bound_property(n, length, stack, seed):
+    """White noise, every mode carrying content, at points over five periods."""
+    grid = PeriodicGrid(n, length)
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-2.0 * length, 3.0 * length, 40)
+    assert_within_rounding_bound(grid, rng.standard_normal(stack + (n,)), x)
+
+
+def test_one_dimensional_sum_forms_no_points_by_modes_array():
+    """At N = 1024 and 1,024 points, the 1-D phase sum's peak allocation stays
+    below a quarter of one complex (points × modes) array, 2.1 MB."""
+    grid = PeriodicGrid(1024)
+    rng = np.random.default_rng(2)
+    values, x = rng.standard_normal(1024), rng.uniform(0.0, 1.0, 1024)
+    _interp.trig_eval(grid, values, x)  # caches and first-call allocations
+    tracemalloc.start()
+    try:
+        _interp.trig_eval(grid, values, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25 * x.size * (1024 // 2 + 1) * np.dtype(complex).itemsize
 
 
 def matmul_eval_2d(grid, values, x, y):
