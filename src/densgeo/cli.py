@@ -30,7 +30,7 @@ from itertools import repeat
 import numpy as np
 
 from . import circle, hsflow, invariants, moser, simplex, spheregeo
-from .density import Density, SpherePoint, density_from_values, normalize, uniform_density
+from .density import Density, density_from_values, normalize, uniform_density
 from .errors import BeyondBlowup, DensgeoError, InternalError, NonFiniteResult, ValidationError
 from .exprparse import evaluate_on_grid
 from .grid import (
@@ -258,7 +258,9 @@ def _cmd_hs(args) -> dict:
 
     # (f, ḟ) at a chunk of sample times at once, as (times, nodes), with the
     # Jacobian's RK4 chunk bound; a row's sum adds its nodes in the order a
-    # lone snapshot's does, so each row has flow_energy's bits
+    # lone snapshot's does, and the factors 2 of ρ = 2ḟ/f and 4 of ρ²·Jac =
+    # (2ḟ)² scale by powers of two after the reductions, which commutes with
+    # rounding, so each row has flow_energy's bits
     series = []
     per_chunk = max(1, hsflow._CHUNK_VALUES // grid.node_count)
     for first in range(0, len(ts), per_chunk):
@@ -271,8 +273,8 @@ def _cmd_hs(args) -> dict:
                 times.tolist(),
                 np.min(jac, axis=1).tolist(),
                 (grid.node_weight * np.sum(jac, axis=1)).tolist(),
-                np.max(np.abs(2.0 * fdot / f), axis=1).tolist(),
-                (grid.node_weight * np.sum((2.0 * fdot) ** 2, axis=1)).tolist(),
+                (2.0 * np.max(np.abs(fdot / f), axis=1)).tolist(),
+                (4.0 * grid.node_weight * np.sum(fdot**2, axis=1)).tolist(),
             )
         ]
     energies = [row["energy"] for row in series]
@@ -362,32 +364,39 @@ def _cmd_invariants(args) -> dict:
     count = args.truncation or invariants.default_truncation(grid)
     period = 2.0 * np.pi / geo.kappa
     ts = np.linspace(0.0, period, args.samples)
-    basis = invariants.fourier_basis(grid, count)
+    weighted_basis = grid.node_weight * invariants.fourier_basis(grid, count).reshape(count, -1)
 
-    def coords_at(t):
-        # project the raw great-circle point: past blowup it changes sign,
-        # which is fine on the sphere
-        f, fdot = hsflow.great_circle(geo, float(t))
-        point = SpherePoint(ScalarField(grid, f), np.sqrt(geo.mass))
-        return invariants.project(point, ScalarField(grid, fdot), basis)
+    # (f, ḟ) at a chunk of sample times at once, as (times, nodes), with the
+    # stacked chains' (times, K, K) bound too, and h feeds the nested chain
+    # (chain_Hk would build it again); each drift and leak is a running
+    # maximum, the drifts against the first sample's values.  The raw
+    # great-circle point is projected: past blowup it changes sign, which
+    # is fine on the sphere
+    firsts, drifts, leaks = None, [0.0] * 3, [0.0] * 2
+    per_chunk = max(1, hsflow._CHUNK_VALUES // max(grid.node_count, count * count))
+    for first in range(0, len(ts), per_chunk):
+        times = ts[first : first + per_chunk]
+        f, fdot = (v.reshape(len(times), -1) for v in hsflow.great_circle(geo, times))
+        c = invariants.project_rows(grid, f, fdot, float(np.sqrt(geo.mass)), weighted_basis)
+        h = invariants.angular_momenta(c)
+        chains = (h, invariants._nested_sums(h), invariants.chain_Hproj(c))
+        firsts = firsts or [chain[0] for chain in chains]
+        drifts = [max(d, float(np.max(np.abs(chain - chain0))))
+                  for d, chain, chain0 in zip(drifts, chains, firsts)]
+        leaks = [max(leak, float(np.max(row_leaks)))
+                 for leak, row_leaks in zip(leaks, (c.position_leak, c.momentum_leak))]
 
-    coords = [coords_at(t) for t in ts]
-    h_series = np.array([invariants.angular_momenta(c) for c in coords])
-    hk_series = np.array([invariants.chain_Hk(c) for c in coords])
-    hp_series = np.array([invariants.chain_Hproj(c) for c in coords])
-
-    def rel_drift(series):
-        ref = np.max(np.abs(series[0])) or 1.0
-        return float(np.max(np.abs(series - series[0])) / ref)
+    def rel_drift(drift, first):
+        return drift / (float(np.max(np.abs(first))) or 1.0)
 
     results = {
         "kappa": geo.kappa,
         "period": period,
-        "angular_momentum_drift": rel_drift(h_series),
-        "nested_chain_drift": rel_drift(hk_series),
-        "projected_chain_drift": rel_drift(hp_series),
-        "position_leak": max(c.position_leak for c in coords),
-        "momentum_leak": max(c.momentum_leak for c in coords),
+        "angular_momentum_drift": rel_drift(drifts[0], firsts[0]),
+        "nested_chain_drift": rel_drift(drifts[1], firsts[1]),
+        "projected_chain_drift": rel_drift(drifts[2], firsts[2]),
+        "position_leak": leaks[0],
+        "momentum_leak": leaks[1],
     }
     return _document(
         grid, geo.mass,

@@ -227,12 +227,17 @@ def eulerian_rho(g: HsGeodesic, t: float) -> ScalarField:
     anchored flow; the label inversion is a Newton solve on the
     trigonometric interpolant, so the samples are exact up to roundoff.
     """
+    return _eulerian_rho(g, t, _interp.field_evaluator(g.grid, g.rho0.values))
+
+
+def _eulerian_rho(g: HsGeodesic, t: float, rho0_eval) -> ScalarField:
+    """``eulerian_rho`` with ρ0's ``field_evaluator`` given, so that several
+    snapshots share one."""
     g.check_before_blowup(t)
     grid = g.grid
     eta = anchored_flow_1d(g, t)
     labels = _interp.invert_monotone(grid, eta, grid.coordinate(0))
-    rho0_at_labels = _interp.field_evaluator(grid, g.rho0.values)(labels)
-    return ScalarField(grid, _rho(g, t, rho0_at_labels))
+    return ScalarField(grid, _rho(g, t, rho0_eval(labels)))
 
 
 def _anchored_velocity(rho: ScalarField) -> ScalarField:
@@ -245,10 +250,10 @@ def _anchored_velocity(rho: ScalarField) -> ScalarField:
 
 def equation_residual(g: HsGeodesic, t: float, dt_fd: float = 1e-5) -> float:
     """Sup-norm residual of the Euler-Arnold equation on the Eulerian
-    reconstruction, with ρ_t by centered differences."""
-    rho_m = eulerian_rho(g, t - dt_fd)
-    rho_0 = eulerian_rho(g, t)
-    rho_p = eulerian_rho(g, t + dt_fd)
+    reconstruction, with ρ_t by centered differences: three snapshots that
+    share one evaluator of ρ0."""
+    rho0_eval = _interp.field_evaluator(g.grid, g.rho0.values)
+    rho_m, rho_0, rho_p = (_eulerian_rho(g, s, rho0_eval) for s in (t - dt_fd, t, t + dt_fd))
     rho_t = (rho_p.values - rho_m.values) / (2.0 * dt_fd)
     u = _anchored_velocity(rho_0)
     rho_x = derivative(rho_0).values

@@ -1,10 +1,20 @@
+import contextlib
+import io
+import json
+import tempfile
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from densgeo import cli, hsflow, invariants
 from densgeo.density import SpherePoint
-from densgeo.errors import GridMismatch, NotTangent
-from densgeo.grid import PeriodicGrid, ScalarField
-from densgeo.hsflow import HsGeodesic, sphere_path, sphere_velocity
+from densgeo.errors import GridMismatch, NotTangent, OffSphere
+from densgeo.grid import PeriodicGrid, ScalarField, random_band_limited
+from densgeo.hsflow import HsGeodesic, great_circle, sphere_path, sphere_velocity
 from densgeo.invariants import (
     TruncatedSphereCoords,
     angular_momenta,
@@ -14,6 +24,7 @@ from densgeo.invariants import (
     fourier_basis,
     poisson_bracket_check,
     project,
+    project_rows,
 )
 
 
@@ -132,6 +143,37 @@ class TestProjection:
         point = SpherePoint(ScalarField.constant(grid, 1.0), 1.0)
         with pytest.raises(NotTangent):
             project(point, ScalarField.constant(grid, 1.0), fourier_basis(grid, 5))
+
+
+class TestLeaks:
+    def test_lossless_projection_reads_zero(self):
+        grid = PeriodicGrid(64)
+        point = SpherePoint(ScalarField.constant(grid, 1.0), 1.0)
+        c = project(point, ScalarField.constant(grid, 0.0), fourier_basis(grid, 9))
+        assert (c.position_leak, c.momentum_leak) == (0.0, 0.0)
+
+    def test_lossy_projection_reads_discarded_energy(self):
+        # f and fdot each put energy a² and b² on a mode the first five basis
+        # fields (modes 0, 1, 2) miss: modes 3 and 4
+        grid = PeriodicGrid(64)
+        x = grid.coordinate(0)
+        a, b = 0.3, 0.7
+        f = np.sqrt(1.0 - a**2) + a * np.sqrt(2.0) * np.cos(6 * np.pi * x)
+        fdot = b * np.sqrt(2.0) * np.sin(8 * np.pi * x)
+        c = project(SpherePoint(ScalarField(grid, f), 1.0), ScalarField(grid, fdot),
+                    fourier_basis(grid, 5))
+        assert c.position_leak == pytest.approx(a**2, abs=1e-14)
+        assert c.momentum_leak == pytest.approx(b**2, abs=1e-14)
+
+    def test_cli_leak_of_roundoff_is_zero(self):
+        # ‖fdot‖² − |p|² came out at −2.8e-17 here: roundoff, not a leak
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(["invariants", "--div-u0", "sin(2*pi*x)", "--grid", "16",
+                             "--samples", "1"])
+        assert code == 0
+        results = json.loads(out.getvalue())["results"]
+        assert (results["position_leak"], results["momentum_leak"]) == (0.0, 0.0)
 
 
 class TestAngularMomenta:
@@ -296,3 +338,129 @@ class TestDriftCertificate:
         assert np.max(np.abs(hk_all - hk_all[0])) / scale_k <= 1e-8
         scale_p = np.max(np.abs(hp_all[0]))
         assert np.max(np.abs(hp_all - hp_all[0])) / scale_p <= 1e-8
+
+
+def _row_chains(q, p):
+    """h, H_m and H^(k) of one sample, as the single-sample formulas."""
+    h = np.outer(p, q) - np.outer(q, p)
+    hk = np.cumsum(np.sum(np.triu(h**2, 1), axis=0)[1:])
+
+    def tail_sums(v):
+        return np.cumsum(v[::-1])[:0:-1]
+
+    pp, qq, pq = tail_sums(p**2), tail_sums(q**2), tail_sums(p * q)
+    return h, hk, pp * qq - pq**2
+
+
+def _invariants_run(values, count, samples):
+    """``densgeo invariants`` for ρ0 given as node values: its results, and
+    the coordinates of each chunk handed to the chains."""
+    chunks = []
+
+    def spy(*args):
+        chunks.append(project_rows(*args))
+        return chunks[-1]
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/div_u0.json"
+        with open(path, "w") as fh:
+            json.dump({"values": values.tolist()}, fh)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), mock.patch.object(invariants, "project_rows", spy):
+            code = cli.main(["invariants", "--div-u0", "@" + path, "--grid", str(values.shape[0]),
+                             "--dim", str(values.ndim), "--samples", str(samples),
+                             "--truncation", str(count)])
+    assert code == 0, out.getvalue()
+    return json.loads(out.getvalue())["results"], chunks
+
+
+@settings(max_examples=40, deadline=None)
+@given(shape=st.sampled_from([(16,), (64,), (256,), (8, 8), (16, 16)]),
+       seed=st.integers(0, 2**32 - 1), samples=st.integers(1, 40),
+       chunk_values=st.integers(1, 2**12), data=st.data())
+def test_chunked_series_matches_per_sample_loop(shape, seed, samples, chunk_values, data):
+    grid = PeriodicGrid(shape)
+    count = data.draw(st.integers(2, min(33, min(shape) // 2 - 1)), label="count")
+    degree = data.draw(st.integers(1, min(shape) // 4), label="degree")
+    values = random_band_limited(grid, degree, np.random.default_rng(seed)).values
+    with mock.patch.object(hsflow, "_CHUNK_VALUES", chunk_values):
+        results, chunks = _invariants_run(values, count, samples)
+
+    # every chunk holds at least one sample, and above one sample no array
+    # of it (times × nodes, times × K × K) holds more than the chunk bound
+    rows = [len(c.q) for c in chunks]
+    assert sum(rows) == samples and min(rows) >= 1
+    assert all(n == 1 or n * max(grid.node_count, count**2) <= chunk_values for n in rows)
+
+    # q and p against a per-sample loop of the single-sample product
+    geo = HsGeodesic.from_divergence(ScalarField(grid, values - np.mean(values)))
+    flat = fourier_basis(grid, count).reshape(count, -1)
+    q_ref, p_ref = [], []
+    for t in np.linspace(0.0, 2.0 * np.pi / geo.kappa, samples):
+        f, fdot = great_circle(geo, float(t))
+        q_ref.append(grid.node_weight * flat @ f.ravel())
+        p_ref.append(grid.node_weight * flat @ fdot.ravel())
+    q = np.concatenate([c.q for c in chunks])
+    p = np.concatenate([c.p for c in chunks])
+    radius = np.sqrt(geo.mass)
+    assert np.max(np.abs(q - q_ref)) <= 1e-13 * radius
+    assert np.max(np.abs(p - p_ref)) <= 1e-13 * geo.kappa * radius  # ‖fdot‖ = κ r
+
+    # given q and p, the stacked chains are the single-sample ones bit for bit
+    series = [[], [], []]
+    for c in chunks:
+        stacked = angular_momenta(c), chain_Hk(c), chain_Hproj(c)
+        for s in range(len(c.q)):
+            one = TruncatedSphereCoords(c.q[s], c.p[s], c.radius, 0.0, 0.0)
+            singles = angular_momenta(one), chain_Hk(one), chain_Hproj(one)
+            for stack, single, formula, kept in zip(stacked, singles,
+                                                    _row_chains(c.q[s], c.p[s]), series):
+                assert np.array_equal(stack[s], single)
+                assert np.array_equal(single, formula)
+                kept.append(single)
+
+    # the running maxima are the maxima over the whole series
+    for key, chain in zip(("angular_momentum_drift", "nested_chain_drift",
+                           "projected_chain_drift"), map(np.array, series)):
+        ref = np.max(np.abs(chain[0])) or 1.0
+        assert results[key] == np.max(np.abs(chain - chain[0])) / ref
+    assert results["position_leak"] == max(np.max(c.position_leak) for c in chunks)
+    assert results["momentum_leak"] == max(np.max(c.momentum_leak) for c in chunks)
+
+
+@settings(max_examples=30, deadline=None)
+@given(shape=st.sampled_from([(32,), (16, 16)]), samples=st.integers(1, 12),
+       off_sphere=st.booleans(), data=st.data())
+def test_one_bad_row_rejected(shape, samples, off_sphere, data):
+    grid = PeriodicGrid(shape)
+    x = grid.coordinate(0)
+    geo = HsGeodesic.from_divergence(ScalarField(grid, np.sin(2 * np.pi * x)
+                                                 * np.ones(grid.shape)))
+    times = np.linspace(0.0, 2.0 * np.pi / geo.kappa, samples)
+    f, fdot = (v.reshape(samples, -1) for v in great_circle(geo, times))
+    weighted = grid.node_weight * fourier_basis(grid, 5).reshape(5, -1)
+    radius = np.sqrt(geo.mass)
+    project_rows(grid, f, fdot, radius, weighted)  # every row good
+    bad = data.draw(st.integers(0, samples - 1), label="bad")
+    if off_sphere:
+        f[bad] *= 1.0 + 1e-6
+    else:
+        fdot[bad] += 1e-3 * f[bad]
+    with pytest.raises(OffSphere if off_sphere else NotTangent, match=f"at sample {bad}:"):
+        project_rows(grid, f, fdot, radius, weighted)
+
+
+def test_long_series_keeps_memory_small():
+    # 1000 samples of K = 127: the per-sample matrices h alone would take
+    # 1000 · 127² · 8 bytes = 129 MB, each held three times before
+    argv = ["invariants", "--div-u0", "sin(2*pi*x)", "--grid", "256", "--samples", "1000",
+            "--truncation", "127"]
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 10e6
