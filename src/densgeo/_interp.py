@@ -8,9 +8,10 @@ sums a ``half_spectrum`` exactly with ``trig_sum``, O(N) multiply-adds per
 point and field; in 1-D its phases come from two tables of about √(N/2)
 entries per point, so a point costs O(√N) cos and sin calls, not O(N);
 a Newton solve keeps the spectrum, so its steps transform nothing.
-``SplineEvaluator`` zero-pads the spectrum onto a finer grid and evaluates
-a quintic B-spline there (inside time-stepping loops).  On a periodic grid
-the spline's prefilter is a Fourier multiplier, applied to the padded
+``SplineEvaluator`` zero-pads the spectrum onto a grid finer by the least
+of 1, 2 and 4 whose closed-form error bound is within ``SPLINE_TOL``, and
+evaluates a quintic B-spline there (inside time-stepping loops).  On a
+periodic grid the spline's prefilter is a Fourier multiplier, applied to the
 spectrum, so a spline build is one real-FFT pair and scipy only evaluates
 the spline (``map_coordinates``), importing ``scipy.ndimage`` at its first
 evaluation: that import costs a CLI process more than numpy's.
@@ -28,44 +29,38 @@ import numpy as np
 from .errors import InversionDiverged
 from .grid import PeriodicGrid, fourier
 
-# spectral refinement under the quintic spline: inside the integrators, and
-# for one-shot evaluation of a field above EXACT_EVAL_LIMIT nodes
-PAD_FACTOR = 4
+# SplineEvaluator's default bound on its error relative to the field's sup: the
+# integrators' tightest checked figure (1e-8) over 10; field_evaluator's splines
+# (above EXACT_EVAL_LIMIT nodes) refine by FIELD_PAD_FACTOR, to roundoff
+SPLINE_TOL = 1e-9
 FIELD_PAD_FACTOR = 8
 # invert_monotone and hsflow's inf ρ0 stop at a Newton step below NEWTON_TOL periods
 NEWTON_TOL = 1e-15
 NEWTON_MAX_ITER = 60
 
 
-def pad_values(grid: PeriodicGrid, values: np.ndarray, factor: int, prefilter=False) -> np.ndarray:
+def pad_values(grid: PeriodicGrid, values: np.ndarray, factor: int) -> np.ndarray:
     """Resample a field or a stack onto a ``factor`` times finer grid by
-    zero-padding the real half spectrum over the trailing grid axes; with
-    ``prefilter``, the quintic B-spline coefficients of the fine samples."""
-    spec = np.fft.rfftn(values, axes=tuple(range(-grid.dim, 0))) * factor**grid.dim
+    zero-padding the real half spectrum over the trailing grid axes."""
+    return _pad_spectrum(grid, np.fft.rfftn(values, axes=tuple(range(-grid.dim, 0))), factor)
+
+
+def _pad_spectrum(grid: PeriodicGrid, spec: np.ndarray, factor: int) -> np.ndarray:
+    """``pad_values`` from the values' ``rfftn`` over the grid axes."""
+    spec = spec * factor**grid.dim
     for axis, n in zip(range(-grid.dim, 0), grid.shape):
-        spec = _pad_axis(spec, axis, n, n * factor, prefilter)
+        spec = _pad_axis(spec, axis, n, n * factor)
         # invert each axis before padding the next: the leading axis then
         # transforms a coarse-by-fine array
         spec = np.fft.irfft(spec, n=n * factor) if axis == -1 else np.fft.ifft(spec, axis=axis)
     return spec
 
 
-@lru_cache(maxsize=16)
-def _quintic_prefilter(n: int) -> np.ndarray:
-    """Prefilter of the periodic quintic B-spline on n nodes at the FFT modes
-    0..n-1: the reciprocal symbol of its samples (1, 26, 66, 26, 1)/120
-    (Unser, Aldroubi & Eden 1993)."""
-    omega = 2.0 * np.pi * np.arange(n) / n
-    inverse = 120.0 / (66.0 + 52.0 * np.cos(omega) + 2.0 * np.cos(2.0 * omega))
-    inverse.flags.writeable = False
-    return inverse
-
-
-def _pad_axis(spec: np.ndarray, axis: int, n: int, n_fine: int, prefilter: bool) -> np.ndarray:
+def _pad_axis(spec: np.ndarray, axis: int, n: int, n_fine: int) -> np.ndarray:
     """Zero-pad one spectral axis from n to n_fine modes, splitting the
     Nyquist coefficient between ±n/2 so the fine signal stays real (at
-    n_fine = n it stays whole), and optionally apply the spline prefilter.
-    The half-spectrum axis (length n/2 + 1) keeps only its modes 0..n_fine/2."""
+    n_fine = n it stays whole).  The half-spectrum axis (length n/2 + 1)
+    keeps only its modes 0..n_fine/2."""
     spec = spec.swapaxes(axis, -1)
     half = n // 2
     full = spec.shape[-1] == n
@@ -75,20 +70,54 @@ def _pad_axis(spec: np.ndarray, axis: int, n: int, n_fine: int, prefilter: bool)
     if full:
         out[..., n_fine - half + 1 :] = spec[..., half + 1 :]
         out[..., n_fine - half] = nyquist
-    if prefilter:
-        out *= _quintic_prefilter(n_fine)[: out.shape[-1]]
     return out.swapaxes(-1, axis)
+
+
+@lru_cache(maxsize=16)
+def _spline_symbols(shape: tuple, factor: int) -> tuple[np.ndarray, np.ndarray]:
+    """The quintic spline's prefilter and error weights, refined by ``factor``,
+    at each entry of an ``rfftn`` over ``shape``.  At a mode's angle ω per fine
+    cell the prefilter 120/(66 + 52 cos ω + 2 cos 2ω) inverts the symbol of the
+    spline's samples (1, 26, 66, 26, 1)/120 (Unser, Aldroubi & Eden 1993), and
+    r(ω) = (sin(ω/2)/(ω/2))⁶ times it is the spline's symbol (Blu & Unser 1999):
+    the spline of e^{iωx} is r(ω)e^{iωx} plus aliases of total weight 1 - r(ω),
+    so it errs by at most 2(1 - r(ω)).  The weights are 2(1 - Πₐ r(ωₐ)), scaled
+    as ``half_spectrum`` scales the coefficients."""
+    modes = [(np.arange(n) + n // 2) % n - n // 2 for n in shape[:-1]]  # signed
+    modes.append(np.arange(shape[-1] // 2 + 1))
+    prefilter = ratio = 1.0
+    for n, j in zip(shape, np.ix_(*modes)):
+        omega = 2.0 * np.pi * j / (n * factor)
+        inverse = 120.0 / (66.0 + 52.0 * np.cos(omega) + 2.0 * np.cos(2.0 * omega))
+        prefilter = prefilter * inverse
+        ratio = ratio * np.sinc(j / (n * factor)) ** 6 * inverse
+    weights = 2.0 * (1.0 - ratio) / math.prod(shape)
+    weights[..., 1 : shape[-1] // 2] *= 2.0
+    prefilter.flags.writeable = weights.flags.writeable = False
+    return prefilter, weights
 
 
 class SplineEvaluator:
     """Quintic spline on a spectrally padded grid, periodic wrap-around, of
-    one field (*shape) or a stack (m, *shape).  The coefficients come from
-    ``pad_values`` with the prefilter, and ``map_coordinates`` evaluates them."""
+    one field (*shape) or a stack (m, *shape).  The prefiltered spectrum is
+    padded as ``pad_values`` pads, and ``map_coordinates`` evaluates the
+    coefficients.  ``error_bound`` (per field) bounds |spline - interpolant|
+    everywhere (``_spline_symbols``).  Without a ``factor`` the grid is refined
+    by the least of 1, 2 and 4 whose bound is at most ``SPLINE_TOL`` times the
+    sup of the values (of the whole stack), and by 4 where none is."""
 
-    def __init__(self, grid: PeriodicGrid, values: np.ndarray, factor: int = PAD_FACTOR):
+    def __init__(self, grid: PeriodicGrid, values: np.ndarray, factor: int | None = None):
+        axes = tuple(range(-grid.dim, 0))
+        spec = np.fft.rfftn(values, axes=axes)
+        magnitudes, sup = np.abs(spec), np.abs(values).max()
+        for factor in (1, 2, 4) if factor is None else (factor,):
+            prefilter, weights = _spline_symbols(grid.shape, factor)
+            self.error_bound = (magnitudes * weights).sum(axis=axes)
+            if self.error_bound.max() <= SPLINE_TOL * sup:
+                break
         self.grid = grid
         self.factor = factor
-        self._coeffs = pad_values(grid, values, factor, prefilter=True)
+        self._coeffs = _pad_spectrum(grid, spec * prefilter, factor)
         self._spacings = tuple(h / factor for h in grid.spacings)
 
     def __call__(self, *points: np.ndarray) -> np.ndarray:

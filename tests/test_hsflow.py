@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from densgeo import hsflow
+from densgeo import _interp, hsflow
 
 from densgeo.density import sqrt_map
 from densgeo.errors import (
@@ -127,8 +127,16 @@ class TestGeodesicRecord:
         # ∫ρ0² overflows (κ = inf, t_max = 0 before); no overflow warning escapes
         grid = PeriodicGrid(shape)
         rho0 = ScalarField(grid, 1e154 * np.sin(2 * np.pi * grid.coordinate(0)))
-        with pytest.raises(NonFiniteInput):
+        with pytest.raises(NonFiniteInput, match="energy integral of rho0"):
             HsGeodesic.from_divergence(rho0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_divergence_named(self, bad):
+        grid = PeriodicGrid(8)
+        values = np.sin(2 * np.pi * grid.coordinate(0))
+        values[3] = bad
+        with pytest.raises(NonFiniteInput, match="initial divergence is not finite"):
+            HsGeodesic.from_divergence(ScalarField(grid, values))
 
 
 class TestLagrangianFormulas:
@@ -482,6 +490,14 @@ class TestIntegrateFlow:
             mass = geo.grid.node_weight * np.sum(flow.jacobians[i])
             assert mass == pytest.approx(geo.mass, abs=1e-8)
         assert np.max(flow.diagnostics["transport_residual"]) <= 1e-8
+
+    def test_spline_error_bound_reported(self):
+        # the torus benchmark's integrate_flow data: degree 2 of sup 0.5 on 48²
+        grid = PeriodicGrid((48, 48))
+        values = random_band_limited(grid, 2, np.random.default_rng(1)).values
+        geo = HsGeodesic.from_divergence(ScalarField(grid, 0.5 * values / np.max(np.abs(values))))
+        flow = integrate_flow(geo, 0.05, 5e-3, n_store=1)
+        assert 0.0 < flow.diagnostics["spline_error_bound"] <= _interp.SPLINE_TOL
 
     def test_step_too_large(self):
         geo = sin_geodesic(64)

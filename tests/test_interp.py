@@ -230,3 +230,42 @@ def test_infimum_transforms_rho0_before_newton_only(monkeypatch, fft_calls, shap
         assert fft_calls == ["rfft2", "rfftn", "ifft", "irfft"]
     assert len(sums) >= 3  # the minimum is off the nodes: Newton takes steps
     assert sums == [(d + d * d,) + half] * (len(sums) - 1) + [half]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    case=st.sampled_from([((16,), 1.0), ((64,), 2.5), ((512,), 1.0),
+                          ((16, 24), (1.5, 0.75)), ((32, 16), (2.0, 3.0))]),
+    factor=st.sampled_from([1, 2, 4]),
+    stack=st.sampled_from([(), (2,)]),
+    data=st.data(),
+)
+def test_spline_within_its_error_bound(case, factor, stack, data):
+    """|spline - interpolant| <= error_bound + 1e-14 sup at random points, for
+    band-limited fields of any degree below the Nyquist modes."""
+    grid = PeriodicGrid(*case)
+    degree = data.draw(st.integers(1, min(grid.shape) // 2 - 1), label="degree")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    values = np.array([random_band_limited(grid, degree, rng).values
+                       for _ in range(stack[0] if stack else 1)]).reshape(stack + grid.shape)
+    spline = _interp.SplineEvaluator(grid, values, factor=factor)
+    points = [rng.uniform(-L, 2.0 * L, 200) for L in grid.lengths]
+    error = np.abs(spline(*points) - _interp.trig_eval(grid, values, *points))
+    assert spline.error_bound.shape == stack
+    sup = np.max(np.abs(values))
+    assert np.all(error <= np.asarray(spline.error_bound)[..., None] + 1e-14 * sup)
+
+
+@pytest.mark.parametrize("shape", [(64,), (64, 32)])
+@pytest.mark.parametrize("mode, expected", [(1, 1), (2, 2), (3, 2), (4, 4), (12, 4)])
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+def test_default_factor_is_the_least_certified(shape, mode, expected, scale):
+    """The default refinement is the least of 1 and 2 whose bound is within
+    SPLINE_TOL of the sup, and 4 where neither is, whatever the field's scale."""
+    grid = PeriodicGrid(shape)
+    values = scale * np.cos(2 * np.pi * mode * grid.coordinate(0))
+    bounds = {f: _interp.SplineEvaluator(grid, values, factor=f).error_bound for f in (1, 2, 4)}
+    certified = [f for f in (1, 2) if bounds[f] <= _interp.SPLINE_TOL * scale]
+    spline = _interp.SplineEvaluator(grid, values)
+    assert spline.factor == (certified[0] if certified else 4) == expected
+    assert spline.error_bound == bounds[spline.factor]
