@@ -9,14 +9,17 @@ point and field; in 1-D its phases come from two tables of about √(N/2)
 entries per point, so a point costs O(√N) cos and sin calls, not O(N);
 a Newton solve keeps the spectrum, so its steps transform nothing.
 ``SplineEvaluator`` zero-pads the spectrum onto a grid finer by the least
-of 1, 2 and 4 whose closed-form error bound is within ``SPLINE_TOL``, and
-evaluates a quintic B-spline there (inside time-stepping loops).  On a
+of 1, 2, 4 and 8 whose closed-form error bound is within a tolerance of
+the field's sup, and evaluates a quintic B-spline there: ``SPLINE_TOL``
+inside time-stepping loops, ``FIELD_TOL`` (roundoff) for
+``field_evaluator``'s splines above ``EXACT_EVAL_LIMIT`` nodes.  On a
 periodic grid the spline's prefilter is a Fourier multiplier, applied to the
 spectrum, so a spline build is one real-FFT pair and scipy only evaluates
 the spline (``map_coordinates``), importing ``scipy.ndimage`` at its first
 evaluation: that import costs a CLI process more than numpy's.
 ``invert_monotone`` inverts an increasing circle map by Newton on either
-route, from a cubic Hermite inverse on a padded sampling.
+route, from a cubic Hermite inverse on a sampling padded by 8 on the exact
+route and taken on the grid itself on the spline's.
 """
 
 from __future__ import annotations
@@ -29,11 +32,16 @@ import numpy as np
 from .errors import InversionDiverged
 from .grid import PeriodicGrid, fourier
 
-# SplineEvaluator's default bound on its error relative to the field's sup: the
-# integrators' tightest checked figure (1e-8) over 10; field_evaluator's splines
-# (above EXACT_EVAL_LIMIT nodes) refine by FIELD_PAD_FACTOR, to roundoff
+# bounds on a spline's error relative to the field's sup, met by the least pad
+# factor of PAD_FACTORS (the largest where none meets it).  SPLINE_TOL, the
+# default, is the integrators' tightest checked figure (1e-8) over 10.
+# field_evaluator's splines take FIELD_TOL, the roundoff that exact evaluation
+# itself reaches (its tests allow 1e-14 of the sup), because they stand in for
+# it above EXACT_EVAL_LIMIT nodes and equation_residual divides differences of
+# their values by 2 dt_fd (2e-5 by default)
 SPLINE_TOL = 1e-9
-FIELD_PAD_FACTOR = 8
+FIELD_TOL = 1e-14
+PAD_FACTORS = (1, 2, 4, 8)
 # invert_monotone and hsflow's inf ρ0 stop at a Newton step below NEWTON_TOL periods
 NEWTON_TOL = 1e-15
 NEWTON_MAX_ITER = 60
@@ -97,27 +105,37 @@ def _spline_symbols(shape: tuple, factor: int) -> tuple[np.ndarray, np.ndarray]:
     return prefilter, weights
 
 
+def _certify(grid: PeriodicGrid, spec: np.ndarray, sup: float, tol: float,
+             factors: tuple = PAD_FACTORS) -> tuple[np.ndarray, int]:
+    """The least of ``factors`` whose spline error bounds (per field, from the
+    values' ``rfftn`` ``spec``) are at most ``tol`` times ``sup``, or the last
+    where none is, with those bounds."""
+    axes = tuple(range(-grid.dim, 0))
+    magnitudes = np.abs(spec)
+    for factor in factors:
+        bound = (magnitudes * _spline_symbols(grid.shape, factor)[1]).sum(axis=axes)
+        if bound.max() <= tol * sup:
+            break
+    return bound, factor
+
+
 class SplineEvaluator:
     """Quintic spline on a spectrally padded grid, periodic wrap-around, of
     one field (*shape) or a stack (m, *shape).  The prefiltered spectrum is
     padded as ``pad_values`` pads, and ``map_coordinates`` evaluates the
     coefficients.  ``error_bound`` (per field) bounds |spline - interpolant|
     everywhere (``_spline_symbols``).  Without a ``factor`` the grid is refined
-    by the least of 1, 2 and 4 whose bound is at most ``SPLINE_TOL`` times the
-    sup of the values (of the whole stack), and by 4 where none is."""
+    by the least of ``PAD_FACTORS`` (1, 2, 4, 8) whose bound is at most
+    ``SPLINE_TOL`` times the sup of the values (of the whole stack), and by 8
+    where none is."""
 
     def __init__(self, grid: PeriodicGrid, values: np.ndarray, factor: int | None = None):
-        axes = tuple(range(-grid.dim, 0))
-        spec = np.fft.rfftn(values, axes=axes)
-        magnitudes, sup = np.abs(spec), np.abs(values).max()
-        for factor in (1, 2, 4) if factor is None else (factor,):
-            prefilter, weights = _spline_symbols(grid.shape, factor)
-            self.error_bound = (magnitudes * weights).sum(axis=axes)
-            if self.error_bound.max() <= SPLINE_TOL * sup:
-                break
+        spec = np.fft.rfftn(values, axes=tuple(range(-grid.dim, 0)))
+        self.error_bound, factor = _certify(grid, spec, np.abs(values).max(), SPLINE_TOL,
+                                            PAD_FACTORS if factor is None else (factor,))
         self.grid = grid
         self.factor = factor
-        self._coeffs = _pad_spectrum(grid, spec * prefilter, factor)
+        self._coeffs = _pad_spectrum(grid, spec * _spline_symbols(grid.shape, factor)[0], factor)
         self._spacings = tuple(h / factor for h in grid.spacings)
 
     def __call__(self, *points: np.ndarray) -> np.ndarray:
@@ -213,18 +231,25 @@ EXACT_EVAL_LIMIT = 1024
 
 def field_evaluator(grid: PeriodicGrid, values: np.ndarray):
     """Callable evaluating the trigonometric interpolant of a field or a
-    stack (m, *shape) at scattered points, shaped as ``trig_eval``'s."""
+    stack (m, *shape) at scattered points, shaped as ``trig_eval``'s: exactly
+    up to ``EXACT_EVAL_LIMIT`` nodes, and above it by a spline refined by the
+    least of ``PAD_FACTORS`` whose error bound is at most ``FIELD_TOL`` of the
+    sup (by 8 where none is)."""
     if grid.node_count <= EXACT_EVAL_LIMIT:
         return partial(trig_sum, grid, half_spectrum(grid, values))
-    return SplineEvaluator(grid, values, factor=FIELD_PAD_FACTOR)
+    spec = np.fft.rfftn(values, axes=tuple(range(-grid.dim, 0)))
+    return SplineEvaluator(grid, values, _certify(grid, spec, np.abs(values).max(), FIELD_TOL)[1])
 
 
 def _hermite_inverse(grid: PeriodicGrid, w_stack: np.ndarray, y: np.ndarray) -> np.ndarray:
     """First guess of invert_monotone: the cubic Hermite inverse through the
-    points (eta, x) of an 8x refined sampling with slopes 1/eta', kept inside
-    its bracketing fine cell.  ``w_stack`` holds the displacement w and w'."""
+    points (eta, x) of a sampling with slopes 1/eta', kept inside its
+    bracketing fine cell: refined by 8 up to ``EXACT_EVAL_LIMIT`` nodes, where
+    each Newton step is an exact phase sum that costs more than the padding,
+    and the grid's own above it, where Newton steps on the spline are cheap
+    and an 8x padding is not.  ``w_stack`` holds the displacement w and w'."""
     length = grid.lengths[0]
-    refine = 8
+    refine = 8 if grid.node_count <= EXACT_EVAL_LIMIT else 1
     n_fine = grid.shape[0] * refine
     dx = length / n_fine
     eta_fine, wprime_fine = pad_values(grid, w_stack, refine)
@@ -246,13 +271,14 @@ def invert_monotone(grid: PeriodicGrid, eta_values: np.ndarray, targets: np.ndar
     """Solve eta(x) = y for an increasing circle map eta(x) = x + w(x).
 
     Safeguarded Newton on the trigonometric interpolant of the periodic
-    displacement w, from a cubic Hermite inverse on an 8x refined sampling.
-    The guess's error falls as the fourth power of the fine spacing: for the
-    Hunter-Saxton flow of ρ0 = sin 2πx on 256 nodes at 0.8 of its blowup
-    time it is 3e-12 of the period, where a linear inverse is off by 4e-7,
-    so one Newton step reaches the roundoff plateau.  Newton steps are clamped to one coarse cell so
-    near-flat stretches of eta (small eta') cannot throw the iteration out
-    of its basin.
+    displacement w (``field_evaluator``'s), from a cubic Hermite inverse on a
+    sampling refined by 8, or on the grid itself above ``EXACT_EVAL_LIMIT``
+    nodes (``_hermite_inverse``).  The guess's error falls as the fourth power
+    of the fine spacing: for the Hunter-Saxton flow of ρ0 = sin 2πx on 256
+    nodes at 0.8 of its blowup time it is 3e-12 of the period, where a linear
+    inverse is off by 4e-7, so one Newton step reaches the roundoff plateau.
+    Newton steps are clamped to one coarse cell so near-flat stretches of eta
+    (small eta') cannot throw the iteration out of its basin.
     """
     length = grid.lengths[0]
     n = grid.shape[0]

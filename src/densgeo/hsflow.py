@@ -360,8 +360,8 @@ def integrate_flow(
     near blowup, is decoupled from them and steps by ``_rk4_factors``.
 
     Each spline (ρ0 at the back labels, u at η per stage, the residual's)
-    refines by the least of 1, 2 and 4 whose closed-form error bound is at most
-    ``_interp.SPLINE_TOL`` = 1e-9 of its sup, or by 4; ``diagnostics`` reports
+    refines by the least of 1, 2, 4 and 8 whose closed-form error bound is at
+    most ``_interp.SPLINE_TOL`` = 1e-9 of its sup, or by 8; ``diagnostics`` reports
     the run's largest bound/sup as ``spline_error_bound``.
     """
     g.check_before_blowup(t_final)

@@ -499,6 +499,15 @@ class TestIntegrateFlow:
         flow = integrate_flow(geo, 0.05, 5e-3, n_store=1)
         assert 0.0 < flow.diagnostics["spline_error_bound"] <= _interp.SPLINE_TOL
 
+    def test_spline_error_bound_certified_near_criterion_2_end(self):
+        # criterion 2's 2-D flow: its last builds need refining by 8
+        grid = PeriodicGrid((48, 48))
+        x, y = grid.coordinate(0), grid.coordinate(1)
+        geo = HsGeodesic.from_divergence(
+            ScalarField(grid, 0.5 * np.sin(2 * np.pi * x) * np.sin(2 * np.pi * y)))
+        flow = integrate_flow(geo, 0.5 * geo.t_max, 5e-3, n_store=2)
+        assert 0.0 < flow.diagnostics["spline_error_bound"] <= _interp.SPLINE_TOL
+
     def test_step_too_large(self):
         geo = sin_geodesic(64)
         with pytest.raises(StepTooLarge):

@@ -257,15 +257,47 @@ def test_spline_within_its_error_bound(case, factor, stack, data):
 
 
 @pytest.mark.parametrize("shape", [(64,), (64, 32)])
-@pytest.mark.parametrize("mode, expected", [(1, 1), (2, 2), (3, 2), (4, 4), (12, 4)])
+@pytest.mark.parametrize("mode, expected", [(1, 1), (2, 2), (3, 2), (4, 4), (12, 8)])
 @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
 def test_default_factor_is_the_least_certified(shape, mode, expected, scale):
-    """The default refinement is the least of 1 and 2 whose bound is within
-    SPLINE_TOL of the sup, and 4 where neither is, whatever the field's scale."""
+    """The default refinement is the least of 1, 2, 4 and 8 whose bound is
+    within SPLINE_TOL of the sup, and 8 where none is, whatever the field's
+    scale."""
     grid = PeriodicGrid(shape)
     values = scale * np.cos(2 * np.pi * mode * grid.coordinate(0))
-    bounds = {f: _interp.SplineEvaluator(grid, values, factor=f).error_bound for f in (1, 2, 4)}
-    certified = [f for f in (1, 2) if bounds[f] <= _interp.SPLINE_TOL * scale]
+    bounds = {f: _interp.SplineEvaluator(grid, values, factor=f).error_bound for f in (1, 2, 4, 8)}
+    certified = [f for f in (1, 2, 4, 8) if bounds[f] <= _interp.SPLINE_TOL * scale]
     spline = _interp.SplineEvaluator(grid, values)
-    assert spline.factor == (certified[0] if certified else 4) == expected
+    assert spline.factor == (certified[0] if certified else 8) == expected
     assert spline.error_bound == bounds[spline.factor]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    case=st.sampled_from([((2048,), None), ((4096,), None), ((48, 48), (1.5, 0.75)),
+                          ((64, 32), (2.0, 3.0))]),
+    length=st.floats(0.5, 4.0),
+    stack=st.sampled_from([(), (2,)]),
+    data=st.data(),
+)
+def test_field_evaluator_spline_is_certified_to_roundoff(case, length, stack, data):
+    """Above EXACT_EVAL_LIMIT nodes field_evaluator's spline pads by the least
+    of 1, 2, 4 and 8 whose bound is within FIELD_TOL of the sup (8 where none
+    is), and stays within that bound of the interpolant at random points.
+    Degrees up to 128 reach each of the four factors on 2,048 and 4,096 nodes."""
+    shape, lengths = case
+    grid = PeriodicGrid(shape, length if lengths is None else lengths)
+    assert grid.node_count > _interp.EXACT_EVAL_LIMIT
+    degree = data.draw(st.integers(1, min(128, min(shape) // 2 - 1)), label="degree")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    values = np.array([random_band_limited(grid, degree, rng).values
+                       for _ in range(stack[0] if stack else 1)]).reshape(stack + grid.shape)
+    sup = np.max(np.abs(values))
+    evaluator = _interp.field_evaluator(grid, values)
+    bounds = {f: _interp.SplineEvaluator(grid, values, factor=f).error_bound for f in (1, 2, 4, 8)}
+    certified = [f for f in (1, 2, 4, 8) if np.max(bounds[f]) <= _interp.FIELD_TOL * sup]
+    assert evaluator.factor == (certified[0] if certified else 8)
+    assert np.array_equal(evaluator.error_bound, bounds[evaluator.factor])
+    points = [rng.uniform(-L, 2.0 * L, 200) for L in grid.lengths]
+    error = np.abs(evaluator(*points) - _interp.trig_eval(grid, values, *points))
+    assert np.all(error <= np.asarray(evaluator.error_bound)[..., None] + 1e-14 * sup)

@@ -293,13 +293,15 @@ class TestInversion:
 
     @settings(max_examples=20)
     @given(
+        n=st.sampled_from([2048, 4096]),
         length=st.floats(0.5, 4.0),
         degree=st.integers(1, 16),
         slope=st.floats(0.0, 0.9),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_invert_monotone_round_trip(self, length, degree, slope, seed):
-        grid = PeriodicGrid(2048, length)
+    def test_invert_monotone_round_trip(self, n, length, degree, slope, seed):
+        # at 4096 nodes the Hermite first guess samples the grid itself
+        grid = PeriodicGrid(n, length)
         assert grid.node_count > _interp.EXACT_EVAL_LIMIT  # Newton on the spline
         rng = np.random.default_rng(seed)
         w = random_band_limited(grid, degree, rng).values
