@@ -4,20 +4,20 @@ and pseudospectral integrators for the classic 1D Euler-Arnold equations
 
 Densities over the circle are modeled as diffeomorphisms fixing x = 0, so
 tangent data is gauged by u(0) = 0.  The inverse second-derivative operator
-uses the base-point normalization g(0) = 0 (not zero mean); with it the
-Christoffel terms vanish at x = 0 and the gauge is preserved exactly by
-the geodesic evolution.
+uses the base-point normalization g(0) = 0 (not zero mean), so Γ vanishes at
+x = 0; the dealiased u uₓ does not, so the geodesic steppers re-base their whole
+rate to vanish there, and RK4 keeps the linear invariant u(0) to roundoff.
 
 Every right-hand side comes from the transform method with the 2/3 rule
 (Orszag 1971): an equation is a table of dealiased half-spectrum multipliers,
 one per quadratic product it uses from (u uₓ, uₓ², u²).  The steppers keep
 c = rfft(u) and build the lift [1, ik] and the negated table once per run, so
 an RK4 stage is two FFT calls and about five array operations (27 µs at
-N = 256 on a 2-vCPU host, 17 µs of it in the FFTs).  The gauge u(0) = 0 and
+N = 256 on a 2-vCPU host, 17 µs of it in the FFTs).  The re-based rate and
 the base point of Γ are corrections to the zero mode.
 
 ``evolve_to_tolerance`` runs any of these steppers with a Richardson estimate of
-its time error, and given no step chooses one that meets ``TIME_TOL``.
+its time error from two runs, and given no step chooses one that meets ``TIME_TOL``.
 """
 
 from __future__ import annotations
@@ -89,7 +89,7 @@ class AlphaConnection:
         return np.array([grid.dealias_mask, gamma][: 1 if coeff == 0.0 else 2])
 
     def geodesic_rhs(self, u: ScalarField) -> ScalarField:
-        """Right side of u_t = -(u uₓ + Γ(u, u)), Γ re-based to vanish at x = 0."""
+        """Right side of u_t = -(u uₓ + Γ(u, u)), re-based as a whole to vanish at x = 0."""
         return _transform_rhs(u, self._table(u.grid), gauge=True)
 
     def evolve(self, u0: ScalarField, t_final: float, dt: float) -> ScalarField:
@@ -106,7 +106,8 @@ def _at_origin(row: np.ndarray) -> float:
 def _stage(grid: PeriodicGrid, multipliers, gauge: bool, courant_dt=None):
     """The rate (t, c) -> ċ of u_t = -Σᵣ mᵣ(pᵣ) on c = rfft(u), p = (u uₓ, uₓ², u²) of
     u = irfft(c), with the lift [1, ik] and the table -m built once; ``gauge`` re-bases
-    Γ's row to vanish at x = 0, and ``courant_dt`` checks the u of each step's first stage."""
+    the whole rate to vanish at x = 0, so u(0) is a linear invariant that RK4 keeps to
+    roundoff, and ``courant_dt`` checks the u of each step's first stage."""
     n, rows = grid.shape[0], len(multipliers)
     lift = np.array([np.ones_like(grid.ik[0]), grid.ik[0]])
     minus = -np.asarray(multipliers, dtype=complex)
@@ -119,9 +120,10 @@ def _stage(grid: PeriodicGrid, multipliers, gauge: bool, courant_dt=None):
         products = (u.take(left, axis=0) * u.take(right, axis=0) if rows == 3  # no stacking
                     else u[1] * u[:rows])  # u uₓ, then uₓ² if rows > 1
         terms = minus * np.fft.rfft(products)
-        if gauge and rows > 1:
-            terms[1, 0] -= _at_origin(terms[1])
-        return sum(terms[1:], terms[0])
+        total = sum(terms[1:], terms[0])
+        if gauge:
+            total[0] -= _at_origin(total)
+        return total
 
     return rate
 
@@ -136,17 +138,15 @@ def _transform_rhs(u: ScalarField, multipliers, gauge=False) -> ScalarField:
 def _evolve(u0: ScalarField, multipliers, t_final, dt, gauge: bool) -> ScalarField:
     """Fixed-step RK4 of u_t = -Σᵣ mᵣ(pᵣ) on the half spectrum c = rfft(u), through one
     ``_stage`` built per run, so a stage does no set-up (see the module docstring);
-    ``gauge`` re-bases u(0) = 0 before every step and at the end.  A non-finite u0 is
-    NonFiniteInput before any step."""
+    ``gauge`` re-bases u0 to u(0) = 0, which the gauged rate keeps, and the final u to
+    clear its roundoff.  A non-finite u0 is NonFiniteInput before any step."""
     _require_circle(u0)
     if not np.all(np.isfinite(u0.values)):
         raise NonFiniteInput("the initial velocity u0 is not finite")
     n_steps, h = fixed_steps(t_final, dt)
     rate = _stage(u0.grid, multipliers, gauge, courant_dt=h)
-    c = np.fft.rfft(u0.values)
+    c = np.fft.rfft(u0.values - u0.values[0] if gauge else u0.values)
     for _ in range(n_steps):
-        if gauge:
-            c[0] -= _at_origin(c)
         c = rk4_step(rate, 0.0, c, h)
     u = np.fft.irfft(c, n=u0.grid.shape[0])
     return ScalarField(u0.grid, u - u[0] if gauge else u)
@@ -156,30 +156,24 @@ TIME_TOL = 1e-12  # sup-norm time error that evolve_to_tolerance asks for
 DEFAULT_DT = 1e-4  # its step count K caps evolve_to_tolerance's runs
 
 
-def _richardson(runs: dict, n: int) -> float:
-    """sup|u_n - u| for run n of ``runs`` (steps -> u), with u from the fit u_k = u + A k⁻⁴ +
-    B k⁻¹ through three runs (Richardson; Hairer, Nørsett & Wanner, Solving ODEs I, §II.4):
-    RK4's error, and the first-order one of the gauge re-based between steps, which
-    dominates once u has content the 2/3 rule cuts.  Two runs fit B alone; one gives inf."""
-    steps = sorted(runs)
-    r = np.array(steps, dtype=float) / n
-    basis = np.stack([r ** 0.0, *(r ** q for q in (-4.0, -1.0)[3 - len(r):])], axis=1)
-    limit = np.linalg.solve(basis, np.stack([runs[k].values for k in steps]))[0]
-    return float(np.max(np.abs(runs[n].values - limit))) if len(r) > 1 else math.inf
+def _richardson(u_n: ScalarField, u_m: ScalarField, ratio: float) -> float:
+    """sup|u_n - u| = |u_n - u_m| / |1 - (n/m)⁴| for runs of n and m = n/ratio steps, from RK4's
+    u_k = u + A k⁻⁴ (Richardson; Hairer, Nørsett & Wanner, Solving ODEs I, §II.4)."""
+    return float(np.max(np.abs(u_n.values - u_m.values))) / abs(1.0 - ratio ** 4)
 
 
 def evolve_to_tolerance(evolve, u0: ScalarField, t_final: float, dt=None):
     """The run ``evolve(u0, t_final, dt)`` of a fixed-step stepper and ``_richardson``'s
-    estimate E of its time error, as (u, E, steps of u, steps of every run started).  E
-    uses runs of ⌈n/2⌉ and ⌈n/4⌉ steps, near enough n to see the error there; given ``dt``,
-    2n and 4n stand in for one that is StepTooLarge, non-finite or n itself.
+    estimate E of its time error, as (u, E, steps of u, steps of every run started), from
+    the largest earlier finished run, else the first finite of ⌈n/2⌉ and 2n steps.
 
     Given ``dt``, u is that run bit for bit.  Otherwise runs start at Courant number 1/8
     of u0 (4 steps at least) and take ⌈1.1 n (E/TIME_TOL)^¼⌉ steps until E ≤ TIME_TOL (2n
-    where E is inf or the run StepTooLarge).  A run that with its companions would take
-    the total past K/4, K the steps of ``DEFAULT_DT``, is the K-step run, the last: at most
-    2 K in all, and no run past K.  E = NaN for a non-finite u, and inf where no companion
-    finished; t_final = 0 or u0 = 0 take one run, with E = 0."""
+    where E is inf or the run StepTooLarge).  A run that would take the total past K, the
+    steps of ``DEFAULT_DT``, is the K-step run, the last; a companion that would is not
+    run, unless it is the K-step run's and stays within 2 K, the most all runs take.
+    E = NaN for a non-finite u, and inf where no companion finished; t_final = 0 or
+    u0 = 0 take one run, with E = 0."""
     cap = fixed_steps(t_final, dt or DEFAULT_DT)[0]  # rejects too many steps before any run
     counts, runs = [], {}  # steps of every run started; steps -> u of the finite ones
 
@@ -191,13 +185,16 @@ def evolve_to_tolerance(evolve, u0: ScalarField, t_final: float, dt=None):
         return counts[-1], u
 
     def estimate(n):
-        near = []
-        for m in ((n + 1) // 2, (n + 3) // 4, 2 * n, 4 * n):
-            if n in runs and len(near) < 2 and m not in (n, *near) and (dt or m < n):
+        if n not in runs:
+            return math.nan
+        m = max((k for k in runs if k != n), default=0)
+        room = math.inf if dt else (1 + (n == cap)) * cap  # the total a companion may reach
+        for k in (n + 1) // 2, 2 * n:
+            if not m and k not in (n, *counts) and sum(counts) + k <= room:
                 with suppress(StepTooLarge):
-                    m = m if m in counts else run(t_final / m)[0]
-                near += [m] if m in runs else []
-        return _richardson({k: runs[k] for k in (n, *near)}, n) if n in runs else math.nan
+                    k = run(t_final / k)[0]
+                m = k if k in runs else 0
+        return _richardson(runs[n], runs[m], n / m) if m else math.inf
 
     sup = float(np.max(np.abs(u0.values)))
     if t_final == 0.0 or sup == 0.0:  # u0 is the answer, up to the FFT round trip
@@ -206,10 +203,10 @@ def evolve_to_tolerance(evolve, u0: ScalarField, t_final: float, dt=None):
     if dt is not None:
         n, u = run(dt)
         return u, estimate(n), n, sum(counts)
-    # Courant number 1/8 of u0, so at most 1/2 for ⌈n/4⌉; a NaN u0 goes on to the K-step run
+    # Courant number 1/8 of u0, so at most 1/4 for ⌈n/2⌉; a NaN u0 goes on to the K-step run
     count = max(4, math.ceil(min(cap, 8 * t_final * sup * u0.grid.shape[0] / u0.grid.lengths[0])))
     while True:
-        count = cap if sum(counts) + 1.75 * count > cap / 4 else count
+        count = cap if sum(counts) + count > cap else count
         try:
             n, u = run(DEFAULT_DT if count == cap else t_final / count)
             e = estimate(n)
