@@ -169,11 +169,12 @@ def evolve_to_tolerance(evolve, u0: ScalarField, t_final: float, dt=None):
 
     Given ``dt``, u is that run bit for bit.  Otherwise runs start at Courant number 1/8
     of u0 (4 steps at least) and take ⌈1.1 n (E/TIME_TOL)^¼⌉ steps until E ≤ TIME_TOL (2n
-    where E is inf or the run StepTooLarge).  A run that would take the total past K, the
-    steps of ``DEFAULT_DT``, is the K-step run, the last; a companion that would is not
-    run, unless it is the K-step run's and stays within 2 K, the most all runs take.
-    E = NaN for a non-finite u, and inf where no companion finished; t_final = 0 or
-    u0 = 0 take one run, with E = 0."""
+    where E is inf or the run StepTooLarge), and where the last run's companion took
+    m > n steps, u is the companion's run, with E·(n/m)⁴.  A run that would take the total
+    past K, the steps of ``DEFAULT_DT``, is the K-step run, the last; a companion that
+    would is not run, unless it is the K-step run's and stays within 2 K, the most all
+    runs take.  E = NaN for a non-finite u, and inf where no companion finished;
+    t_final = 0 or u0 = 0 take one run, with E = 0."""
     cap = fixed_steps(t_final, dt or DEFAULT_DT)[0]  # rejects too many steps before any run
     counts, runs = [], {}  # steps of every run started; steps -> u of the finite ones
 
@@ -184,9 +185,9 @@ def evolve_to_tolerance(evolve, u0: ScalarField, t_final: float, dt=None):
             runs[counts[-1]] = u
         return counts[-1], u
 
-    def estimate(n):
+    def estimate(n):  # (E, the companion's steps m, or 0 where none finished)
         if n not in runs:
-            return math.nan
+            return math.nan, 0
         m = max((k for k in runs if k != n), default=0)
         room = math.inf if dt else (1 + (n == cap)) * cap  # the total a companion may reach
         for k in (n + 1) // 2, 2 * n:
@@ -194,7 +195,7 @@ def evolve_to_tolerance(evolve, u0: ScalarField, t_final: float, dt=None):
                 with suppress(StepTooLarge):
                     k = run(t_final / k)[0]
                 m = k if k in runs else 0
-        return _richardson(runs[n], runs[m], n / m) if m else math.inf
+        return (_richardson(runs[n], runs[m], n / m) if m else math.inf), m
 
     sup = float(np.max(np.abs(u0.values)))
     if t_final == 0.0 or sup == 0.0:  # u0 is the answer, up to the FFT round trip
@@ -202,20 +203,20 @@ def evolve_to_tolerance(evolve, u0: ScalarField, t_final: float, dt=None):
         return u, 0.0, n, n
     if dt is not None:
         n, u = run(dt)
-        return u, estimate(n), n, sum(counts)
+        return u, estimate(n)[0], n, sum(counts)
     # Courant number 1/8 of u0, so at most 1/4 for ⌈n/2⌉; a NaN u0 goes on to the K-step run
     count = max(4, math.ceil(min(cap, 8 * t_final * sup * u0.grid.shape[0] / u0.grid.lengths[0])))
     while True:
         count = cap if sum(counts) + count > cap else count
         try:
             n, u = run(DEFAULT_DT if count == cap else t_final / count)
-            e = estimate(n)
+            e, m = estimate(n)
         except StepTooLarge:
             if count == cap:
                 raise
-            n, e = count, math.inf
+            n, e, m = count, math.inf, 0
         if math.isnan(e) or e <= TIME_TOL or count == cap:
-            return u, e, n, sum(counts)
+            return (runs[m], e * (n / m) ** 4, m, sum(counts)) if m > n else (u, e, n, sum(counts))
         count = 2 * n if e == math.inf else math.ceil(1.1 * n * (e / TIME_TOL) ** 0.25)
 
 

@@ -256,16 +256,12 @@ def _cmd_hs(args) -> dict:
     horizon = _hs_horizon(args, geo)
     ts = np.linspace(0.0, horizon, args.samples)
 
-    # (f, ḟ) at a chunk of sample times at once, as (times, nodes), with the
-    # Jacobian's RK4 chunk bound; a row's sum adds its nodes in the order a
-    # lone snapshot's does, and the factors 2 of ρ = 2ḟ/f and 4 of ρ²·Jac =
-    # (2ḟ)² scale by powers of two after the reductions, which commutes with
-    # rounding, so each row has flow_energy's bits
+    # a row's sum adds its nodes in the order a lone snapshot's does, and the
+    # factors 2 of ρ = 2ḟ/f and 4 of ρ²·Jac = (2ḟ)² scale by powers of two
+    # after the reductions, which commutes with rounding, so each row has
+    # flow_energy's bits
     series = []
-    per_chunk = max(1, hsflow._CHUNK_VALUES // grid.node_count)
-    for first in range(0, len(ts), per_chunk):
-        times = ts[first : first + per_chunk]
-        f, fdot = (v.reshape(len(times), -1) for v in hsflow.great_circle(geo, times))
+    for times, f, fdot in hsflow.great_circle_chunks(geo, ts, grid.node_count):
         jac = f**2
         series += [
             {"t": t, "min_jacobian": low, "jacobian_mass": mass, "sup_rho": sup, "energy": e}
@@ -366,17 +362,13 @@ def _cmd_invariants(args) -> dict:
     ts = np.linspace(0.0, period, args.samples)
     weighted_basis = grid.node_weight * invariants.fourier_basis(grid, count).reshape(count, -1)
 
-    # (f, ḟ) at a chunk of sample times at once, as (times, nodes), with the
-    # stacked chains' (times, K, K) bound too, and h feeds the nested chain
-    # (chain_Hk would build it again); each drift and leak is a running
-    # maximum, the drifts against the first sample's values.  The raw
-    # great-circle point is projected: past blowup it changes sign, which
+    # chunks bound the stacked chains' (times, K, K) arrays too, and h feeds
+    # the nested chain (chain_Hk would build it again); each drift and leak is
+    # a running maximum, the drifts against the first sample's values.  The
+    # raw great-circle point is projected: past blowup it changes sign, which
     # is fine on the sphere
     firsts, drifts, leaks = None, [0.0] * 3, [0.0] * 2
-    per_chunk = max(1, hsflow._CHUNK_VALUES // max(grid.node_count, count * count))
-    for first in range(0, len(ts), per_chunk):
-        times = ts[first : first + per_chunk]
-        f, fdot = (v.reshape(len(times), -1) for v in hsflow.great_circle(geo, times))
+    for _, f, fdot in hsflow.great_circle_chunks(geo, ts, max(grid.node_count, count**2)):
         c = invariants.project_rows(grid, f, fdot, float(np.sqrt(geo.mass)), weighted_basis)
         h = invariants.angular_momenta(c)
         chains = (h, invariants._nested_sums(h), invariants.chain_Hproj(c))

@@ -245,14 +245,9 @@ def directional_derivative(
     return np.sum(velocity * gradient_values(grid, values), axis=-grid.dim - 1)
 
 
-def dealias(field: ScalarField) -> ScalarField:
-    """Truncate to the 2/3-rule wavenumber ball (for quadratic products)."""
-    grid = field.grid
-    return ScalarField(grid, fourier(grid, field.values, grid.dealias_mask))
-
-
 def dealiased_product(f: ScalarField, g: ScalarField) -> ScalarField:
-    return dealias(ScalarField(f.grid, f.values * g.values))
+    """f·g truncated to the 2/3-rule wavenumber ball."""
+    return ScalarField(f.grid, fourier(f.grid, f.values * g.values, f.grid.dealias_mask))
 
 
 def real_modes(grid: PeriodicGrid, bound: int) -> list[tuple[int, ...]]:

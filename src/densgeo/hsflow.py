@@ -11,10 +11,10 @@ kernel, ``great_circle``, evaluates: Jac = f², ρ∘η = 2ḟ/f (an explicit
 tangent) and ρ²·Jac = 4ḟ².  It takes sin(κt)/κ as t·sinc(κt), so κ = 0
 needs no branch: there the solution is the stationary one, ρ0 = 0, with
 f ≡ 1 and ρ ≡ 0 exactly.  Given an array of times it evaluates them all in
-one call, time axis first, which is how ``jacobian_by_ode`` and
-``integrate_flow`` take the Jacobian's RK4 as a product of per-step factors
-and how the CLI's ``hs`` takes its sample series, in chunks of
-``_CHUNK_VALUES`` values.
+one call, time axis first.  ``great_circle_chunks`` cuts a long series of
+times into such calls of about ``_CHUNK_VALUES`` values each; it feeds the
+Jacobian's RK4 factors (``_rk4_factors``, for ``jacobian_by_ode`` and
+``integrate_flow``) and the CLI's ``hs`` and ``invariants`` series.
 """
 
 from __future__ import annotations
@@ -51,13 +51,13 @@ from .grid import (
 
 KAPPA_EPS = 1e-13
 IDENTITY_TOL = 1e-10  # of a flow's start: |J - 1|, and |η - id| over the longest period
-# values of ρ (times × nodes) per chunk of ``_rk4_factors`` and of the CLI's hs
-# series: a chunk's arrays of 8·2¹⁴ bytes stay at glibc's default mmap and trim
-# threshold (128 KiB, mallopt(3)), where its heap keeps them.  At 2¹⁵ a process
-# that has not yet freed a block above 256 KiB (which raises both thresholds)
-# returns each chunk's arrays to the kernel and faults them in afresh: 17,000
-# minor faults and 80-100 ms per jacobian_by_ode call at N = 512 on a 2-vCPU
-# Xeon, against 200-350 faults and 50-60 ms at 2¹⁴, fresh or warm
+# values (times × nodes) per chunk of ``great_circle_chunks``, the one chunk rule of
+# ``_rk4_factors`` and the CLI's hs and invariants series: a chunk's arrays of 8·2¹⁴
+# bytes stay at glibc's default mmap and trim threshold (128 KiB, mallopt(3)), where
+# its heap keeps them.  At 2¹⁵ a process that has not yet freed a block above 256 KiB
+# (which raises both thresholds) returns each chunk's arrays to the kernel and faults
+# them in afresh: 17,000 minor faults and 80-100 ms per jacobian_by_ode call at N = 512
+# on a 2-vCPU Xeon, against 200-350 faults and 50-60 ms at 2¹⁴, fresh or warm
 _CHUNK_VALUES = 2**14
 
 
@@ -149,6 +149,16 @@ def great_circle(g: HsGeodesic, t, rho0_values: np.ndarray | None = None):
         cos_kt = math.cos(g.kappa * t)
     s = t * sinc(g.kappa * t)
     return cos_kt + (0.5 * s) * rho0, (0.5 * cos_kt) * rho0 - g.kappa**2 * s
+
+
+def great_circle_chunks(g: HsGeodesic, times: np.ndarray, values_per_time: int):
+    """(chunk, f, ḟ) per chunk of max(1, ``_CHUNK_VALUES`` // ``values_per_time``) columns
+    of the last axis of ``times``, in order, by one ``great_circle`` call on the chunk's
+    times flattened; f and ḟ are (*chunk.shape, nodes), and the generator keeps neither."""
+    per_chunk = max(1, _CHUNK_VALUES // values_per_time)
+    for first in range(0, times.shape[-1], per_chunk):
+        chunk = times[..., first : first + per_chunk]
+        yield chunk, *(v.reshape(chunk.shape + (-1,)) for v in great_circle(g, chunk.ravel()))
 
 
 def _rho(g: HsGeodesic, t: float, rho0_values: np.ndarray | None = None) -> np.ndarray:
@@ -310,30 +320,31 @@ def inverse_map_rate(grid: PeriodicGrid, velocity: np.ndarray, disp: np.ndarray)
 
 def _rk4_factors(g: HsGeodesic, n_steps: int, h: float):
     """RK4's factors of J' = a(t)·J, a = ρ(t, η(t, x)), over n steps of h from 0,
-    as arrays (steps, *shape) of at most about ``_CHUNK_VALUES`` values of ρ.  The
-    rate does not depend on J, so a step is J ← J·P with P = 1 + (h/6)(a₁ + 2k₂ +
-    2k₃ + k₄), k₂ = a₂(1 + ½h·a₁), k₃ = a₂(1 + ½h·k₂), k₄ = a₄(1 + h·k₃), and a₁,
-    a₂, a₄ at t, t + h/2, t + h: the classical method, with ρ at a chunk's whole
-    steps, then its half steps, from one ``great_circle`` call, so each of a₁, a₂
-    and a₄ is contiguous.  A chunk's first a₁ is the last a₄ before it, so n
-    steps evaluate ρ 2n + 1 times."""
-    per_chunk = max(1, _CHUNK_VALUES // (2 * g.grid.node_count))
-    ends = _rho(g, np.zeros(1))  # ρ at whole steps, from the chunk's start
-    for first in range(0, n_steps, per_chunk):
-        steps = np.arange(first + 1, min(first + per_chunk, n_steps) + 1, dtype=float)
-        rho = _rho(g, h * np.concatenate([steps, steps - 0.5]))
-        ends = np.concatenate([ends[-1:], rho[: len(steps)]])
-        a1, a2, a4 = ends[:-1], rho[len(steps) :], ends[1:]
+    as arrays (steps, *shape), one per chunk of ``great_circle_chunks``.  The rate
+    does not depend on J, so a step is J ← J·P with P = 1 + (h/6)(a₁ + 2k₂ + 2k₃ +
+    k₄), k₂ = a₂(1 + ½h·a₁), k₃ = a₂(1 + ½h·k₂), k₄ = a₄(1 + h·k₃), and a₁, a₂, a₄
+    at t, t + h/2, t + h: the classical method.  The times are rows of whole steps
+    and of half steps, so a chunk's call takes its whole steps, then its half
+    steps, and each of a₁, a₂ and a₄ is contiguous.  A chunk's first a₁ is the
+    last a₄ before it, so n steps evaluate ρ 2n + 1 times."""
+    ends = _rho(g, np.zeros(1)).reshape(1, -1)  # ρ at whole steps, from the chunk's start
+    times = np.arange(1.0, n_steps + 1) - np.array([[0.0], [0.5]])
+    times *= h
+    for _, f, fdot in great_circle_chunks(g, times, 2 * g.grid.node_count):
+        whole, a2 = 2.0 * fdot / f
+        del f, fdot  # fewer live chunk arrays, or glibc trims the heap and re-faults it
+        ends = np.concatenate([ends[-1:], whole])
+        a1, a4 = ends[:-1], ends[1:]
         k2 = a2 * (1.0 + 0.5 * h * a1)
         k3 = a2 * (1.0 + 0.5 * h * k2)
         k4 = a4 * (1.0 + h * k3)
-        yield 1.0 + (h / 6.0) * (a1 + 2.0 * (k2 + k3) + k4)
+        yield (1.0 + (h / 6.0) * (a1 + 2.0 * (k2 + k3) + k4)).reshape((-1, *g.grid.shape))
 
 
 def jacobian_by_ode(g: HsGeodesic, t_final: float, dt: float) -> ScalarField:
     """Integrate the Jacobian transport equation dJ/dt = (ρ∘η) J per node
     with RK4, driving it by the closed-form characteristic values: J is the
-    product of the steps' factors (``_rk4_factors``), taken a chunk at a time."""
+    product of the steps' factors, a chunk at a time (``_rk4_factors``)."""
     g.check_before_blowup(t_final)
     jac = np.ones(g.grid.shape)
     for factors in _rk4_factors(g, *fixed_steps(t_final, dt)):

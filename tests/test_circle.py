@@ -618,12 +618,31 @@ class TestEvolveToTolerance:
                 raise StepTooLarge("coarse")
             return evolve(v, t, dt)
 
-        # 100 steps have no finished earlier run and 50 are too few, so 200 is the companion
+        # 100 steps have no finished earlier run and 50 are too few, so 200 is the companion,
+        # and the finer of the pair is returned
         u, error, steps, total = evolve_to_tolerance(stepper, u0, 0.3)
         assert starts == [25, 50, 100, 200] and total == sum(starts)
-        assert error <= circle.TIME_TOL and steps == 100
+        assert error <= circle.TIME_TOL and steps == 200
         with pytest.raises(StepTooLarge):  # at the cap it propagates
             evolve_to_tolerance(stepper, u0, 0.3, 0.3 / 50)
+
+    def test_the_finer_run_of_the_pair_is_returned(self):
+        # runs below 100 steps are too large, so the 100-step run's companion is the 2n run:
+        # that run is returned, with the pair's estimate scaled to it by (100/200)⁴
+        u0 = self._data()
+        evolve = AlphaConnection(1.0).evolve
+
+        def stepper(v, t, dt):
+            if fixed_steps(t, dt)[0] < 100:
+                raise StepTooLarge("coarse")
+            return evolve(v, t, dt)
+
+        u, error, steps, total = evolve_to_tolerance(stepper, u0, 0.3)
+        fine, coarse = (evolve(u0, 0.3, 0.3 / n).values for n in (200, 100))
+        assert np.array_equal(u.values, fine) and steps == 200
+        assert error == float(np.max(np.abs(coarse - fine))) / (1 - 2.0**-4) * 2.0**-4
+        true = np.max(np.abs(u.values - alpha_one_explicit(u0, 0.3)[0].values))
+        assert _tracks(error, true, u)
 
     def test_non_finite_run_ends_the_loop(self):
         starts = []

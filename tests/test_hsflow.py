@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -232,6 +234,36 @@ class TestGreatCircleKernel:
             want = np.stack(want)
             assert got.shape == (len(times),) + shape
             assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+    @settings(max_examples=60, deadline=None)
+    @given(shape=st.sampled_from([(16,), (8, 8)]), seed=st.integers(0, 2**32 - 1),
+           layout=st.sampled_from(["series", "whole and half steps"]),
+           count=st.integers(1, 40), chunk_values=st.integers(1, 2**9),
+           values_per_time=st.integers(1, 2**10), data=st.data())
+    def test_chunks_cover_the_times_in_order_with_the_kernel_bits(
+        self, shape, seed, layout, count, chunk_values, values_per_time, data
+    ):
+        grid = PeriodicGrid(shape)
+        degree = data.draw(st.integers(1, min(shape) // 4), label="degree")
+        geo = HsGeodesic.from_divergence(
+            random_band_limited(grid, degree, np.random.default_rng(seed)))
+        if layout == "series":
+            fracs = data.draw(st.lists(st.floats(0.0, 0.99), min_size=count, max_size=count))
+            times = np.array(fracs) * geo.t_max
+        else:  # _rk4_factors' rows of whole steps and half steps of h
+            steps, h = np.arange(1.0, count + 1), 0.99 * geo.t_max / count
+            times = h * np.array([steps, steps - 0.5])
+        with mock.patch.object(hsflow, "_CHUNK_VALUES", chunk_values):
+            chunks = list(hsflow.great_circle_chunks(geo, times, values_per_time))
+        assert np.array_equal(np.concatenate([c for c, _, _ in chunks], axis=-1), times)
+        assert all(0 < c.shape[-1] <= max(1, chunk_values // values_per_time)
+                   for c, _, _ in chunks)
+        for chunk, f, fdot in chunks:
+            assert f.shape == fdot.shape == chunk.shape + (grid.node_count,)
+            for index, t in np.ndenumerate(chunk):
+                want = hsflow.great_circle(geo, np.array([t]))
+                assert np.array_equal(f[index], want[0].ravel())
+                assert np.array_equal(fdot[index], want[1].ravel())
 
 
 class TestStationaryLimit:
