@@ -68,7 +68,7 @@ from .invariants import (
     poisson_bracket_check,
     project,
 )
-from .moser import compose_maps, invert_map, lift_flow, transport_map
+from .moser import invert_map, lift_flow, transport_map
 from .simplex import (
     BOUNCE_TIME,
     SimplexPoint,

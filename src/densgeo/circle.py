@@ -37,7 +37,7 @@ from .grid import (
     derivative,
     fixed_steps,
     fourier,
-    integrate,
+    l2_inner,
     laplacian_inverse,
     periodic_primitive,
     rk4_step,
@@ -314,6 +314,4 @@ def duality_residual(alpha: float, u: ScalarField, v: ScalarField, w: ScalarFiel
     minus = AlphaConnection(-alpha).christoffel(u, w)
     term1 = ScalarField(grid, vx.values * u.values + plus.values)
     term2 = ScalarField(grid, wx.values * u.values + minus.values)
-    first = integrate(ScalarField(grid, derivative(term1).values * wx.values))
-    second = integrate(ScalarField(grid, vx.values * derivative(term2).values))
-    return 0.25 * (first + second)
+    return 0.25 * (l2_inner(derivative(term1), wx) + l2_inner(vx, derivative(term2)))

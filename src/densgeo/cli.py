@@ -36,7 +36,6 @@ from .exprparse import evaluate_on_grid
 from .grid import (
     PeriodicGrid,
     ScalarField,
-    derivative,
     integrate,
     mean,
     random_band_limited,
@@ -333,9 +332,8 @@ def _cmd_alpha(args) -> dict:
     u_final, error, steps, steps_total = circle.evolve_to_tolerance(
         circle.AlphaConnection(args.alpha).evolve, u0, args.t_final, args.dt)
 
-    def h1dot_energy(u):
-        ux = derivative(u).values
-        return float(grid.node_weight * np.sum(ux * ux))
+    def h1dot_energy(u):  # ∫ uₓ² dx = fisher_rao_inner(u, u) = 4 h1dot_inner(u, u)
+        return spheregeo.fisher_rao_inner(grid, u.values[None], u.values[None])
 
     # degree below N/3, so the products in the duality check do not alias
     degree = min(8, (args.grid - 1) // 3)

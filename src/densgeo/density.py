@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import MassMismatch, NegativeDensity, NonFiniteInput, NonPositiveInput
 from .errors import OffSphere, ValidationError
-from .grid import PeriodicGrid, ScalarField, integrate
+from .grid import PeriodicGrid, ScalarField, integrate, l2_inner
 
 # the largest share of the mass that negative values (roundoff) may carry;
 # sqrt_map drops them, which moves |sqrt ρ|² off the sphere by that share
@@ -74,7 +74,7 @@ class SpherePoint:
     def __post_init__(self):
         if not (np.all(np.isfinite(self.field.values)) and np.isfinite(self.radius)):
             raise NonFiniteInput("sphere point values and radius must be finite")
-        norm_sq = integrate(ScalarField(self.field.grid, self.field.values**2))
+        norm_sq = l2_inner(self.field, self.field)
         if abs(norm_sq - self.radius**2) > SPHERE_TOL * self.radius**2:
             raise OffSphere(
                 f"sphere constraint violated: |f|^2 = {norm_sq!r}, r^2 = {self.radius**2!r}"

@@ -42,7 +42,7 @@ from .grid import (
     directional_derivative,
     fixed_steps,
     gradient_values,
-    integrate,
+    l2_inner,
     laplacian_inverse_gradient,
     periodic_primitive,
     rk4_step,
@@ -81,7 +81,7 @@ class HsGeodesic:
         check_mean_zero(rho0, "the initial divergence")
         mass = grid.total_volume
         with np.errstate(over="ignore"):
-            kappa_sq = integrate(ScalarField(grid, rho0.values**2)) / (4.0 * mass)
+            kappa_sq = energy(rho0) / (4.0 * mass)
         if not np.isfinite(kappa_sq):
             raise NonFiniteInput("the energy integral of rho0**2 overflows for this divergence")
         kappa = float(np.sqrt(max(kappa_sq, 0.0)))
@@ -202,7 +202,7 @@ def evolve_density_global(g: HsGeodesic, t: float) -> tuple[SpherePoint, Density
 
 def energy(rho: ScalarField) -> float:
     """∫ ρ² dμ for an Eulerian divergence snapshot."""
-    return integrate(ScalarField(rho.grid, rho.values**2))
+    return l2_inner(rho, rho)
 
 
 def flow_energy(g: HsGeodesic, t: float) -> float:

@@ -226,9 +226,3 @@ def _flow_transport(source: Density, target: Density, dt: float) -> np.ndarray:
 
     disp = _advect_inverse(grid, velocity, 1.0, 0.0, dt, np.zeros_like(grid.identity))
     return grid.identity + disp
-
-
-def compose_maps(grid: PeriodicGrid, outer: np.ndarray, inner: np.ndarray) -> np.ndarray:
-    """Composition (outer ∘ inner) of two grid maps via the periodic
-    displacement of the outer map."""
-    return inner + _interp.SplineEvaluator(grid, outer - grid.identity)(*inner)

@@ -39,8 +39,8 @@ def spherical_distance(a: Density, b: Density) -> float:
 def hellinger_distance(a: Density, b: Density) -> float:
     """Chordal distance: the L^2 norm of sqrt(a) - sqrt(b)."""
     _check_pair(a, b)
-    diff = np.sqrt(np.clip(a.values, 0.0, None)) - np.sqrt(np.clip(b.values, 0.0, None))
-    return float(np.sqrt(integrate(ScalarField(a.grid, diff**2))))
+    diff = ScalarField(a.grid, sqrt_map(a).values - sqrt_map(b).values)
+    return float(np.sqrt(l2_inner(diff, diff)))
 
 
 @dataclass(frozen=True)

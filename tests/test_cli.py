@@ -20,6 +20,7 @@ from densgeo.cli import dumps, main
 from densgeo.exprparse import evaluate_on_grid, parse_expression
 from densgeo.errors import NonFiniteResult, ValidationError
 from densgeo.grid import PeriodicGrid, ScalarField
+from densgeo.spheregeo import h1dot_inner
 
 
 def run_cli(capsys, *argv):
@@ -240,6 +241,20 @@ class TestSubcommands:
         )
         assert drift <= 1e-8
         assert abs(doc["diagnostics"]["duality_residual"]) <= 1e-10
+
+    def test_alpha_energies_are_four_h1dot_inner(self, capsys):
+        # h1dot_energy_* is ∫ uₓ² dx = fisher_rao_inner(u, u) = 4 h1dot_inner(u, u), bit
+        # for bit, of the re-based u0 and of the printed u_final
+        expr = "sin(2*pi*x) + 0.3*cos(4*pi*x) + 0.2"
+        code, out = run_cli(capsys, "alpha", "--alpha", "0.5", "--u0", expr,
+                            "--grid", "64", "--t-final", "0.1")
+        assert code == 0
+        doc = json.loads(out)
+        grid = PeriodicGrid(64)
+        values = evaluate_on_grid(expr, grid)
+        for u, key in ((values - values[0], "h1dot_energy_initial"),
+                       (np.array(doc["results"]["u_final"]), "h1dot_energy_final")):
+            assert doc["results"][key] == 4 * h1dot_inner(grid, u[None], u[None])
 
 
 class TestRoundTrip:
