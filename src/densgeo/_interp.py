@@ -30,7 +30,7 @@ from functools import lru_cache, partial
 import numpy as np
 
 from .errors import InversionDiverged
-from .grid import PeriodicGrid, fourier
+from .grid import PeriodicGrid, fourier, transform
 
 # bounds on a spline's error relative to the field's sup, met by the least pad
 # factor of PAD_FACTORS (the largest where none meets it).  SPLINE_TOL, the
@@ -50,11 +50,11 @@ NEWTON_MAX_ITER = 60
 def pad_values(grid: PeriodicGrid, values: np.ndarray, factor: int) -> np.ndarray:
     """Resample a field or a stack onto a ``factor`` times finer grid by
     zero-padding the real half spectrum over the trailing grid axes."""
-    return _pad_spectrum(grid, np.fft.rfftn(values, axes=tuple(range(-grid.dim, 0))), factor)
+    return _pad_spectrum(grid, transform(grid, values), factor)
 
 
 def _pad_spectrum(grid: PeriodicGrid, spec: np.ndarray, factor: int) -> np.ndarray:
-    """``pad_values`` from the values' ``rfftn`` over the grid axes."""
+    """``pad_values`` from the values' half spectrum ``transform``."""
     spec = spec * factor**grid.dim
     for axis, n in zip(range(-grid.dim, 0), grid.shape):
         spec = _pad_axis(spec, axis, n, n * factor)
@@ -108,7 +108,7 @@ def _spline_symbols(shape: tuple, factor: int) -> tuple[np.ndarray, np.ndarray]:
 def _certify(grid: PeriodicGrid, spec: np.ndarray, sup: float, tol: float,
              factors: tuple = PAD_FACTORS) -> tuple[np.ndarray, int]:
     """The least of ``factors`` whose spline error bounds (per field, from the
-    values' ``rfftn`` ``spec``) are at most ``tol`` times ``sup``, or the last
+    values' half spectrum ``spec``) are at most ``tol`` times ``sup``, or the last
     where none is, with those bounds."""
     axes = tuple(range(-grid.dim, 0))
     magnitudes = np.abs(spec)
@@ -130,7 +130,7 @@ class SplineEvaluator:
     where none is."""
 
     def __init__(self, grid: PeriodicGrid, values: np.ndarray, factor: int | None = None):
-        spec = np.fft.rfftn(values, axes=tuple(range(-grid.dim, 0)))
+        spec = transform(grid, values)
         self.error_bound, factor = _certify(grid, spec, np.abs(values).max(), SPLINE_TOL,
                                             PAD_FACTORS if factor is None else (factor,))
         self.grid = grid
@@ -153,7 +153,7 @@ class SplineEvaluator:
 def half_spectrum(grid: PeriodicGrid, values: np.ndarray) -> np.ndarray:
     """``trig_sum``'s coefficients of a field (*shape) or a stack (m, *shape): the
     real FFT over the node count, interior modes twice, for their conjugates."""
-    spec = (np.fft.rfft(values) if grid.dim == 1 else np.fft.rfft2(values)) / grid.node_count
+    spec = transform(grid, values) / grid.node_count
     spec[..., 1 : grid.shape[-1] // 2] *= 2.0
     return spec
 
@@ -237,7 +237,7 @@ def field_evaluator(grid: PeriodicGrid, values: np.ndarray):
     sup (by 8 where none is)."""
     if grid.node_count <= EXACT_EVAL_LIMIT:
         return partial(trig_sum, grid, half_spectrum(grid, values))
-    spec = np.fft.rfftn(values, axes=tuple(range(-grid.dim, 0)))
+    spec = transform(grid, values)
     return SplineEvaluator(grid, values, _certify(grid, spec, np.abs(values).max(), FIELD_TOL)[1])
 
 

@@ -37,6 +37,7 @@ from .grid import (
     derivative,
     fixed_steps,
     fourier,
+    integrate,
     l2_inner,
     laplacian_inverse,
     periodic_primitive,
@@ -236,10 +237,10 @@ def alpha_one_explicit(u0: ScalarField, t: float) -> tuple[ScalarField, np.ndarr
     length = grid.lengths[0]
     w = derivative(u0).values
     growth = np.exp(t * w)
-    g_total = grid.node_weight * np.sum(growth)  # ∫₀^L e^{t u0ₓ}
+    g_total = integrate(ScalarField(grid, growth))  # ∫₀^L e^{t u0ₓ}
     big_g = periodic_primitive(grid, growth)  # ∫₀ˣ e^{t u0ₓ}
     big_h = periodic_primitive(grid, w * growth)  # ∫₀ˣ u0ₓ e^{t u0ₓ}
-    h_total = grid.node_weight * np.sum(w * growth)
+    h_total = l2_inner(ScalarField(grid, w), ScalarField(grid, growth))
 
     x = grid.coordinate(0)
     eta = length * big_g / g_total  # slope-one circle map fixing 0

@@ -311,7 +311,7 @@ def _cmd_moser_lift(args) -> dict:
             {
                 "t": float(t),
                 "jacobian_error": float(np.max(np.abs(flow.jacobians[i] - phi))),
-                "jacobian_mass": float(grid.node_weight * np.sum(flow.jacobians[i])),
+                "jacobian_mass": integrate(ScalarField(grid, flow.jacobians[i])),
             }
         )
     return _document(

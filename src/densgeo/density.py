@@ -47,7 +47,7 @@ class Density:
             raise NonFiniteInput("density values and mass must be finite")
         if not self.mass > 0.0:
             raise NonPositiveInput(f"density mass must be positive, got {self.mass!r}")
-        if self.grid.node_weight * np.sum(np.minimum(values, 0.0)) < -POSITIVITY_TOL * self.mass:
+        if integrate(ScalarField(self.grid, np.minimum(values, 0.0))) < -POSITIVITY_TOL * self.mass:
             raise NegativeDensity("density values must be non-negative")
         total = integrate(self.field)
         if abs(total - self.mass) > MASS_TOL * abs(self.mass):

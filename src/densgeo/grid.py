@@ -5,11 +5,13 @@ which is spectrally exact for periodic integrands.  Every spectral operator
 is a Fourier multiplier on the real FFT's half spectrum, built once per
 grid.  ``fourier`` applies one over the trailing ``grid.dim`` axes; leading
 axes of the values and of the multiplier broadcast, so a stack costs one
-call.  A partial derivative ∂ₐ multiplies by ikₐ alone, so the transform
-along the other axis cancels: ``derivative``, ``gradient_values`` and
-``divergence`` take the real FFT along axis a only (``_partial``), which in
-1-D is the same pair of transforms.  The Nyquist mode is zeroed in first
-derivatives so derivatives of real fields stay real.
+call.  Its forward half, ``transform``, owns the real FFT over the grid
+axes, and ``_interp`` takes its spectra from it.  A partial derivative ∂ₐ
+multiplies by ikₐ alone, so the transform along the other axis cancels:
+``derivative``, ``gradient_values`` and ``divergence`` take the real FFT
+along axis a only (``_partial``), which in 1-D is the same pair of
+transforms.  The Nyquist mode is zeroed in first derivatives so derivatives
+of real fields stay real.
 
 A vector field is a (dim, *shape) array, row a its component along axis a
 (like ``PeriodicGrid.identity``), in every function that takes or returns one.
@@ -163,13 +165,20 @@ def l2_inner(f: ScalarField, g: ScalarField) -> float:
     return float(f.grid.node_weight * np.sum(f.values * g.values))
 
 
+def transform(grid: PeriodicGrid, values: np.ndarray) -> np.ndarray:
+    """The real FFT's half spectrum over the trailing ``grid.dim`` axes."""
+    if grid.dim == 1:  # the n-dimensional wrappers cost a third more at N = 512
+        return np.fft.rfft(values)
+    return np.fft.rfftn(values, axes=(-2, -1))
+
+
 def fourier(grid: PeriodicGrid, values: np.ndarray, multiplier) -> np.ndarray:
     """Apply a half-spectrum Fourier multiplier over the trailing ``grid.dim``
     axes of ``values``; leading axes of both arguments broadcast."""
-    if grid.dim == 1:  # the n-dimensional wrappers cost a third more at N = 512
-        return np.fft.irfft(np.fft.rfft(values) * multiplier, n=grid.shape[0])
-    spectrum = np.fft.rfftn(values, axes=(-2, -1))
-    return np.fft.irfftn(spectrum * multiplier, s=grid.shape, axes=(-2, -1))
+    spectrum = transform(grid, values) * multiplier
+    if grid.dim == 1:
+        return np.fft.irfft(spectrum, n=grid.shape[0])
+    return np.fft.irfftn(spectrum, s=grid.shape, axes=(-2, -1))
 
 
 def _partial(grid: PeriodicGrid, values: np.ndarray, axis: int) -> np.ndarray:
@@ -241,8 +250,17 @@ def directional_derivative(
     grid: PeriodicGrid, velocity: np.ndarray, values: np.ndarray
 ) -> np.ndarray:
     """Advection term (X·∇)f = Σₐ Xₐ ∂ₐf for a velocity X of shape
-    (dim, *shape) and a field f (*shape) or a stack (m, *shape)."""
-    return np.sum(velocity * gradient_values(grid, values), axis=-grid.dim - 1)
+    (dim, *shape) and a field f (*shape) or a stack (m, *shape).  Each term
+    Xₐ ∂ₐf is formed in place on its ``_partial`` and added into the first,
+    so no stacked gradient is built; the sum is ``np.sum`` of the stacked
+    products bit for bit."""
+    out = _partial(grid, values, 0)
+    out *= velocity[0]
+    for axis in range(1, grid.dim):
+        term = _partial(grid, values, axis)
+        term *= velocity[axis]
+        out += term
+    return out
 
 
 def dealiased_product(f: ScalarField, g: ScalarField) -> ScalarField:
@@ -321,13 +339,29 @@ def per_half_step(f, t0: float, h: float):
     return at
 
 
+def _plus(fresh: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """y + fresh, in place on ``fresh`` when it has y's dtype and shape (the
+    usual case), and by numpy's promotion otherwise."""
+    if fresh.dtype != y.dtype or fresh.shape != y.shape:
+        return y + fresh
+    fresh += y
+    return fresh
+
+
 def rk4_step(f, t: float, y: np.ndarray, h: float) -> np.ndarray:
-    """One classical Runge-Kutta step of y' = f(t, y) on arrays."""
+    """One classical Runge-Kutta step of y' = f(t, y) on arrays: the textbook
+    y + (h/6)(k1 + 2k2 + 2k3 + k4), with stage arguments y + ½h·k, by the same
+    operations in the same order, so bit for bit.  Each sum is taken in place
+    on the fresh product before it (``_plus``), so neither y nor the arrays
+    that f returns are written to."""
     k1 = f(t, y)
-    k2 = f(t + 0.5 * h, y + 0.5 * h * k1)
-    k3 = f(t + 0.5 * h, y + 0.5 * h * k2)
-    k4 = f(t + h, y + h * k3)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    k2 = f(t + 0.5 * h, _plus(0.5 * h * k1, y))
+    k3 = f(t + 0.5 * h, _plus(0.5 * h * k2, y))
+    k4 = f(t + h, _plus(h * k3, y))
+    total = _plus(2.0 * k3, _plus(2.0 * k2, k1))  # (k1 + 2k2) + 2k3
+    total += k4
+    total *= h / 6.0
+    return _plus(total, y)
 
 
 def check_courant(grid: PeriodicGrid, velocity, dt: float):

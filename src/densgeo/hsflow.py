@@ -42,6 +42,7 @@ from .grid import (
     directional_derivative,
     fixed_steps,
     gradient_values,
+    integrate,
     l2_inner,
     laplacian_inverse_gradient,
     periodic_primitive,
@@ -314,8 +315,10 @@ def inverse_map_rate(grid: PeriodicGrid, velocity: np.ndarray, disp: np.ndarray)
     """∂ₜd = -X - (X·∇)d, the rate of the periodic displacement d of the
     inverse of the flow of X, with the product taken at the nodes and not
     truncated.  ``integrate_flow``'s back-to-label map and the Moser flows
-    both advance d by it."""
-    return -velocity - directional_derivative(grid, velocity, disp)
+    both advance d by it; the difference is taken into the advection term's
+    array, which ``directional_derivative`` builds without a stacked gradient."""
+    rate = directional_derivative(grid, velocity, disp)
+    return np.subtract(-velocity, rate, out=rate)
 
 
 def _rk4_factors(g: HsGeodesic, n_steps: int, h: float):
@@ -417,9 +420,7 @@ def integrate_flow(
         y = rk4_step(rate, (step - 1) * h, y, h)
         jac = jac * next(factors)
         t = step * h
-        drift = abs(
-            grid.node_weight * np.sum(jac) - grid.total_volume
-        ) / grid.total_volume
+        drift = abs(integrate(ScalarField(grid, jac)) - grid.total_volume) / grid.total_volume
         if drift > 1e-3:
             raise StepTooLarge(
                 f"Jacobian mass drift {drift:.3e} at t = {t:.6f}; reduce dt"

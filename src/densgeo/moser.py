@@ -24,6 +24,7 @@ from .grid import (
     ScalarField,
     check_courant,
     fixed_steps,
+    integrate,
     laplacian_inverse_gradient,
     per_half_step,
     rk4_step,
@@ -47,7 +48,7 @@ def _validate_phi(grid: PeriodicGrid, values: np.ndarray, t: float) -> None:
         raise NonFiniteInput(f"prescribed Jacobian is not finite at t = {t}")
     if np.min(values) <= 0.0:
         raise NonPositiveJacobian(f"prescribed Jacobian is not positive at t = {t}")
-    total = grid.node_weight * np.sum(values)
+    total = integrate(ScalarField(grid, values))
     if abs(total - grid.total_volume) > 1e-8 * grid.total_volume:
         raise MassDrift(
             f"prescribed Jacobian integrates to {total!r} at t = {t}, "
@@ -158,9 +159,9 @@ def _advect_inverse(grid, velocity, t0, t1, dt, disp):
 
     With ξ the flow of X from t0, id + d(t) = (id + d(t0)) ∘ ξ(t)⁻¹, so
     from d = 0 the result is the displacement of ξ(t1)⁻¹.  Each stage
-    takes ``inverse_map_rate``, with the stacked gradient of d taken
-    spectrally; the velocity is evaluated once per half step
-    (``per_half_step``), 2n + 1 times in n steps.
+    takes ``inverse_map_rate``, whose (X·∇)d adds Xₐ ∂ₐd one spectral
+    partial at a time, with no stacked gradient; the velocity is evaluated
+    once per half step (``per_half_step``), 2n + 1 times in n steps.
     """
     n_steps, h = fixed_steps(abs(t1 - t0), dt)
     h = h if t1 >= t0 else -h

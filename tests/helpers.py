@@ -11,6 +11,13 @@ from densgeo.grid import (
     integrate,
     random_band_limited,
 )
+from densgeo.hsflow import HsGeodesic
+
+
+def sin_geodesic(n: int = 256) -> HsGeodesic:
+    """The Hunter-Saxton geodesic of ρ0 = sin 2πx on the unit circle of n nodes."""
+    grid = PeriodicGrid(n)
+    return HsGeodesic.from_divergence(ScalarField(grid, np.sin(2 * np.pi * grid.coordinate(0))))
 
 
 def random_positive_density(grid: PeriodicGrid, rng, mass=None, wiggle=0.5):

@@ -53,7 +53,7 @@ from densgeo.spheregeo import (
     h1dot_inner,
     spherical_distance,
 )
-from helpers import peaked_density
+from helpers import peaked_density, sin_geodesic
 
 TMAX_SIN = 2.0 * np.sqrt(2.0) * (np.pi / 2.0 - np.arctan(np.sqrt(2.0)))
 
@@ -62,13 +62,6 @@ def _report(number: int, description: str, ok: bool, detail: str) -> None:
     status = "PASS" if ok else "FAIL"
     print(f"\n[criterion {number:2d}] {status} - {description} ({detail})")
     assert ok, f"criterion {number} failed: {description} ({detail})"
-
-
-def sin_geodesic(n):
-    grid = PeriodicGrid(n)
-    return HsGeodesic.from_divergence(
-        ScalarField(grid, np.sin(2 * np.pi * grid.coordinate(0)))
-    )
 
 
 def test_01_isometry_pullback():

@@ -29,6 +29,7 @@ from densgeo.grid import (
     fixed_steps,
     fourier,
     rk4_step,
+    transform,
 )
 from helpers import divergence_free_field, lie_bracket
 
@@ -273,6 +274,25 @@ class TestRealFFTLayer:
             reference = np.mean(values) * grid.coordinate(0) + (w - w[0])
             _assert_close(periodic_primitive(grid, values), reference)
 
+    @settings(max_examples=30)
+    @given(
+        shape=st.sampled_from([(8,), (64,), (512,), (16, 24), (24, 16)]),
+        stack=st.sampled_from([(), (2,), (2, 3)]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_transform_is_the_real_fft_over_the_grid_axes(self, shape, stack, seed):
+        """``transform`` is ``rfftn`` over the trailing grid axes bit for bit,
+        for a field and a stack, so the 1-D branch and ``rfft2`` callers that
+        route through it keep their spectra."""
+        grid = PeriodicGrid(shape)
+        values = np.random.default_rng(seed).standard_normal(stack + shape)
+        expected = np.fft.rfftn(values, axes=tuple(range(-grid.dim, 0)))
+        actual = transform(grid, values)
+        assert actual.shape == expected.shape
+        assert actual.tobytes() == expected.tobytes()
+        if grid.dim == 2:
+            assert actual.tobytes() == np.fft.rfft2(values).tobytes()
+
 
 _EVEN_SIZES = st.integers(4, 32).map(lambda half: 2 * half)
 
@@ -335,6 +355,10 @@ class TestOneAxisDerivatives:
         actual = directional_derivative(grid, velocity, values)
         assert actual.shape == expected.shape
         assert np.max(np.abs(actual - expected)) <= 1e-13 * np.max(np.abs(expected))
+        # adding Xₐ ∂ₐf one partial at a time is np.sum over the stacked
+        # gradient's products, to the last bit
+        stacked = np.sum(velocity * gradient_values(grid, values), axis=-grid.dim - 1)
+        assert actual.tobytes() == stacked.tobytes()
 
     def test_two_dimensional_gradient_makes_no_full_grid_transform(self, fft_calls):
         grid = PeriodicGrid((16, 24), (1.5, 0.75))
@@ -485,6 +509,65 @@ def test_rk4_step_is_fourth_order():
 
     orders = np.log2(error(16) / error(32))
     assert np.all((3.9 < orders) & (orders < 4.1))
+
+
+@settings(max_examples=60)
+@given(
+    n=_EVEN_SIZES,
+    spectral=st.booleans(),
+    h=st.floats(1e-6, 0.1),
+    t=st.floats(-1.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_rk4_step_is_the_textbook_formula_and_writes_no_argument(n, spectral, h, t, seed):
+    """rk4_step is y + (h/6)(k1 + 2k2 + 2k3 + k4), with stage arguments
+    y + 0.5h·k and y + h·k3, bit for bit, for a real (2, N, N) state and for a
+    complex (N/2 + 1,) one, like the torus flows' and the circle steppers';
+    and it leaves y and every array the rate returned as they were."""
+    rng = np.random.default_rng(seed)
+    shape = (n // 2 + 1,) if spectral else (2, n, n)
+    y = rng.standard_normal(shape) + (1j * rng.standard_normal(shape) if spectral else 0.0)
+    coupling = rng.standard_normal(shape)
+
+    def rate(s, v):  # nonlinear, so each stage sees its own argument
+        return coupling * v + s * v * v
+
+    returned = []
+
+    def recording_rate(s, v):
+        k = rate(s, v)
+        returned.append((k, k.copy()))
+        return k
+
+    y_before = y.copy()
+    actual = rk4_step(recording_rate, t, y, h)
+    k1 = rate(t, y)
+    k2 = rate(t + 0.5 * h, y + 0.5 * h * k1)
+    k3 = rate(t + 0.5 * h, y + 0.5 * h * k2)
+    k4 = rate(t + h, y + h * k3)
+    expected = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    assert actual.dtype == expected.dtype and actual.tobytes() == expected.tobytes()
+    assert y.tobytes() == y_before.tobytes()
+    assert len(returned) == 4
+    assert all(k.tobytes() == copy.tobytes() for k, copy in returned)
+
+
+@pytest.mark.parametrize("y, rate", [
+    (np.array([1.0 + 2.0j, -0.5j]), lambda t, v: np.array([0.25, -1.5]) + t),  # real k, complex y
+    (np.ones((2, 3)), lambda t, v: np.array([1.0, -2.0, 0.5]) * t),  # k broadcasts over y
+    (np.arange(3), lambda t, v: 0.5 * v),  # integer y
+])
+def test_rk4_step_promotes_as_the_textbook_formula(y, rate):
+    """Where a rate's array has another dtype or shape than y, rk4_step still
+    gives the textbook formula's result, by numpy's promotion and broadcasting."""
+    h = 0.1
+    k1 = rate(0.0, y)
+    k2 = rate(0.5 * h, y + 0.5 * h * k1)
+    k3 = rate(0.5 * h, y + 0.5 * h * k2)
+    k4 = rate(h, y + h * k3)
+    expected = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    actual = rk4_step(rate, 0.0, y, h)
+    assert actual.dtype == expected.dtype and actual.tobytes() == expected.tobytes()
 
 
 class TestMetricDescent:

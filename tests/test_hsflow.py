@@ -42,6 +42,7 @@ from densgeo.hsflow import (
     sphere_path,
     sphere_velocity,
 )
+from helpers import sin_geodesic
 
 # the great-circle kernel against its other forms, each bound about 10x the
 # worst of 3,000 draws of the property's strategies (1-D 64 nodes and 32²,
@@ -54,12 +55,6 @@ KERNEL_VELOCITY_TOL = 3e-10
 
 KAPPA_SIN = 1.0 / (2.0 * np.sqrt(2.0))
 TMAX_SIN = 2.0 * np.sqrt(2.0) * (np.pi / 2.0 - np.arctan(np.sqrt(2.0)))
-
-
-def sin_geodesic(n=256):
-    grid = PeriodicGrid(n)
-    x = grid.coordinate(0)
-    return HsGeodesic.from_divergence(ScalarField(grid, np.sin(2 * np.pi * x)))
 
 
 def torus_geodesic(n=32, amplitude=0.5):

@@ -37,13 +37,7 @@ from densgeo.moser import (
     transport_map,
 )
 from densgeo.moser import _flow_transport
-
-
-def sin_geodesic(n=256):
-    grid = PeriodicGrid(n)
-    return HsGeodesic.from_divergence(
-        ScalarField(grid, np.sin(2 * np.pi * grid.coordinate(0)))
-    )
+from helpers import sin_geodesic
 
 
 def torus_geodesic(n=48):
