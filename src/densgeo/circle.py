@@ -78,7 +78,7 @@ class AlphaConnection:
         v.grid.check_compatible(w.grid)
         _require_circle(v)
         grid, n = v.grid, v.grid.shape[0]
-        vx, wx = np.fft.irfft(grid.ik[0] * np.fft.rfft([v.values, w.values]), n=n)
+        vx, wx = fourier(grid, np.array([v.values, w.values]), grid.ik[0])
         gamma = self._table(grid)[1:].sum(axis=0) * np.fft.rfft(vx * wx)  # no Γ row: 0
         gamma[0] -= _at_origin(gamma)
         return ScalarField(grid, np.fft.irfft(gamma, n=n))

@@ -322,23 +322,6 @@ def sinc(x):
     return math.sin(x) / x if x else 1.0
 
 
-def per_half_step(f, t0: float, h: float):
-    """t -> f(t), evaluated once per RK4 half step from t0 with step h, so n
-    steps evaluate f 2n + 1 times (the middle stages share t + h/2, a step's
-    last stage is the next one's first).  The key is the half-step count,
-    not t: t + h may miss t0 + (k + 1)h in its last bits.  Its one caller is
-    ``moser._advect_inverse``."""
-    last = [None, None]  # the latest half-step count and its value
-
-    def at(t):
-        count = round(2.0 * (t - t0) / h) if h else 0
-        if last[0] != count:
-            last[:] = count, f(t)
-        return last[1]
-
-    return at
-
-
 def _plus(fresh: np.ndarray, y: np.ndarray) -> np.ndarray:
     """y + fresh, in place on ``fresh`` when it has y's dtype and shape (the
     usual case), and by numpy's promotion otherwise."""

@@ -26,7 +26,6 @@ from .grid import (
     fixed_steps,
     integrate,
     laplacian_inverse_gradient,
-    per_half_step,
     rk4_step,
 )
 from .grid import periodic_primitive as moser_primitive_1d
@@ -92,7 +91,10 @@ def lift_flow(
     On the circle η(t) is the exact primitive of φ(t)/⟨φ(t)⟩, the
     degree-one circle map (⟨φ⟩ is the quadrature mean).  On the torus η(t)
     is the inverse of the flow of X = ∇f/φ, Δf = -∂φ/∂t, whose displacement
-    is advected on the grid by RK4 (see ``_advect_inverse``).
+    is advected on the grid by RK4 (see ``_advect_inverse``).  φ is taken
+    once per stored time; those samples give the identity and positivity
+    checks, the circle's primitives, and ``diagnostics["jacobian_error"]``,
+    max |Jac η(tᵢ) - φ(tᵢ)| at each stored time.
 
     Parameters
     ----------
@@ -124,16 +126,16 @@ def lift_flow(
 
     dphi_at = central_difference if dphi is None else _values_at(dphi)
 
-    if np.max(np.abs(phi_at(0.0) - 1.0)) > IDENTITY_TOL:
+    phis = [phi_at(t) for t in t_grid]
+    if np.max(np.abs(phis[0] - 1.0)) > IDENTITY_TOL:
         raise NonPositiveJacobian("the lift must start at the identity: φ(0) ≡ 1")
-    for t in t_grid:
-        _validate_phi(grid, phi_at(t), t)
+    for t, phi_values in zip(t_grid, phis):
+        _validate_phi(grid, phi_values, t)
 
     positions = [grid.identity]  # on both grids, as φ(0) ≡ 1 to FlowMap's IDENTITY_TOL
     if grid.dim == 1:
         # φ/⟨φ⟩ integrates to the period, so its primitive is a degree-one circle map
-        positions += [moser_primitive_1d(grid, phi / np.mean(phi))[None, :]
-                      for phi in map(phi_at, t_grid[1:])]
+        positions += [moser_primitive_1d(grid, phi / np.mean(phi))[None, :] for phi in phis[1:]]
     else:
         # each interval is bounded by MAX_STEPS, so bound their sum up front too
         fixed_steps(t_grid[-1], dt)
@@ -150,7 +152,9 @@ def lift_flow(
         for t, t_next in zip(t_grid[:-1], t_grid[1:]):
             disp = _advect_inverse(grid, velocity, t, t_next, dt, disp)
             positions.append(grid.identity + disp)
-    return FlowMap(grid, t_grid, positions, [map_jacobian(grid, eta) for eta in positions])
+    jacobians = [map_jacobian(grid, eta) for eta in positions]
+    errors = [float(np.max(np.abs(jac - phi))) for jac, phi in zip(jacobians, phis)]
+    return FlowMap(grid, t_grid, positions, jacobians, diagnostics={"jacobian_error": errors})
 
 
 def _advect_inverse(grid, velocity, t0, t1, dt, disp):
@@ -161,14 +165,20 @@ def _advect_inverse(grid, velocity, t0, t1, dt, disp):
     from d = 0 the result is the displacement of ξ(t1)⁻¹.  Each stage
     takes ``inverse_map_rate``, whose (X·∇)d adds Xₐ ∂ₐd one spectral
     partial at a time, with no stacked gradient; the velocity is evaluated
-    once per half step (``per_half_step``), 2n + 1 times in n steps.
+    once per half step, 2n + 1 times in n steps: a step's start, middle and
+    end feed RK4's four stages in order, and its end is the next step's
+    start (over a zero-length interval, the start alone).
     """
     n_steps, h = fixed_steps(abs(t1 - t0), dt)
     h = h if t1 >= t0 else -h
-    velocity_at = per_half_step(lambda t: check_courant(grid, velocity(t), abs(h)), t0, h)
+    v_end = check_courant(grid, velocity(t0), abs(h))
     for step in range(n_steps):
-        disp = rk4_step(lambda t, d: inverse_map_rate(grid, velocity_at(t), d),
-                        t0 + step * h, disp, h)
+        t = t0 + step * h
+        v_start = v_mid = v_end
+        if h:
+            v_mid, v_end = (check_courant(grid, velocity(s), abs(h)) for s in (t + 0.5 * h, t + h))
+        stages = iter((v_start, v_mid, v_mid, v_end))
+        disp = rk4_step(lambda _, d: inverse_map_rate(grid, next(stages), d), t, disp, h)
     return disp
 
 

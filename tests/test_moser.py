@@ -18,13 +18,17 @@ from densgeo.grid import (
     MAX_STEPS,
     PeriodicGrid,
     ScalarField,
+    check_courant,
+    fixed_steps,
     fourier,
     laplacian_inverse,
     random_band_limited,
+    rk4_step,
 )
 from densgeo.hsflow import (
     FlowMap,
     HsGeodesic,
+    inverse_map_rate,
     jacobian_formula,
     map_jacobian,
     sphere_path,
@@ -72,6 +76,13 @@ class TestLift1D:
         grid = PeriodicGrid(n)
         flow = lift_flow(lambda t: np.full(grid.shape, 1.0 + 1e-9 * t), [0.0, 1.0], grid)
         assert np.max(np.abs(flow.jacobians[1] - (1.0 + 1e-9))) <= 1.1e-9
+
+    def test_phi_taken_once_per_stored_time(self):
+        geo = sin_geodesic(64)
+        calls = []
+        t_grid = np.linspace(0.0, 0.5 * geo.t_max, 5)
+        lift_flow(lambda t: calls.append(t) or jacobian_formula(geo, t), t_grid, geo.grid)
+        assert calls == list(t_grid)
 
     def test_base_point_fixed(self):
         geo = sin_geodesic()
@@ -183,6 +194,21 @@ class TestPoissonStep:
         for t in (0.05, 0.3, 0.6, 0.9):
             predicted = f1 * np.cos(2 * kappa * t) + f2 * np.sin(2 * kappa * t)
             assert np.max(np.abs(f_of(t) - predicted)) <= 1e-9
+
+
+@settings(max_examples=10)
+@given(shape=st.sampled_from([(64,), (16, 16)]), seed=st.integers(0, 2**32 - 1),
+       samples=st.integers(1, 4))
+def test_jacobian_error_is_the_sup_against_phi(shape, seed, samples):
+    grid = PeriodicGrid(shape)
+    wave = random_band_limited(grid, 2, np.random.default_rng(seed)).values
+    geo = HsGeodesic.from_divergence(ScalarField(grid, 0.5 * wave / np.max(np.abs(wave))))
+    t_grid = np.linspace(0.0, 0.02, samples)
+    flow = lift_flow(lambda t: jacobian_formula(geo, t), t_grid, grid, dt=1e-2)
+    assert flow.diagnostics["jacobian_error"] == [
+        np.max(np.abs(jac - jacobian_formula(geo, t).values))
+        for t, jac in zip(t_grid, flow.jacobians)
+    ]
 
 
 @pytest.fixture(scope="module")
@@ -448,7 +474,7 @@ class TestGridAdvection:
 
         h = 1e-4
         flow = lift_flow(phi, [0.0, 0.01], geo.grid, dt=0.01)
-        assert len(calls) == 1 + 2 + 3 * 3  # φ(0), validation, three stage times
+        assert len(calls) == 2 + 3 * 3  # the two stored times, three stage times
         central = lift_flow(phi, [0.0, 0.01], geo.grid, dt=0.01, dphi=lambda t: (
             jacobian_formula(geo, t + h).values - jacobian_formula(geo, t - h).values
         ) / (2.0 * h))
@@ -473,6 +499,47 @@ class TestGridAdvection:
         assert len(times) == calls
         assert times[0] == t0
         assert abs(times[-1] - t1) <= 4 * np.spacing(max(abs(t0), abs(t1)))
+
+    # forward, backward, zero-length, and a span far below t0, where a stage
+    # time can round to its neighbour
+    @settings(max_examples=25)
+    @given(seed=st.integers(0, 2**32 - 1), t0=st.floats(-1e6, 1e6),
+           span=st.floats(-0.2, 0.2), dt=st.floats(1e-3, 5e-2))
+    @example(seed=0, t0=0.0, span=0.0, dt=1e-3)
+    @example(seed=1, t0=1e6, span=1e-3, dt=1e-3)
+    @example(seed=2, t0=1e6, span=-1e-3, dt=2e-4)
+    @example(seed=3, t0=1e6, span=3e-10, dt=1e-3)  # a few ulps of t0
+    def test_advection_is_the_half_step_memo(self, seed, t0, span, dt):
+        grid = PeriodicGrid((16, 16))
+        rng = np.random.default_rng(seed)
+        waves = [np.array([random_band_limited(grid, 2, rng).values for _ in range(2)])
+                 for _ in range(3)]
+        waves = [0.25 * w / np.max(np.abs(w)) for w in waves]
+
+        def velocity(t):  # sup below 0.36: Courant below 0.3 at dt 5e-2 on 16²
+            return np.cos(3.0 * t) * waves[0] + np.sin(3.0 * t) * waves[1]
+
+        def reference(t1):
+            # the velocity memoized per half-step count, keyed off the float stage time
+            n_steps, h = fixed_steps(abs(t1 - t0), dt)
+            h = h if t1 >= t0 else -h
+            last = [None, None]
+
+            def velocity_at(t):
+                count = round(2.0 * (t - t0) / h) if h else 0
+                if last[0] != count:
+                    last[:] = count, check_courant(grid, velocity(t), abs(h))
+                return last[1]
+
+            disp = 0.2 * waves[2]
+            for step in range(n_steps):
+                disp = rk4_step(lambda t, d: inverse_map_rate(grid, velocity_at(t), d),
+                                t0 + step * h, disp, h)
+            return disp
+
+        t1 = t0 + span
+        got = moser._advect_inverse(grid, velocity, t0, t1, dt, 0.2 * waves[2])
+        assert np.array_equal(got, reference(t1))
 
     def test_transport_rejects_too_large_step(self):
         grid = PeriodicGrid((48, 48))
