@@ -16,20 +16,19 @@ an RK4 stage is two FFT calls and about five array operations (27 µs at
 N = 256 on a 2-vCPU host, 17 µs of it in the FFTs).  The re-based rate and
 the base point of Γ are corrections to the zero mode.
 
-``evolve_to_tolerance`` runs any of these steppers with a Richardson estimate of
-its time error from two runs, and given no step chooses one that meets ``TIME_TOL``.
+``evolve_to_tolerance`` runs any of these steppers under ``grid.steps_to_tolerance``,
+the Richardson step rule, and given no step chooses one that meets ``TIME_TOL``.
 """
 
 from __future__ import annotations
 
 import math
-from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _interp
-from .errors import NonFiniteInput, StepTooLarge, ValidationError
+from .errors import NonFiniteInput, ValidationError
 from .grid import (
     PeriodicGrid,
     ScalarField,
@@ -42,6 +41,7 @@ from .grid import (
     laplacian_inverse,
     periodic_primitive,
     rk4_step,
+    steps_to_tolerance,
 )
 
 
@@ -157,68 +157,22 @@ TIME_TOL = 1e-12  # sup-norm time error that evolve_to_tolerance asks for
 DEFAULT_DT = 1e-4  # its step count K caps evolve_to_tolerance's runs
 
 
-def _richardson(u_n: ScalarField, u_m: ScalarField, ratio: float) -> float:
-    """sup|u_n - u| = |u_n - u_m| / |1 - (n/m)⁴| for runs of n and m = n/ratio steps, from RK4's
-    u_k = u + A k⁻⁴ (Richardson; Hairer, Nørsett & Wanner, Solving ODEs I, §II.4)."""
-    return float(np.max(np.abs(u_n.values - u_m.values))) / abs(1.0 - ratio ** 4)
-
-
 def evolve_to_tolerance(evolve, u0: ScalarField, t_final: float, dt=None):
-    """The run ``evolve(u0, t_final, dt)`` of a fixed-step stepper and ``_richardson``'s
-    estimate E of its time error, as (u, E, steps of u, steps of every run started), from
-    the largest earlier finished run, else the first finite of ⌈n/2⌉ and 2n steps.
-
-    Given ``dt``, u is that run bit for bit.  Otherwise runs start at Courant number 1/8
-    of u0 (4 steps at least) and take ⌈1.1 n (E/TIME_TOL)^¼⌉ steps until E ≤ TIME_TOL (2n
-    where E is inf or the run StepTooLarge), and where the last run's companion took
-    m > n steps, u is the companion's run, with E·(n/m)⁴.  A run that would take the total
-    past K, the steps of ``DEFAULT_DT``, is the K-step run, the last; a companion that
-    would is not run, unless it is the K-step run's and stays within 2 K, the most all
-    runs take.  E = NaN for a non-finite u, and inf where no companion finished;
-    t_final = 0 or u0 = 0 take one run, with E = 0."""
-    cap = fixed_steps(t_final, dt or DEFAULT_DT)[0]  # rejects too many steps before any run
-    counts, runs = [], {}  # steps of every run started; steps -> u of the finite ones
-
-    def run(step):
-        counts.append(fixed_steps(t_final, step)[0])
-        u = evolve(u0, t_final, step)
-        if np.all(np.isfinite(u.values)):
-            runs[counts[-1]] = u
-        return counts[-1], u
-
-    def estimate(n):  # (E, the companion's steps m, or 0 where none finished)
-        if n not in runs:
-            return math.nan, 0
-        m = max((k for k in runs if k != n), default=0)
-        room = math.inf if dt else (1 + (n == cap)) * cap  # the total a companion may reach
-        for k in (n + 1) // 2, 2 * n:
-            if not m and k not in (n, *counts) and sum(counts) + k <= room:
-                with suppress(StepTooLarge):
-                    k = run(t_final / k)[0]
-                m = k if k in runs else 0
-        return (_richardson(runs[n], runs[m], n / m) if m else math.inf), m
-
+    """The run ``evolve(u0, t_final, dt)`` of a fixed-step stepper (bit for bit, given ``dt``)
+    and its time error E, as (u, E, steps of u, steps of all runs), by ``steps_to_tolerance``
+    to ``TIME_TOL`` with the cap K, the steps of ``DEFAULT_DT``, and without ``dt`` from
+    Courant number 1/8 of u0 (4 steps at least).  t_final = 0 or u0 = 0 take one run, E = 0."""
+    cap = fixed_steps(t_final, DEFAULT_DT if dt is None else dt)[0]  # rejects too many steps
+    # n steps exactly: for some n past t_final = 1, fixed_steps takes t_final/n to n + 1 steps
+    run = lambda n: evolve(u0, t_final, t_final / (n - 0.5) or DEFAULT_DT).values
     sup = float(np.max(np.abs(u0.values)))
     if t_final == 0.0 or sup == 0.0:  # u0 is the answer, up to the FFT round trip
-        n, u = run(dt or t_final or DEFAULT_DT)
-        return u, 0.0, n, n
-    if dt is not None:
-        n, u = run(dt)
-        return u, estimate(n)[0], n, sum(counts)
+        n = 1 if dt is None else cap
+        return ScalarField(u0.grid, run(n)), 0.0, n, n
     # Courant number 1/8 of u0, so at most 1/4 for ⌈n/2⌉; a NaN u0 goes on to the K-step run
-    count = max(4, math.ceil(min(cap, 8 * t_final * sup * u0.grid.shape[0] / u0.grid.lengths[0])))
-    while True:
-        count = cap if sum(counts) + count > cap else count
-        try:
-            n, u = run(DEFAULT_DT if count == cap else t_final / count)
-            e, m = estimate(n)
-        except StepTooLarge:
-            if count == cap:
-                raise
-            n, e, m = count, math.inf, 0
-        if math.isnan(e) or e <= TIME_TOL or count == cap:
-            return (runs[m], e * (n / m) ** 4, m, sum(counts)) if m > n else (u, e, n, sum(counts))
-        count = 2 * n if e == math.inf else math.ceil(1.1 * n * (e / TIME_TOL) ** 0.25)
+    first = max(4, math.ceil(min(cap, 8 * t_final * sup * u0.grid.shape[0] / u0.grid.lengths[0])))
+    u, error, n, total = steps_to_tolerance(run, cap, TIME_TOL, first if dt is None else None)
+    return ScalarField(u0.grid, u), error, n, total
 
 
 def alpha_one_explicit(u0: ScalarField, t: float) -> tuple[ScalarField, np.ndarray]:

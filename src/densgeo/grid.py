@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from contextlib import suppress
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -345,6 +346,51 @@ def rk4_step(f, t: float, y: np.ndarray, h: float) -> np.ndarray:
     total += k4
     total *= h / 6.0
     return _plus(total, y)
+
+
+def steps_to_tolerance(run, cap: int, tol: float, first=None):
+    """``run(n)``, the array r_n of n RK4 steps, and its error E = |r_n - r_m| / |1 - (n/m)⁴| from
+    r_k = r + A k⁻⁴ (Richardson; Hairer, Nørsett & Wanner, Solving ODEs I, §II.4), as (r_n, E, n,
+    steps of all runs): m is the largest earlier finished run, else the first finite of ⌈n/2⌉ and
+    2n; E = inf where none finished, NaN for a non-finite r_n.  Without ``first``, n = ``cap``,
+    whose companions take any steps.  Otherwise n goes from ``first`` to ⌈1.1 n (E/tol)^¼⌉ (2n
+    where E = inf or the run is StepTooLarge) until E ≤ tol or n = cap, returning r_m, E·(n/m)⁴
+    where m > n.  A run that would take the total past cap is the cap-step run, whose StepTooLarge
+    propagates; a companion that would is not run, unless the cap-step run's, within 2 cap."""
+    counts, runs = [], {}  # steps of every run started; steps -> r of the finite ones
+
+    def start(n):
+        counts.append(n)
+        r = run(n)
+        if np.all(np.isfinite(r)):
+            runs[n] = r
+        return r
+
+    def estimate(n):  # (E, the companion's steps m, or 0 where none finished) of a finite r_n
+        m = max((k for k in runs if k != n), default=0)
+        room = math.inf if first is None else (1 + (n == cap)) * cap  # total a companion may reach
+        for k in (n + 1) // 2, 2 * n:
+            if not m and k not in counts and sum(counts) + k <= room:
+                with suppress(StepTooLarge):
+                    start(k)
+                m = k if k in runs else 0
+        e = float(np.max(np.abs(runs[n] - runs[m]))) / abs(1.0 - (n / m) ** 4) if m else math.inf
+        return e, m
+
+    n = cap if first is None else first
+    while True:
+        n = cap if sum(counts) + n > cap else n
+        try:
+            r = start(n)
+            e, m = estimate(n) if n in runs else (math.nan, 0)
+        except StepTooLarge:
+            if n == cap:
+                raise
+            e, m = math.inf, 0
+        if math.isnan(e) or e <= tol or n == cap:
+            finer = first is not None and m > n  # the companion's run, at no extra step
+            return (runs[m], e * (n / m) ** 4, m, sum(counts)) if finer else (r, e, n, sum(counts))
+        n = 2 * n if e == math.inf else math.ceil(1.1 * n * (e / tol) ** 0.25)
 
 
 def check_courant(grid: PeriodicGrid, velocity, dt: float):

@@ -2,7 +2,8 @@
 
 Distances between densities reduce to angles between their square roots on
 the L^2 sphere: the geodesic distance is sqrt(mass) * arccos of the
-Bhattacharyya coefficient, the Hellinger distance is the chord, and
+Bhattacharyya coefficient, evaluated as 2·arcsin(chord/2): equal in exact
+arithmetic, and accurate near 0.  The Hellinger distance is the chord, and
 geodesics are great-circle arcs, interpolated by slerp with the weights
 sin(sθ)/sin θ = s·sinc(sθ)/sinc(θ), so equal endpoints (θ = 0) need no
 separate formula.  Two inner products pair vector fields,
@@ -13,6 +14,7 @@ convention, exactly 4 times larger.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,19 +23,31 @@ from .density import Density, SpherePoint, _check_pair, sqrt_map, square_map
 from .grid import PeriodicGrid, ScalarField, divergence, fourier, integrate, l2_inner, sinc
 
 
+def _roots(a: Density, b: Density) -> tuple[np.ndarray, np.ndarray]:
+    """The mass-normalized roots √(a/m), √(b/m): each is ~ 1/√volume, so at any mass
+    and grid volume their products neither under- nor overflow."""
+    _check_pair(a, b)
+    return tuple(np.sqrt(np.clip(d.values / a.mass, 0.0, None)) for d in (a, b))
+
+
 def bhattacharyya(a: Density, b: Density) -> float:
     """Normalized affinity (1/mass) ∫ sqrt(da/dμ · db/dμ) dμ, clamped to [-1, 1]."""
-    _check_pair(a, b)
-    # Σ √(a/m)·√(b/m)·w: each root is ~ 1/√volume, so at any mass and grid
-    # volume the product neither under- nor overflows
-    root_a, root_b = (np.sqrt(np.clip(d.values / a.mass, 0.0, None)) for d in (a, b))
+    root_a, root_b = _roots(a, b)
     overlap = integrate(ScalarField(a.grid, root_a * root_b))
     return float(np.clip(overlap, -1.0, 1.0))
 
 
+def _angle(a: Density, b: Density) -> float:
+    """The angle between the roots, 2·arcsin(h/2) of their chord h: arccos(BC) in exact
+    arithmetic, and accurate near 0."""
+    root_a, root_b = _roots(a, b)
+    chord = ScalarField(a.grid, root_a - root_b)
+    return 2.0 * math.asin(0.5 * math.sqrt(l2_inner(chord, chord)))
+
+
 def spherical_distance(a: Density, b: Density) -> float:
-    """Geodesic distance sqrt(mass) * arccos(BC); values lie in [0, π·sqrt(mass)/2)."""
-    return float(np.sqrt(a.mass) * np.arccos(bhattacharyya(a, b)))
+    """Geodesic distance sqrt(mass) * arccos(BC); values lie in [0, π·sqrt(mass)/2]."""
+    return float(np.sqrt(a.mass) * _angle(a, b))
 
 
 def hellinger_distance(a: Density, b: Density) -> float:
@@ -71,11 +85,10 @@ class GeodesicPath:
 def geodesic(a: Density, b: Density) -> GeodesicPath:
     """Great-circle interpolation between two equal-mass densities.
 
-    The angle is arccos of the Bhattacharyya coefficient, so ``length``
-    equals ``spherical_distance(a, b)`` bit for bit.
+    The angle is arccos of the Bhattacharyya coefficient, from the helper of
+    ``spherical_distance``, so ``length`` equals it bit for bit.
     """
-    angle = float(np.arccos(bhattacharyya(a, b)))
-    return GeodesicPath(sqrt_map(a), sqrt_map(b), angle)
+    return GeodesicPath(sqrt_map(a), sqrt_map(b), _angle(a, b))
 
 
 def h1dot_inner(grid: PeriodicGrid, u: np.ndarray, v: np.ndarray) -> float:

@@ -1,3 +1,4 @@
+import collections
 import functools
 import math
 
@@ -577,7 +578,7 @@ class TestEvolveToTolerance:
 
         cap = fixed_steps(0.3, circle.DEFAULT_DT)[0]
         _, error, steps, total = evolve_to_tolerance(noisy, u0, 0.3)
-        assert steps == cap and circle.DEFAULT_DT in dts and len(dts) > 3
+        assert steps == cap and cap in [fixed_steps(0.3, dt)[0] for dt in dts] and len(dts) > 3
         assert error > circle.TIME_TOL and total <= 2 * cap
 
     def test_fast_data_runs_the_default_step_at_once(self):
@@ -643,6 +644,16 @@ class TestEvolveToTolerance:
         assert error == float(np.max(np.abs(coarse - fine))) / (1 - 2.0**-4) * 2.0**-4
         true = np.max(np.abs(u.values - alpha_one_explicit(u0, 0.3)[0].values))
         assert _tracks(error, true, u)
+
+    def test_reported_steps_are_the_rk4_steps_taken(self, monkeypatch):
+        # the 36,785-step run's companion takes ⌈n/2⌉ = 18,393 steps, though fixed_steps
+        # turns a step of 2.5/18,393 into 18,394; the patched rk4_step only counts steps
+        taken = []
+        monkeypatch.setattr(circle, "rk4_step", lambda rate, t, c, h: taken.append(h) or c)
+        u0 = self._data(8)
+        _, _, steps, total = evolve_to_tolerance(AlphaConnection(1.0).evolve, u0, 2.5, 2.5 / 36_785)
+        assert (steps, total) == (36_785, 36_785 + 18_393)
+        assert sorted(collections.Counter(taken).values()) == [18_393, 36_785]
 
     def test_non_finite_run_ends_the_loop(self):
         starts = []

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -29,6 +30,7 @@ from densgeo.grid import (
     fixed_steps,
     fourier,
     rk4_step,
+    steps_to_tolerance,
     transform,
 )
 from helpers import divergence_free_field, lie_bracket
@@ -568,6 +570,51 @@ def test_rk4_step_promotes_as_the_textbook_formula(y, rate):
     expected = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     actual = rk4_step(rate, 0.0, y, h)
     assert actual.dtype == expected.dtype and actual.tobytes() == expected.tobytes()
+
+
+@settings(max_examples=300)
+@given(
+    cap=st.integers(1, 3000),
+    log_tol=st.floats(-13.0, -6.0),
+    amp=st.floats(-1e3, 1e3),
+    given_step=st.booleans(),
+    data=st.data(),
+)
+def test_steps_to_tolerance_follows_its_step_rule(cap, log_tol, amp, given_step, data):
+    """Synthetic runs r_n = r + A n⁻⁴, which the Richardson estimate fits exactly; some
+    draws raise StepTooLarge below a threshold, or turn non-finite over a band of counts."""
+    first = None if given_step else data.draw(st.integers(1, cap), label="first")
+    # runs below ``threshold`` steps raise StepTooLarge, and runs of low to high - 1 are NaN
+    threshold = data.draw(st.just(0) | st.integers(1, cap + 1), label="threshold")
+    low = data.draw(st.integers(1, 2 * cap), label="nan_low")
+    high = data.draw(st.just(low) | st.integers(low, 2 * cap + 1), label="nan_high")
+    r, shape, tol = np.array([0.3, -1.2, 2.0]), np.array([1.0, -0.5, 0.25]), 10.0**log_tol
+    calls = []
+
+    def model(n):
+        return np.full(3, np.nan) if low <= n < high else r + amp * shape * float(n) ** -4
+
+    def run(n):
+        calls.append(n)
+        if n < threshold:
+            raise StepTooLarge("coarse")
+        return model(n)
+
+    try:
+        result, error, n, total = steps_to_tolerance(run, cap, tol, first)
+    except StepTooLarge:  # only the cap-step run's propagates
+        assert calls[-1] == cap < threshold
+        return
+    assert n in calls and total == sum(calls)
+    assert np.array_equal(result, model(n), equal_nan=True)
+    assert math.isnan(error) == (not np.all(np.isfinite(result)))
+    if first is None:
+        assert n == cap and total <= cap + (cap + 1) // 2 + 2 * cap
+    else:
+        assert total <= 2 * cap
+        assert math.isnan(error) or error <= tol or cap in calls
+    if not math.isnan(error):
+        assert np.max(np.abs(result - r)) <= 10.0 * max(error, tol)
 
 
 class TestMetricDescent:

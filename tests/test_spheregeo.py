@@ -222,10 +222,9 @@ class TestMetricProperties:
         mass = 10.0**log_mass
         a, b, c = (spread_density(grid, rng, mass, power, zeros) for _ in range(3))
         root = np.sqrt(mass)
-        # arccos near 1 turns a roundoff of BC into ~sqrt(2 eps) of angle
-        for dist, tol in ((spherical_distance, 1e-7), (hellinger_distance, 1e-12)):
+        for dist in (spherical_distance, hellinger_distance):
             assert dist(a, b) == dist(b, a)
-            assert dist(a, c) <= dist(a, b) + dist(b, c) + tol * root
+            assert dist(a, c) <= dist(a, b) + dist(b, c) + 1e-12 * root
         for x, y in ((a, b), (b, c), (a, c)):
             assert 0.0 <= spherical_distance(x, y) <= (1.0 + 1e-15) * np.pi * root / 2.0
 
