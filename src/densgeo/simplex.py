@@ -2,7 +2,9 @@
 
 Componentwise square roots scaled by 2 embed the n-outcome simplex
 isometrically (for the information metric) into the radius-2 sphere, where
-geodesics are great circles.  Squaring a great circle gives probability
+geodesics are great circles.  Distances follow the rule of the density
+sphere at mass 1: the chord h = ‖√p − √q‖ is the Hellinger distance, and
+the angle is 2·arcsin(h/2).  Squaring a great circle gives probability
 curves that touch the simplex walls and bounce back without ever turning
 negative; the classic three-outcome curve through the uniform distribution
 is provided explicitly.
@@ -10,6 +12,7 @@ is provided explicitly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +22,8 @@ from .errors import ValidationError
 
 @dataclass(frozen=True)
 class SimplexPoint:
-    """Probability vector with non-negative entries summing to one."""
+    """Probability vector with non-negative entries summing to one; entries down
+    to -1e-12 are roundoff and are stored as 0."""
 
     probs: np.ndarray
 
@@ -31,7 +35,7 @@ class SimplexPoint:
             raise ValidationError("probabilities must be non-negative")
         if abs(np.sum(probs) - 1.0) > 1e-12:
             raise ValidationError(f"probabilities sum to {np.sum(probs)!r}, not 1")
-        object.__setattr__(self, "probs", probs)
+        object.__setattr__(self, "probs", np.where(probs < 0.0, 0.0, probs))
 
 
 def embed(s: SimplexPoint) -> np.ndarray:
@@ -57,15 +61,22 @@ BOUNCE_TIME = float(np.arctan(np.sqrt(2.0 / 3.0)))
 """First wall contact of the demo geodesic (middle probability hits zero)."""
 
 
-def affinity(a: SimplexPoint, b: SimplexPoint) -> float:
-    """Discrete overlap Σ sqrt(a_i b_i), clamped into [0, 1]."""
+def _check_pair(a: SimplexPoint, b: SimplexPoint) -> None:
     if len(a.probs) != len(b.probs):
         raise ValidationError("simplex points have different outcome counts")
+
+
+def affinity(a: SimplexPoint, b: SimplexPoint) -> float:
+    """Discrete overlap Σ sqrt(a_i b_i), clamped into [0, 1]."""
+    _check_pair(a, b)
     return float(np.clip(np.sum(np.sqrt(a.probs * b.probs)), 0.0, 1.0))
 
 
 def fisher_rao_distance(a: SimplexPoint, b: SimplexPoint) -> float:
     """Geodesic distance between discrete distributions on the unit sphere:
-    arccos of the affinity, matching the continuum density distance at total
-    mass 1.  The statistics convention (radius-2 embedding) is twice it."""
-    return float(np.arccos(affinity(a, b)))
+    2·arcsin(h/2) of the chord h = ‖√a − √b‖ (arccos of the affinity in exact
+    arithmetic, and accurate near 0), matching the continuum density distance
+    at total mass 1.  The statistics convention (radius-2 embedding) is twice it."""
+    _check_pair(a, b)
+    chord = np.linalg.norm(np.sqrt(a.probs) - np.sqrt(b.probs))
+    return 2.0 * math.asin(0.5 * chord)

@@ -1,10 +1,11 @@
 """Metric geometry of the density sphere.
 
-Distances between densities reduce to angles between their square roots on
-the L^2 sphere: the geodesic distance is sqrt(mass) * arccos of the
-Bhattacharyya coefficient, evaluated as 2·arcsin(chord/2): equal in exact
-arithmetic, and accurate near 0.  The Hellinger distance is the chord, and
-geodesics are great-circle arcs, interpolated by slerp with the weights
+Distances between densities reduce to one chord: h = ‖√(a/m) − √(b/m)‖
+between the mass-normalized square roots on the L^2 sphere.  The Hellinger
+distance is √m·h, and the angle between the roots is 2·arcsin(h/2), so the
+geodesic (spherical Hellinger) distance is √m·2·arcsin(h/2): √m·arccos of
+the Bhattacharyya coefficient in exact arithmetic, and accurate near 0.
+Geodesics are great-circle arcs, interpolated by slerp with the weights
 sin(sθ)/sin θ = s·sinc(sθ)/sinc(θ), so equal endpoints (θ = 0) need no
 separate formula.  Two inner products pair vector fields,
 (dim, *shape) arrays, through their divergences: the quarter-normalized
@@ -37,24 +38,21 @@ def bhattacharyya(a: Density, b: Density) -> float:
     return float(np.clip(overlap, -1.0, 1.0))
 
 
-def _angle(a: Density, b: Density) -> float:
-    """The angle between the roots, 2·arcsin(h/2) of their chord h: arccos(BC) in exact
-    arithmetic, and accurate near 0."""
+def _chord(a: Density, b: Density) -> float:
+    """The chord h = ‖√(a/m) − √(b/m)‖ between the mass-normalized roots."""
     root_a, root_b = _roots(a, b)
-    chord = ScalarField(a.grid, root_a - root_b)
-    return 2.0 * math.asin(0.5 * math.sqrt(l2_inner(chord, chord)))
+    diff = ScalarField(a.grid, root_a - root_b)
+    return math.sqrt(l2_inner(diff, diff))
 
 
 def spherical_distance(a: Density, b: Density) -> float:
-    """Geodesic distance sqrt(mass) * arccos(BC); values lie in [0, π·sqrt(mass)/2]."""
-    return float(np.sqrt(a.mass) * _angle(a, b))
+    """Geodesic distance √m·2·arcsin(h/2) of the chord h; values lie in [0, π·√m/2]."""
+    return math.sqrt(a.mass) * 2.0 * math.asin(0.5 * _chord(a, b))
 
 
 def hellinger_distance(a: Density, b: Density) -> float:
-    """Chordal distance: the L^2 norm of sqrt(a) - sqrt(b)."""
-    _check_pair(a, b)
-    diff = ScalarField(a.grid, sqrt_map(a).values - sqrt_map(b).values)
-    return float(np.sqrt(l2_inner(diff, diff)))
+    """Chordal distance ‖√a − √b‖ = √m·h."""
+    return math.sqrt(a.mass) * _chord(a, b)
 
 
 @dataclass(frozen=True)
@@ -85,10 +83,10 @@ class GeodesicPath:
 def geodesic(a: Density, b: Density) -> GeodesicPath:
     """Great-circle interpolation between two equal-mass densities.
 
-    The angle is arccos of the Bhattacharyya coefficient, from the helper of
-    ``spherical_distance``, so ``length`` equals it bit for bit.
+    The angle is 2·arcsin(h/2) of the chord h, as in ``spherical_distance``,
+    so ``length`` equals it bit for bit.
     """
-    return GeodesicPath(sqrt_map(a), sqrt_map(b), _angle(a, b))
+    return GeodesicPath(sqrt_map(a), sqrt_map(b), 2.0 * math.asin(0.5 * _chord(a, b)))
 
 
 def h1dot_inner(grid: PeriodicGrid, u: np.ndarray, v: np.ndarray) -> float:

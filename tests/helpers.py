@@ -20,6 +20,15 @@ def sin_geodesic(n: int = 256) -> HsGeodesic:
     return HsGeodesic.from_divergence(ScalarField(grid, np.sin(2 * np.pi * grid.coordinate(0))))
 
 
+def torus_geodesic(n: int) -> HsGeodesic:
+    """The Hunter-Saxton geodesic of ρ0 = 0.5 sin 2πx · sin 2πy on the unit torus of n² nodes."""
+    grid = PeriodicGrid((n, n))
+    x, y = grid.coordinate(0), grid.coordinate(1)
+    return HsGeodesic.from_divergence(
+        ScalarField(grid, 0.5 * np.sin(2 * np.pi * x) * np.sin(2 * np.pi * y))
+    )
+
+
 def random_positive_density(grid: PeriodicGrid, rng, mass=None, wiggle=0.5):
     """Strictly positive random trigonometric density of the given mass."""
     bump = random_band_limited(grid, 6, rng)

@@ -57,13 +57,6 @@ KAPPA_SIN = 1.0 / (2.0 * np.sqrt(2.0))
 TMAX_SIN = 2.0 * np.sqrt(2.0) * (np.pi / 2.0 - np.arctan(np.sqrt(2.0)))
 
 
-def torus_geodesic(n=32, amplitude=0.5):
-    grid = PeriodicGrid((n, n))
-    x, y = grid.coordinate(0), grid.coordinate(1)
-    rho0 = ScalarField(grid, amplitude * np.sin(2 * np.pi * x) * np.sin(2 * np.pi * y))
-    return HsGeodesic.from_divergence(rho0)
-
-
 class TestGeodesicRecord:
     def test_kappa_value(self):
         geo = sin_geodesic()

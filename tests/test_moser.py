@@ -41,15 +41,7 @@ from densgeo.moser import (
     transport_map,
 )
 from densgeo.moser import _flow_transport
-from helpers import sin_geodesic
-
-
-def torus_geodesic(n=48):
-    grid = PeriodicGrid((n, n))
-    x, y = grid.coordinate(0), grid.coordinate(1)
-    return HsGeodesic.from_divergence(
-        ScalarField(grid, 0.5 * np.sin(2 * np.pi * x) * np.sin(2 * np.pi * y))
-    )
+from helpers import sin_geodesic, torus_geodesic
 
 
 class TestLift1D:
@@ -213,7 +205,7 @@ def test_jacobian_error_is_the_sup_against_phi(shape, seed, samples):
 
 @pytest.fixture(scope="module")
 def lifted():
-    geo = torus_geodesic()
+    geo = torus_geodesic(48)
     t_grid = np.array([0.0, 0.2, 0.4])
     flow = lift_flow(lambda t: jacobian_formula(geo, t), t_grid, geo.grid, dt=2e-3)
     return geo, t_grid, flow

@@ -1,5 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from densgeo.errors import ValidationError
 from densgeo.simplex import (
@@ -80,7 +84,24 @@ class TestDemoGeodesic:
 
 class TestDistances:
     def test_identical(self):
-        assert fisher_rao_distance(UNIFORM3, UNIFORM3) == pytest.approx(0.0, abs=1e-7)
+        assert fisher_rao_distance(UNIFORM3, UNIFORM3) == 0.0
+
+    @settings(max_examples=200)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 6),
+           delta=st.floats(1e-12, 1e-6), sign=st.sampled_from([-1.0, 1.0]))
+    def test_near_pair_is_the_chord_to_third_order(self, seed, n, delta, sign):
+        # 2·arcsin(h/2) = h·(1 + h²/24) + O(h⁵) of the chord h = ‖√p − √q‖
+        rng = np.random.default_rng(seed)
+        raw = rng.uniform(0.05, 1.0, n)
+        p = SimplexPoint(raw / raw.sum())
+        i, j = rng.choice(n, 2, replace=False)
+        moved = p.probs.copy()
+        moved[i] += sign * delta
+        moved[j] -= sign * delta
+        q = SimplexPoint(moved)
+        h = np.linalg.norm(np.sqrt(p.probs) - np.sqrt(q.probs))
+        assert h > 0.0
+        assert fisher_rao_distance(p, q) == pytest.approx(h * (1.0 + h**2 / 24.0), rel=1e-12)
 
     def test_uniform_to_edge(self):
         # closed-form affinity 2/√6
@@ -107,6 +128,23 @@ class TestValidation:
     def test_negative_rejected(self):
         with pytest.raises(ValidationError):
             SimplexPoint(np.array([0.6, 0.5, -0.1]))
+
+    @settings(max_examples=200)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 6), data=st.data())
+    def test_admitted_negatives_have_finite_roots(self, seed, n, data):
+        # entries down to -1e-12 are roundoff; every result is finite, with no warning
+        rng = np.random.default_rng(seed)
+        negatives = data.draw(st.integers(1, n - 1), label="negatives")
+        probs = np.empty(n)
+        probs[:negatives] = -rng.uniform(0.0, 1e-12, negatives)
+        raw = rng.uniform(0.05, 1.0, n - negatives)
+        probs[negatives:] = raw / raw.sum() * (1.0 - probs[:negatives].sum())
+        a, b = SimplexPoint(rng.permutation(probs)), SimplexPoint(probs)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            results = [embed(a), affinity(a, b), fisher_rao_distance(a, b), fisher_rao_distance(b, b)]
+        assert all(np.all(np.isfinite(r)) for r in results)
+        assert np.min(a.probs) >= 0.0
 
     def test_unnormalized_rejected(self):
         with pytest.raises(ValidationError):

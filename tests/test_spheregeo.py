@@ -144,6 +144,19 @@ class TestDistances:
                 2.0 * np.sin(angle / 2.0), abs=1e-12
             )
 
+    @settings(max_examples=100)
+    @given(shape=st.sampled_from([(64,), (256,), (16, 16), (16, 32)]),
+           mass=st.sampled_from([1.0, 3.0, 1e-3]), wiggles=st.tuples(st.floats(0.0, 0.9),
+           st.floats(0.0, 0.9)), seed=st.integers(0, 2**32 - 1))
+    def test_spherical_distance_is_the_spherical_hellinger(self, shape, mass, wiggles, seed):
+        # the geodesic distance is 2√m·arcsin(H/2√m) of the Hellinger distance H
+        grid = PeriodicGrid(shape)
+        rng = np.random.default_rng(seed)
+        a, b = (random_positive_density(grid, rng, mass, wiggle) for wiggle in wiggles)
+        root = np.sqrt(mass)
+        want = 2.0 * root * np.arcsin(hellinger_distance(a, b) / (2.0 * root))
+        assert abs(spherical_distance(a, b) - want) <= 4 * np.spacing(want)
+
     def test_hellinger_approaches_sqrt2_for_separated_peaks(self):
         grid = PeriodicGrid(65536)
         a = peaked_density(grid, 1e4, center=0.25)
