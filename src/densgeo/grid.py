@@ -2,16 +2,17 @@
 
 Nodes are x_j = j * L / N per axis, so quadrature is the rectangle rule,
 which is spectrally exact for periodic integrands.  Every spectral operator
-is a Fourier multiplier on the real FFT's half spectrum, built once per
-grid.  ``fourier`` applies one over the trailing ``grid.dim`` axes; leading
-axes of the values and of the multiplier broadcast, so a stack costs one
-call.  Its forward half, ``transform``, owns the real FFT over the grid
-axes, and ``_interp`` takes its spectra from it.  A partial derivative ∂ₐ
-multiplies by ikₐ alone, so the transform along the other axis cancels:
-``derivative``, ``gradient_values`` and ``divergence`` take the real FFT
-along axis a only (``_partial``), which in 1-D is the same pair of
-transforms.  The Nyquist mode is zeroed in first derivatives so derivatives
-of real fields stay real.
+is a Fourier multiplier on the real FFT's half spectrum.  The tables depend
+only on a grid's (shape, lengths), so grids of one shape share one read-only
+copy, built once per process (``_tables``); at most 16 shapes stay cached.
+``fourier`` applies one over the trailing ``grid.dim`` axes; leading axes of
+the values and of the multiplier broadcast, so a stack costs one call.  Its
+forward half, ``transform``, owns the real FFT over the grid axes, and
+``_interp`` takes its spectra from it.  A partial derivative ∂ₐ multiplies
+by ikₐ alone, so the transform along the other axis cancels: ``derivative``,
+``gradient_values`` and ``divergence`` take the real FFT along axis a only
+(``_partial``), which in 1-D is the same pair of transforms.  The Nyquist
+mode is zeroed in first derivatives so derivatives of real fields stay real.
 
 A vector field is a (dim, *shape) array, row a its component along axis a
 (like ``PeriodicGrid.identity``), in every function that takes or returns one.
@@ -25,8 +26,10 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from contextlib import suppress
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -43,6 +46,49 @@ def _as_tuple(value, dim: int) -> tuple:
     if len(value) != dim:
         raise InvalidGrid(f"expected {dim} per-axis values, got {len(value)}")
     return value
+
+
+def _count(n) -> int:
+    """A node count as an ``int``; InvalidGrid unless it is a real number of
+    integral value (16, ``np.int64(16)`` and 16.0 are; 8.5 and "16" are not)."""
+    if isinstance(n, numbers.Real) and float(n).is_integer():
+        return int(n)
+    raise InvalidGrid(f"a node count must be an integer, got {n!r}")
+
+
+@lru_cache(maxsize=16)
+def _tables(shape: tuple, lengths: tuple) -> tuple:
+    """A grid's read-only arrays, shared by every grid of one (shape, lengths):
+    ``identity``, ``wavenumbers``, ``k2``, ``inv_laplacian``, ``dealias_mask``,
+    ``ik`` and ``ik_axes``, in that order (see ``PeriodicGrid``)."""
+    dim = len(shape)
+    spacings = tuple(L / n for L, n in zip(lengths, shape))
+    axes = [np.arange(n) * h for n, h in zip(shape, spacings)]
+    identity = np.array(np.meshgrid(*axes, indexing="ij"))
+
+    # wavenumbers of the real FFT's half spectrum: the last axis keeps
+    # the modes 0..N/2, the others all N modes in FFT order
+    freqs = [np.fft.fftfreq] * (dim - 1) + [np.fft.rfftfreq]
+    wavenumbers = tuple(2.0 * np.pi * f(n, d=h) for f, n, h in zip(freqs, shape, spacings))
+    k = np.array(np.meshgrid(*wavenumbers, indexing="ij"))
+    # half-spectrum multipliers: |k|², Δ⁻¹ (0 on the zero mode), the
+    # 2/3-rule dealias mask, and ik with the Nyquist mode of each axis
+    # zeroed (odd there for even N)
+    k2 = np.sum(k**2, axis=0)
+    inv_laplacian = -1.0 / np.where(k2 > 0.0, k2, np.inf)
+    cut = [(2.0 / 3.0) * np.pi / h + 1e-12 for h in spacings]
+    dealias_mask = np.all([np.abs(ka) <= c for ka, c in zip(k, cut)], axis=0)
+    for axis, n in enumerate(shape):
+        np.moveaxis(k[axis], axis, 0)[n // 2] = 0.0
+    ik = 1j * k
+    ik_axes = []  # broadcast along their own axis of a (..., *shape) array
+    for axis, (n, ka) in enumerate(zip(shape, wavenumbers)):
+        ika = 1j * ka[: n // 2 + 1]
+        ika[-1] = 0.0
+        ik_axes.append(ika.reshape((-1,) + (1,) * (dim - 1 - axis)))
+    for table in (identity, *wavenumbers, k2, inv_laplacian, dealias_mask, ik, *ik_axes):
+        table.flags.writeable = False
+    return identity, wavenumbers, k2, inv_laplacian, dealias_mask, ik, tuple(ik_axes)
 
 
 class PeriodicGrid:
@@ -62,13 +108,16 @@ class PeriodicGrid:
     spectrum the package uses (``_interp`` evaluates off-grid from it too),
     and are applied with ``fourier``.  ``wavenumbers[a]`` holds axis a's
     angular wavenumbers kₐ on that spectrum, and ``ik_axes[a]`` is ikₐ on
-    the half spectrum of axis a alone, for ∂ₐ.
+    the half spectrum of axis a alone, for ∂ₐ.  Every one of these arrays is
+    read-only and shared by all grids of one (shape, lengths): they are built
+    once per process, for at most 16 shapes at a time, so each grid after the
+    first costs O(1), not O(nodes).
     """
 
     def __init__(self, points_per_axis, lengths=1.0):
         if np.isscalar(points_per_axis):
-            points_per_axis = (int(points_per_axis),)
-        self.shape = tuple(int(n) for n in points_per_axis)
+            points_per_axis = (points_per_axis,)
+        self.shape = tuple(_count(n) for n in points_per_axis)
         self.dim = len(self.shape)
         if self.dim not in (1, 2):
             raise InvalidGrid("only the circle (dim 1) and torus (dim 2) are supported")
@@ -89,33 +138,10 @@ class PeriodicGrid:
         self.node_weight = math.prod(self.spacings)  # per node (uniform rectangle rule)
         if not (self.node_weight >= np.finfo(float).tiny and self.total_volume < np.inf):
             raise InvalidGrid(f"lengths {self.lengths}: a volume is not a normal float")
-        self.node_count = int(np.prod(self.shape))
+        self.node_count = math.prod(self.shape)
 
-        axes = [np.arange(n) * h for n, h in zip(self.shape, self.spacings)]
-        self.identity = np.array(np.meshgrid(*axes, indexing="ij"))
-        self.identity.flags.writeable = False
-
-        # wavenumbers of the real FFT's half spectrum: the last axis keeps
-        # the modes 0..N/2, the others all N modes in FFT order
-        freqs = [np.fft.fftfreq] * (self.dim - 1) + [np.fft.rfftfreq]
-        self.wavenumbers = tuple(2.0 * np.pi * f(n, d=h)
-                                 for f, n, h in zip(freqs, self.shape, self.spacings))
-        k = np.array(np.meshgrid(*self.wavenumbers, indexing="ij"))
-        # half-spectrum multipliers: |k|², Δ⁻¹ (0 on the zero mode), the
-        # 2/3-rule dealias mask, and ik with the Nyquist mode of each axis
-        # zeroed (odd there for even N)
-        self.k2 = np.sum(k**2, axis=0)
-        self.inv_laplacian = -1.0 / np.where(self.k2 > 0.0, self.k2, np.inf)
-        cut = [(2.0 / 3.0) * np.pi / h + 1e-12 for h in self.spacings]
-        self.dealias_mask = np.all([np.abs(ka) <= c for ka, c in zip(k, cut)], axis=0)
-        for axis, n in enumerate(self.shape):
-            np.moveaxis(k[axis], axis, 0)[n // 2] = 0.0
-        self.ik = 1j * k
-        self.ik_axes = []  # broadcast along their own axis of a (..., *shape) array
-        for axis, (n, ka) in enumerate(zip(self.shape, self.wavenumbers)):
-            ika = 1j * ka[: n // 2 + 1]
-            ika[-1] = 0.0
-            self.ik_axes.append(ika.reshape((-1,) + (1,) * (self.dim - 1 - axis)))
+        (self.identity, self.wavenumbers, self.k2, self.inv_laplacian, self.dealias_mask,
+         self.ik, self.ik_axes) = _tables(self.shape, self.lengths)
 
     def coordinate(self, axis: int = 0) -> np.ndarray:
         """Full-shape array of node coordinates along ``axis``."""

@@ -17,13 +17,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NonFiniteInput, ValidationError
 
 
 @dataclass(frozen=True)
 class SimplexPoint:
-    """Probability vector with non-negative entries summing to one; entries down
-    to -1e-12 are roundoff and are stored as 0."""
+    """Probability vector with finite, non-negative entries summing to one;
+    entries down to -1e-12 are roundoff and are stored as 0.  A NaN or
+    infinite entry is NonFiniteInput."""
 
     probs: np.ndarray
 
@@ -31,6 +32,8 @@ class SimplexPoint:
         probs = np.asarray(self.probs, dtype=float)
         if probs.ndim != 1 or len(probs) < 2:
             raise ValidationError("a simplex point needs at least two outcomes")
+        if not np.all(np.isfinite(probs)):
+            raise NonFiniteInput("probabilities must be finite")
         if np.min(probs) < -1e-12:
             raise ValidationError("probabilities must be non-negative")
         if abs(np.sum(probs) - 1.0) > 1e-12:

@@ -289,6 +289,12 @@ class TestDeterminism:
             capsys, "alpha", "--alpha", "0.5", "--u0", "(1-cos(2*pi*x))/(2*pi)",
             "--grid", "64", "--t-final", "0.05", "--dt", "0.001", "--seed", "11",
         )
+        # requests on other grids in between, so the second run reads the
+        # shared grid tables after other requests touched them
+        for argv in (["dist", "--a", "uniform", "--b", "1+0.5*sin(2*pi*x)*cos(2*pi*y)",
+                      "--dim", "2", "--grid", "32", "--length", "2,1"],
+                     ["hs", "--div-u0", "sin(2*pi*x)", "--grid", "128"]):
+            assert run_cli(capsys, *argv)[0] == 0
         _, second = run_cli(
             capsys, "alpha", "--alpha", "0.5", "--u0", "(1-cos(2*pi*x))/(2*pi)",
             "--grid", "64", "--t-final", "0.05", "--dt", "0.001", "--seed", "11",

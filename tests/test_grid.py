@@ -161,8 +161,34 @@ class TestValidation:
         grid = PeriodicGrid((8, 16), (1.0, 2.0))
         assert grid.identity.shape == (2, 8, 16)
         assert np.array_equal(grid.identity[1], grid.coordinate(1))
-        with pytest.raises(ValueError):
-            grid.identity[0, 0, 0] = 1.0
+
+        def tables(grid):
+            return [grid.identity, *grid.wavenumbers, grid.k2, grid.inv_laplacian,
+                    grid.dealias_mask, grid.ik, *grid.ik_axes]
+
+        # every table is read-only and shared by the grids of one (shape, lengths)
+        for points, lengths, other in [(16, 2.0, 3.0), ((8, 16), (1.0, 2.0), (2.0, 1.0))]:
+            grid = PeriodicGrid(points, lengths)
+            assert isinstance(grid.wavenumbers, tuple) and isinstance(grid.ik_axes, tuple)
+            for table in tables(grid):
+                with pytest.raises(ValueError):
+                    table[...] = 0
+            twin = PeriodicGrid(points, lengths)
+            assert all(a is b for a, b in zip(tables(twin), tables(grid), strict=True))
+            assert not any(a is b for a, b in zip(tables(PeriodicGrid(points, other)), tables(grid)))
+
+    @pytest.mark.parametrize("points", [8.5, (16.9, 16), (16, 16.5), "16", ("16", 16), np.nan],
+                             ids=["8.5", "16.9x16", "16x16.5", "str", "str-pair", "nan"])
+    def test_non_integral_node_count_rejected(self, points):
+        with pytest.raises(InvalidGrid):
+            PeriodicGrid(points)
+
+    @pytest.mark.parametrize("points", [16, np.int64(16), 16.0, np.float64(16.0)],
+                             ids=["int", "int64", "float", "float64"])
+    def test_integral_node_count_stored_as_int(self, points):
+        grid = PeriodicGrid((points, 8))
+        assert grid.shape == (16, 8) and all(type(n) is int for n in grid.shape)
+        assert grid.k2 is PeriodicGrid((16, 8)).k2
 
 
 class TestPeriodicPrimitive:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from densgeo.errors import ValidationError
+from densgeo.errors import NonFiniteInput, ValidationError
 from densgeo.simplex import (
     BOUNCE_TIME,
     SimplexPoint,
@@ -145,6 +145,14 @@ class TestValidation:
             results = [embed(a), affinity(a, b), fisher_rao_distance(a, b), fisher_rao_distance(b, b)]
         assert all(np.all(np.isfinite(r)) for r in results)
         assert np.min(a.probs) >= 0.0
+
+    @pytest.mark.parametrize("position", range(3))
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad, position):
+        probs = np.array([0.0, 0.5, 0.5])
+        probs[position] = bad
+        with pytest.raises(NonFiniteInput):
+            SimplexPoint(probs)
 
     def test_unnormalized_rejected(self):
         with pytest.raises(ValidationError):
