@@ -11,10 +11,10 @@ rate to vanish there, and RK4 keeps the linear invariant u(0) to roundoff.
 Every right-hand side comes from the transform method with the 2/3 rule
 (Orszag 1971): an equation is a table of dealiased half-spectrum multipliers,
 one per quadratic product it uses from (u uₓ, uₓ², u²).  The steppers keep
-c = rfft(u) and build the lift [1, ik] and the negated table once per run, so
-an RK4 stage is two FFT calls and about five array operations (27 µs at
-N = 256 on a 2-vCPU host, 17 µs of it in the FFTs).  The re-based rate and
-the base point of Γ are corrections to the zero mode.
+c = rfft(u) and build the lift [1, ik], the negated table and the arrays an
+RK4 stage writes into once per run, so a stage is two FFT calls and about five
+array operations (18 µs at N = 256 on a 2-vCPU host, 11 µs in the FFTs).  The
+re-based rate and the base point of Γ are corrections to the zero mode.
 
 ``evolve_to_tolerance`` runs any of these steppers under ``grid.steps_to_tolerance``,
 the Richardson step rule, and given no step chooses one that meets ``TIME_TOL``.
@@ -106,22 +106,30 @@ def _at_origin(row: np.ndarray) -> float:
 
 def _stage(grid: PeriodicGrid, multipliers, gauge: bool, courant_dt=None):
     """The rate (t, c) -> ċ of u_t = -Σᵣ mᵣ(pᵣ) on c = rfft(u), p = (u uₓ, uₓ², u²) of
-    u = irfft(c), with the lift [1, ik] and the table -m built once; ``gauge`` re-bases
-    the whole rate to vanish at x = 0, so u(0) is a linear invariant that RK4 keeps to
-    roundoff, and ``courant_dt`` checks the u of each step's first stage."""
+    u = irfft(c), with the lift [1, ik], the table -m and the arrays a stage fills built
+    once; ``gauge`` re-bases the whole rate to vanish at x = 0, so u(0) is a linear
+    invariant that RK4 keeps to roundoff, and ``courant_dt`` checks the u of each step's
+    first stage.  Only ċ is fresh at each call, a copy of the first weighted term with
+    the rest added (a one-row table's is that copy), since ``rk4_step`` holds k1…k4."""
     n, rows = grid.shape[0], len(multipliers)
     lift = np.array([np.ones_like(grid.ik[0]), grid.ik[0]])
     minus = -np.asarray(multipliers, dtype=complex)
-    left, right = np.array([1, 1, 0]), np.array([0, 1, 0])  # u uₓ, uₓ², u² from rows u, uₓ
+    lifted, u = np.empty_like(lift), np.empty((2, n))  # [c, ik c], rows u, uₓ
+    products, terms = np.empty((rows, n)), np.empty_like(minus)
+    ux, u_head, p_head = u[1], u[: min(rows, 2)], products[:2]  # u uₓ, then uₓ² if rows > 1
+    first, rest = terms[0], list(terms[1:])
 
     def rate(t, c):
-        u = np.fft.irfft(lift * c, n=n)  # rows u, uₓ
+        np.fft.irfft(np.multiply(lift, c, out=lifted), n=n, out=u)
         if courant_dt is not None and t == 0.0:
             check_courant(grid, u[:1], courant_dt)
-        products = (u.take(left, axis=0) * u.take(right, axis=0) if rows == 3  # no stacking
-                    else u[1] * u[:rows])  # u uₓ, then uₓ² if rows > 1
-        terms = minus * np.fft.rfft(products)
-        total = sum(terms[1:], terms[0])
+        np.multiply(ux, u_head, out=p_head)
+        if rows == 3:
+            np.multiply(u[0], u[0], out=products[2])  # u²
+        np.multiply(minus, np.fft.rfft(products, out=terms), out=terms)
+        total = first.copy()
+        for term in rest:
+            total += term
         if gauge:
             total[0] -= _at_origin(total)
         return total

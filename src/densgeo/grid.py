@@ -39,19 +39,23 @@ from .errors import GridMismatch, InvalidGrid, NonZeroMean, StepTooLarge, Valida
 MAX_STEPS = 10**6
 
 
-def _as_tuple(value, dim: int) -> tuple:
-    if np.isscalar(value):
-        return (value,) * dim
-    value = tuple(value)
-    if len(value) != dim:
+def _as_tuple(value, dim: int | None = None) -> tuple:
+    """Per-axis real numbers (a 0-d array gives the one it holds), a scalar serving all
+    ``dim`` axes (one if None); InvalidGrid for any other entry, or for a wrong count."""
+    if np.isscalar(value) or getattr(value, "ndim", None) == 0:
+        value = (value,) * (dim or 1)
+    value = tuple(v[()] if isinstance(v, np.ndarray) else v for v in value)
+    if not all(isinstance(v, numbers.Real) for v in value):  # float("2") would pass
+        raise InvalidGrid(f"per-axis values must be real numbers, got {value!r}")
+    if dim is not None and len(value) != dim:
         raise InvalidGrid(f"expected {dim} per-axis values, got {len(value)}")
     return value
 
 
 def _count(n) -> int:
-    """A node count as an ``int``; InvalidGrid unless it is a real number of
-    integral value (16, ``np.int64(16)`` and 16.0 are; 8.5 and "16" are not)."""
-    if isinstance(n, numbers.Real) and float(n).is_integer():
+    """A node count from ``_as_tuple`` as an ``int``; InvalidGrid unless it has an
+    integral value (16, ``np.int64(16)`` and 16.0 do; 8.5 does not)."""
+    if float(n).is_integer():
         return int(n)
     raise InvalidGrid(f"a node count must be an integer, got {n!r}")
 
@@ -115,9 +119,7 @@ class PeriodicGrid:
     """
 
     def __init__(self, points_per_axis, lengths=1.0):
-        if np.isscalar(points_per_axis):
-            points_per_axis = (points_per_axis,)
-        self.shape = tuple(_count(n) for n in points_per_axis)
+        self.shape = tuple(_count(n) for n in _as_tuple(points_per_axis))
         self.dim = len(self.shape)
         if self.dim not in (1, 2):
             raise InvalidGrid("only the circle (dim 1) and torus (dim 2) are supported")
@@ -422,7 +424,7 @@ def steps_to_tolerance(run, cap: int, tol: float, first=None):
 def check_courant(grid: PeriodicGrid, velocity, dt: float):
     """``velocity``, a vector field (dim, *shape), once its advective Courant
     number over a step ``dt`` is at most 0.5; StepTooLarge otherwise (NaN too)."""
-    sup = float(np.max(np.abs(velocity)))
+    sup = float(np.abs(velocity).max())
     courant = sup * dt * max(n / L for n, L in zip(grid.shape, grid.lengths))
     if not courant <= 0.5:  # NaN velocities fail here too
         raise StepTooLarge(f"advective Courant number {courant:.3f} is not at most 0.5")

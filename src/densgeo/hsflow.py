@@ -7,11 +7,12 @@ Everything here is parameterized by the initial divergence ρ0 and the
 angular frequency κ² = ∫ ρ0² dμ / (4 μ(M)).  The square root of the flow
 Jacobian traces the great circle f = cos κt + (ρ0/2κ) sin κt on the
 density sphere, and every closed form is a function of (f, ḟ), which one
-kernel, ``great_circle``, evaluates: Jac = f², ρ∘η = 2ḟ/f (an explicit
-tangent) and ρ²·Jac = 4ḟ².  It takes sin(κt)/κ as t·sinc(κt), so κ = 0
-needs no branch: there the solution is the stationary one, ρ0 = 0, with
-f ≡ 1 and ρ ≡ 0 exactly.  Given an array of times it evaluates them all in
-one call, time axis first.  ``great_circle_chunks`` cuts a long series of
+kernel, ``great_circle``, evaluates (f alone by its first half,
+``_sphere_point``): Jac = f², ρ∘η = 2ḟ/f (an explicit tangent) and
+ρ²·Jac = 4ḟ².  It takes sin(κt)/κ as t·sinc(κt), so κ = 0 needs no branch:
+there the solution is the stationary one, ρ0 = 0, with f ≡ 1 and ρ ≡ 0
+exactly.  Given an array of times it evaluates them all in one call, time
+axis first.  ``great_circle_chunks`` cuts a long series of
 times into such calls of about ``_CHUNK_VALUES`` values each; it feeds the
 Jacobian's RK4 factors (``_rk4_factors``, for ``jacobian_by_ode`` and
 ``integrate_flow``) and the CLI's ``hs`` and ``invariants`` series.
@@ -53,12 +54,12 @@ from .grid import (
 KAPPA_EPS = 1e-13
 IDENTITY_TOL = 1e-10  # of a flow's start: |J - 1|, and |η - id| over the longest period
 # values (times × nodes) per chunk of ``great_circle_chunks``, the one chunk rule of
-# ``_rk4_factors`` and the CLI's hs and invariants series: a chunk's arrays of 8·2¹⁴
+# ``_rk4_factors`` and the CLI's hs and invariants series: a chunk's f and ḟ of 8·2¹⁴
 # bytes stay at glibc's default mmap and trim threshold (128 KiB, mallopt(3)), where
 # its heap keeps them.  At 2¹⁵ a process that has not yet freed a block above 256 KiB
 # (which raises both thresholds) returns each chunk's arrays to the kernel and faults
 # them in afresh: 17,000 minor faults and 80-100 ms per jacobian_by_ode call at N = 512
-# on a 2-vCPU Xeon, against 200-350 faults and 50-60 ms at 2¹⁴, fresh or warm
+# on a 2-vCPU Xeon, against 160 faults at 2¹⁴ with the factors formed in ḟ, warm
 _CHUNK_VALUES = 2**14
 
 
@@ -142,6 +143,15 @@ def great_circle(g: HsGeodesic, t, rho0_values: np.ndarray | None = None):
     with S = sin(κt)/κ = t·sinc(κt).  t is a float, or a 1-D array of times
     that becomes the first axis of f and ḟ.  At κ = 0, where ρ0 ≡ 0, f ≡ 1.0
     and ḟ ≡ 0.0 exactly."""
+    f, rho0, cos_kt, s = _sphere_point(g, t, rho0_values)
+    fdot = (0.5 * cos_kt) * rho0
+    fdot -= g.kappa**2 * s
+    return f, fdot
+
+
+def _sphere_point(g: HsGeodesic, t, rho0_values: np.ndarray | None = None):
+    """``great_circle``'s f, one fresh product with cos κt added in place (as is ḟ),
+    with the ρ0, cos κt and S it is made of, as (f, ρ0, cos κt, S)."""
     rho0 = g.rho0.values if rho0_values is None else rho0_values
     if isinstance(t, np.ndarray):
         t = t.reshape(t.shape + (1,) * rho0.ndim)
@@ -149,7 +159,9 @@ def great_circle(g: HsGeodesic, t, rho0_values: np.ndarray | None = None):
     else:
         cos_kt = math.cos(g.kappa * t)
     s = t * sinc(g.kappa * t)
-    return cos_kt + (0.5 * s) * rho0, (0.5 * cos_kt) * rho0 - g.kappa**2 * s
+    f = (0.5 * s) * rho0
+    f += cos_kt
+    return f, rho0, cos_kt, s
 
 
 def great_circle_chunks(g: HsGeodesic, times: np.ndarray, values_per_time: int):
@@ -176,12 +188,12 @@ def rho_along_flow(g: HsGeodesic, t: float) -> ScalarField:
 
 def jacobian_formula(g: HsGeodesic, t: float) -> ScalarField:
     """Flow Jacobian f² = (cos κt + (ρ0/2κ) sin κt)², valid for all real t."""
-    return ScalarField(g.grid, great_circle(g, t)[0] ** 2)
+    return ScalarField(g.grid, _sphere_point(g, t)[0] ** 2)
 
 
 def sphere_path(g: HsGeodesic, t: float) -> ScalarField:
     """Great-circle point f = cos κt + (ρ0/2κ) sin κt (the square root of the Jacobian)."""
-    return ScalarField(g.grid, great_circle(g, t)[0])
+    return ScalarField(g.grid, _sphere_point(g, t)[0])
 
 
 def sphere_velocity(g: HsGeodesic, t: float) -> ScalarField:
@@ -334,14 +346,21 @@ def _rk4_factors(g: HsGeodesic, n_steps: int, h: float):
     times = np.arange(1.0, n_steps + 1) - np.array([[0.0], [0.5]])
     times *= h
     for _, f, fdot in great_circle_chunks(g, times, 2 * g.grid.node_count):
-        whole, a2 = 2.0 * fdot / f
-        del f, fdot  # fewer live chunk arrays, or glibc trims the heap and re-faults it
+        # k₂, then P, in ḟ's whole-step rows, k₄ in its half-step rows, k₃ fresh; f is
+        # freed first, so the next chunk's f reuses its heap block and no trim re-faults
+        whole, a2 = np.divide(np.multiply(fdot, 2.0, out=fdot), f, out=fdot)  # 2ḟ/f
+        del f
         ends = np.concatenate([ends[-1:], whole])
         a1, a4 = ends[:-1], ends[1:]
-        k2 = a2 * (1.0 + 0.5 * h * a1)
-        k3 = a2 * (1.0 + 0.5 * h * k2)
-        k4 = a4 * (1.0 + h * k3)
-        yield (1.0 + (h / 6.0) * (a1 + 2.0 * (k2 + k3) + k4)).reshape((-1, *g.grid.shape))
+        k2, k3, k4 = whole, np.empty_like(a2), a2
+        for k, a, scale, prev in ((k2, a2, 0.5 * h, a1), (k3, a2, 0.5 * h, k2), (k4, a4, h, k3)):
+            np.multiply(scale, prev, out=k)
+            k += 1.0
+            k *= a
+        for op, x in ((np.add, k3), (np.multiply, 2.0), (np.add, a1), (np.add, k4),
+                      (np.multiply, h / 6.0), (np.add, 1.0)):  # P, into k2
+            op(k2, x, out=k2)
+        yield k2.reshape((-1, *g.grid.shape))
 
 
 def jacobian_by_ode(g: HsGeodesic, t_final: float, dt: float) -> ScalarField:

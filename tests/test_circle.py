@@ -385,6 +385,22 @@ class TestSpectralStepper:
             _evolve(equation, u0, 1.0, 0.1)
         assert fft_calls == ["rfft", "irfft"]  # u0's spectrum, then the first stage's u
 
+    # the stage's arrays are built once per run; the rate it returns must still be fresh,
+    # because rk4_step holds k1…k4 at once (a one-row table's rate copies its one term)
+    @pytest.mark.parametrize("gauge", [False, True], ids=["plain", "gauged"])
+    @pytest.mark.parametrize("rows", [1, 2, 3])
+    def test_rate_is_not_overwritten_by_the_next_call(self, rows, gauge):
+        grid = PeriodicGrid(32)
+        rate = circle._stage(grid, circle._camassa_holm(grid)[:rows], gauge)
+        c1, c2 = (np.fft.rfft(random_band_limited(grid, 8, np.random.default_rng(s)).values)
+                  for s in (1, 2))
+        first = rate(0.0, c1)
+        kept = first.copy()
+        second = rate(0.0, c2)
+        assert np.array_equal(first, kept) and not np.shares_memory(first, second)
+        assert not np.array_equal(second, kept)
+        assert np.array_equal(rate(0.0, c1), kept)
+
     def test_gauge_preserved_without_gamma_row(self):
         # α = -1 has no Γ row, so only the re-based rate keeps u(0) (test_gauge_preserved: α = 0.4)
         grid = PeriodicGrid(128)

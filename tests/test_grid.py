@@ -177,18 +177,35 @@ class TestValidation:
             assert all(a is b for a, b in zip(tables(twin), tables(grid), strict=True))
             assert not any(a is b for a, b in zip(tables(PeriodicGrid(points, other)), tables(grid)))
 
-    @pytest.mark.parametrize("points", [8.5, (16.9, 16), (16, 16.5), "16", ("16", 16), np.nan],
-                             ids=["8.5", "16.9x16", "16x16.5", "str", "str-pair", "nan"])
+    @pytest.mark.parametrize("points", [8.5, (16.9, 16), (16, 16.5), "16", ("16", 16), np.nan,
+                                        np.array(16.5), np.array("16"), (np.array(8.5), 16)],
+                             ids=["8.5", "16.9x16", "16x16.5", "str", "str-pair", "nan",
+                                  "0d-16.5", "0d-str", "0d-8.5-pair"])
     def test_non_integral_node_count_rejected(self, points):
         with pytest.raises(InvalidGrid):
             PeriodicGrid(points)
 
-    @pytest.mark.parametrize("points", [16, np.int64(16), 16.0, np.float64(16.0)],
-                             ids=["int", "int64", "float", "float64"])
+    @pytest.mark.parametrize("points", [16, np.int64(16), 16.0, np.float64(16.0), np.array(16)],
+                             ids=["int", "int64", "float", "float64", "0d-int"])
     def test_integral_node_count_stored_as_int(self, points):
         grid = PeriodicGrid((points, 8))
         assert grid.shape == (16, 8) and all(type(n) is int for n in grid.shape)
         assert grid.k2 is PeriodicGrid((16, 8)).k2
+
+    @pytest.mark.parametrize("points, lengths", [(16, "2"), (16, np.array("2")), (16, 2 + 0j),
+                                                 ((16, 8), (1.0, "2")), (16, np.array(np.nan))],
+                             ids=["str", "0d-str", "complex", "str-pair", "0d-nan"])
+    def test_non_real_length_rejected(self, points, lengths):
+        with pytest.raises(InvalidGrid):
+            PeriodicGrid(points, lengths)
+
+    def test_zero_dimensional_arrays_read_as_their_scalars(self):
+        # a 0-d array is numpy's scalar; tuple() of it raised a raw TypeError
+        grid = PeriodicGrid(np.array(16), np.array(2.0))
+        assert (grid.shape, grid.lengths) == ((16,), (2.0,)) and type(grid.shape[0]) is int
+        assert grid.k2 is PeriodicGrid(16, 2.0).k2
+        torus = PeriodicGrid((np.array(16), 8), (np.array(1.0), 2))
+        assert (torus.shape, torus.lengths) == ((16, 8), (1.0, 2.0))
 
 
 class TestPeriodicPrimitive:

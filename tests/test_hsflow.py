@@ -1,3 +1,4 @@
+import math
 from unittest import mock
 
 import numpy as np
@@ -25,6 +26,7 @@ from densgeo.grid import (
     laplacian_inverse_gradient,
     random_band_limited,
     rk4_step,
+    sinc,
 )
 from densgeo.hsflow import (
     HsGeodesic,
@@ -252,6 +254,54 @@ class TestGreatCircleKernel:
                 want = hsflow.great_circle(geo, np.array([t]))
                 assert np.array_equal(f[index], want[0].ravel())
                 assert np.array_equal(fdot[index], want[1].ravel())
+
+    @settings(max_examples=60, deadline=None)
+    @given(shape=st.sampled_from([(16,), (8, 8)]), seed=st.integers(0, 2**32 - 1),
+           stationary=st.booleans(), fracs=st.lists(st.floats(-1.0, 0.99), min_size=1,
+                                                     max_size=5),
+           n_steps=st.integers(1, 30), chunk_values=st.integers(1, 2**9), data=st.data())
+    def test_kernels_are_the_textbook_expressions_bit_for_bit(
+        self, shape, seed, stationary, fracs, n_steps, chunk_values, data
+    ):
+        # great_circle and _rk4_factors compute in place; their bits must stay those of
+        # the expressions, evaluated here with fresh arrays as written
+        grid = PeriodicGrid(shape)
+        degree = data.draw(st.integers(1, min(shape) // 4), label="degree")
+        rho0 = (ScalarField.constant(grid, 0.0) if stationary
+                else random_band_limited(grid, degree, np.random.default_rng(seed)))
+        geo = HsGeodesic.from_divergence(rho0)
+        kappa, rho0, span = geo.kappa, geo.rho0.values, min(geo.t_max, 2.0)
+
+        def textbook(t):  # (f, ḟ) at a float t, or at an array of times on the first axis
+            if isinstance(t, np.ndarray):
+                t = t.reshape(t.shape + (1,) * grid.dim)
+                cos_kt = np.cos(kappa * t)
+            else:
+                cos_kt = math.cos(kappa * t)
+            s = t * sinc(kappa * t)
+            return cos_kt + (0.5 * s) * rho0, (0.5 * cos_kt) * rho0 - kappa**2 * s
+
+        times = np.array(fracs) * span
+        for t in [float(t) for t in times] + [times]:
+            f, fdot = hsflow.great_circle(geo, t)
+            want_f, want_fdot = textbook(t)
+            assert np.array_equal(f, want_f) and np.array_equal(fdot, want_fdot)
+            if not isinstance(t, np.ndarray):
+                assert np.array_equal(jacobian_formula(geo, t).values, f**2)
+                assert np.array_equal(sphere_path(geo, t).values, f)
+
+        h = 0.99 * span / n_steps
+        with mock.patch.object(hsflow, "_CHUNK_VALUES", chunk_values):
+            got = np.concatenate(list(hsflow._rk4_factors(geo, n_steps, h)))
+        (f, fdot), (f_half, fdot_half) = (
+            textbook(times) for times in (np.arange(0.0, n_steps + 1) * h,
+                                          (np.arange(1.0, n_steps + 1) - 0.5) * h))
+        ends, a2 = 2.0 * fdot / f, 2.0 * fdot_half / f_half
+        a1, a4 = ends[:-1], ends[1:]
+        k2 = a2 * (1.0 + 0.5 * h * a1)
+        k3 = a2 * (1.0 + 0.5 * h * k2)
+        k4 = a4 * (1.0 + h * k3)
+        assert np.array_equal(got, 1.0 + (h / 6.0) * (a1 + 2.0 * (k2 + k3) + k4))
 
 
 class TestStationaryLimit:
