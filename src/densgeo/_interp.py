@@ -302,7 +302,7 @@ def invert_monotone(grid: PeriodicGrid, eta_values: np.ndarray, targets: np.ndar
         prev = worst
     else:
         final = np.max(np.abs(x + w_and_slope(x)[0] - y))
-        if final > 1e-9 * length:
+        if not final <= 1e-9 * length:  # a NaN residual fails too
             raise InversionDiverged(
                 f"monotone inversion stalled with residual {final:.3e}"
             )

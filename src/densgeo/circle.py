@@ -189,9 +189,11 @@ def alpha_one_explicit(u0: ScalarField, t: float) -> tuple[ScalarField, np.ndarr
     Returns the velocity u(t, ·) on the grid and the flow positions
     η_t(x) = L ∫₀ˣ e^{t u0ₓ} / ∫₀^L e^{t u0ₓ}, a strictly increasing circle
     map fixing 0.  The velocity is the flow derivative transported back,
-    u(t, ·) = η̇_t ∘ η_t⁻¹.
+    u(t, ·) = η̇_t ∘ η_t⁻¹.  A non-finite u0 is NonFiniteInput.
     """
     _require_circle(u0)
+    if not np.all(np.isfinite(u0.values)):
+        raise NonFiniteInput("the initial velocity u0 is not finite")
     grid = u0.grid
     sup = float(np.max(np.abs(u0.values)))
     if abs(u0.values[0]) > 1e-10 * max(sup, 1e-300):

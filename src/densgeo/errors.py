@@ -28,7 +28,7 @@ class InvalidGrid(ValidationError, ValueError):
     pass
 
 
-class GridMismatch(ValidationError):
+class GridMismatch(ValidationError, ValueError):
     pass
 
 

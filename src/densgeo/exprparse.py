@@ -6,10 +6,11 @@ the four arithmetic operators with usual precedence, parentheses, and unary
 minus.  Parsed once into a closure, then evaluated on grid coordinate
 arrays, keeping reproduction scripts self-contained without eval().
 
-An expression has at most MAX_LENGTH characters and nests parentheses
-(calls included) at most MAX_DEPTH deep, or it is rejected with
-ValidationError.  Unary signs and operator runs are read in loops, so only
-parentheses recurse, far inside Python's recursion limit.
+Whitespace around and between tokens is ignored.  An expression has at most
+MAX_LENGTH characters, whitespace included, and nests parentheses (calls
+included) at most MAX_DEPTH deep, or it is rejected with ValidationError.
+Unary signs and operator runs are read in loops, so only parentheses
+recurse, far inside Python's recursion limit.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ MAX_DEPTH = 32
 def _tokenize(text: str):
     if len(text) > MAX_LENGTH:
         raise ValidationError(f"expression longer than {MAX_LENGTH} characters")
+    text = text.rstrip()  # a token's pattern skips the whitespace before it
     pos = depth = 0
     tokens = []
     while pos < len(text):

@@ -40,24 +40,16 @@ MAX_STEPS = 10**6
 
 
 def _as_tuple(value, dim: int | None = None) -> tuple:
-    """Per-axis real numbers (a 0-d array gives the one it holds), a scalar serving all
-    ``dim`` axes (one if None); InvalidGrid for any other entry, or for a wrong count."""
-    if np.isscalar(value) or getattr(value, "ndim", None) == 0:
+    """Per-axis real numbers by ``PeriodicGrid``'s rule, one value serving all ``dim`` axes (one
+    if None); InvalidGrid for a value that is no real number, or for a wrong count."""
+    if not (isinstance(value, (tuple, list)) or getattr(value, "ndim", 0) >= 1):
         value = (value,) * (dim or 1)
     value = tuple(v[()] if isinstance(v, np.ndarray) else v for v in value)
-    if not all(isinstance(v, numbers.Real) for v in value):  # float("2") would pass
+    if not all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in value):
         raise InvalidGrid(f"per-axis values must be real numbers, got {value!r}")
     if dim is not None and len(value) != dim:
         raise InvalidGrid(f"expected {dim} per-axis values, got {len(value)}")
     return value
-
-
-def _count(n) -> int:
-    """A node count from ``_as_tuple`` as an ``int``; InvalidGrid unless it has an
-    integral value (16, ``np.int64(16)`` and 16.0 do; 8.5 does not)."""
-    if float(n).is_integer():
-        return int(n)
-    raise InvalidGrid(f"a node count must be an integer, got {n!r}")
 
 
 @lru_cache(maxsize=16)
@@ -85,14 +77,12 @@ def _tables(shape: tuple, lengths: tuple) -> tuple:
     for axis, n in enumerate(shape):
         np.moveaxis(k[axis], axis, 0)[n // 2] = 0.0
     ik = 1j * k
-    ik_axes = []  # broadcast along their own axis of a (..., *shape) array
-    for axis, (n, ka) in enumerate(zip(shape, wavenumbers)):
-        ika = 1j * ka[: n // 2 + 1]
-        ika[-1] = 0.0
-        ik_axes.append(ika.reshape((-1,) + (1,) * (dim - 1 - axis)))
+    # ikₐ for ∂ₐ: ik[a] at modes 0..N/2 of axis a and mode 0 of the other, a view that broadcasts
+    ik_axes = tuple(ik[a][(0,) * a + (slice(n // 2 + 1),) + (slice(1),) * (dim - 1 - a)]
+                    for a, n in enumerate(shape))
     for table in (identity, *wavenumbers, k2, inv_laplacian, dealias_mask, ik, *ik_axes):
         table.flags.writeable = False
-    return identity, wavenumbers, k2, inv_laplacian, dealias_mask, ik, tuple(ik_axes)
+    return identity, wavenumbers, k2, inv_laplacian, dealias_mask, ik, ik_axes
 
 
 class PeriodicGrid:
@@ -101,9 +91,12 @@ class PeriodicGrid:
     Parameters
     ----------
     points_per_axis : int or tuple of int
-        Nodes per axis; each must be even and at least 8.
+        Nodes per axis; each must be integral (16.0 reads as 16), even and at least 8.
     lengths : float or tuple of float
-        Period per axis (default 1.0).
+        Period per axis (default 1.0), positive and finite.  In both, a tuple, a list or
+        an array of ndim >= 1 gives one value per axis and anything else one for every
+        axis; InvalidGrid unless each is a real number and not a bool (a 0-d array counts
+        as the number it holds), so None, a string, a dict or a set is refused.
 
     The read-only array ``identity`` of shape (dim, *shape) holds the node
     coordinates, i.e. the identity map sampled at the nodes.  The Fourier
@@ -111,21 +104,21 @@ class PeriodicGrid:
     ``dealias_mask`` live on the real FFT's half spectrum, the only
     spectrum the package uses (``_interp`` evaluates off-grid from it too),
     and are applied with ``fourier``.  ``wavenumbers[a]`` holds axis a's
-    angular wavenumbers kₐ on that spectrum, and ``ik_axes[a]`` is ikₐ on
-    the half spectrum of axis a alone, for ∂ₐ.  Every one of these arrays is
-    read-only and shared by all grids of one (shape, lengths): they are built
-    once per process, for at most 16 shapes at a time, so each grid after the
-    first costs O(1), not O(nodes).
+    angular wavenumbers kₐ on that spectrum, and ``ik_axes[a]``, a view of
+    ``ik[a]``, is ikₐ on the half spectrum of axis a alone, for ∂ₐ.  Every
+    one of these arrays is read-only and shared by all grids of one (shape,
+    lengths): they are built once per process, for at most 16 shapes at a
+    time, so each grid after the first costs O(1), not O(nodes).
     """
 
     def __init__(self, points_per_axis, lengths=1.0):
-        self.shape = tuple(_count(n) for n in _as_tuple(points_per_axis))
+        counts = _as_tuple(points_per_axis)
+        if not all(float(n).is_integer() and n >= 8 and n % 2 == 0 for n in counts):
+            raise InvalidGrid(f"points_per_axis must be even integers >= 8, got {counts!r}")
+        self.shape = tuple(int(n) for n in counts)
         self.dim = len(self.shape)
         if self.dim not in (1, 2):
             raise InvalidGrid("only the circle (dim 1) and torus (dim 2) are supported")
-        for n in self.shape:
-            if n < 8 or n % 2 != 0:
-                raise InvalidGrid("points_per_axis must be even and >= 8")
         self.lengths = tuple(float(L) for L in _as_tuple(lengths, self.dim))
         if not all(0.0 < L < np.inf for L in self.lengths):
             raise InvalidGrid("lengths must be positive and finite")
@@ -161,7 +154,7 @@ class PeriodicGrid:
 
 @dataclass(frozen=True)
 class ScalarField:
-    """Real scalar field sampled at the grid nodes."""
+    """Real scalar field sampled at the grid nodes; GridMismatch for values of another shape."""
 
     grid: PeriodicGrid
     values: np.ndarray = field(repr=False)
@@ -169,9 +162,7 @@ class ScalarField:
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
         if values.shape != self.grid.shape:
-            raise ValueError(
-                f"values shape {values.shape} does not match grid {self.grid.shape}"
-            )
+            raise GridMismatch(f"values shape {values.shape} does not match grid {self.grid.shape}")
         object.__setattr__(self, "values", values)
 
     @classmethod

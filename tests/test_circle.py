@@ -212,6 +212,16 @@ class TestAlphaOneExplicit:
         with pytest.raises(ValidationError):
             alpha_one_explicit(ScalarField(grid, np.cos(2 * np.pi * x)), 0.1)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("at", [0, 5])
+    def test_non_finite_u0_rejected(self, bad, at):
+        # it returned an all-NaN velocity; a non-finite u0[0] passed the gauge check
+        grid = PeriodicGrid(64)
+        values = np.sin(2 * np.pi * grid.coordinate(0))
+        values[at] = bad
+        with pytest.raises(NonFiniteInput, match="u0 is not finite"):
+            alpha_one_explicit(ScalarField(grid, values), 0.1)
+
 
 class TestClassicEquations:
     def test_burgers_zero(self):

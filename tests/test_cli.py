@@ -132,6 +132,30 @@ class TestExpressionGrammar:
             return
         assert values.shape == grid.shape
 
+    @settings(max_examples=300)
+    @given(
+        text=st.lists(
+            st.sampled_from(["0", "1", "2.5", "1e-3", "x", "y", "pi", "sin", "exp", "+", "-",
+                             "*", "/", "(", ")", " ", "."]),
+            max_size=30,
+        ).map("".join),
+        before=st.text(alphabet=" \t\n\r\f\v\u00a0\u2003", max_size=4),
+        after=st.text(alphabet=" \t\n\r\f\v\u00a0\u2003", max_size=4),
+    )
+    def test_surrounding_whitespace_is_ignored(self, text, before, after):
+        """Whitespace around an expression changes neither whether it
+        parses nor its value, bit for bit; trailing whitespace was rejected
+        as a bad character."""
+        grid = PeriodicGrid((8, 8))
+
+        def outcome(expression):
+            try:
+                return evaluate_on_grid(expression, grid).tobytes()
+            except ValidationError:
+                return None
+
+        assert outcome(before + text + after) == outcome(text)
+
     def test_rejects_y_in_1d(self):
         with pytest.raises(ValidationError):
             evaluate_on_grid("sin(2*pi*y)", PeriodicGrid(64))
@@ -281,6 +305,22 @@ class TestRoundTrip:
             partial = json.loads(out)["results"]["spherical"]
             expected = total * i / (samples - 1)
             assert partial == pytest.approx(expected, abs=1e-8)
+
+    def test_trailing_whitespace_in_an_expression_is_ignored(self, capsys):
+        argv = ["dist", "--a", "uniform", "--grid", "64", "--b"]
+        code, spaced = run_cli(capsys, *argv, "1+0.5*sin(2*pi*x) \n")
+        assert code == 0
+        _, plain = run_cli(capsys, *argv, "1+0.5*sin(2*pi*x)")
+        assert json.loads(spaced)["results"] == json.loads(plain)["results"]
+
+    def test_file_of_another_shape_exits_2_with_grid_mismatch(self, capsys, tmp_path):
+        path = tmp_path / "values.json"
+        path.write_text(json.dumps({"values": [1.0] * 32}))
+        code, out = run_cli(capsys, "dist", "--a", "uniform", "--b", f"@{path}", "--grid", "64")
+        assert code == 2
+        error = strict_error(out)
+        assert (error["type"], error["exit_code"]) == ("GridMismatch", 2)
+        assert "does not match grid" in error["message"]
 
 
 class TestDeterminism:

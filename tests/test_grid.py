@@ -208,6 +208,81 @@ class TestValidation:
         assert (torus.shape, torus.lengths) == ((16, 8), (1.0, 2.0))
 
 
+# argument kinds for the per-axis rule: half of them a number or a flat list or
+# tuple of numbers, half any kind (mostly malformed); node counts stay small,
+# so a grid that builds costs little
+def _argument(numbers):
+    real = numbers | numbers.map(np.array)
+    numeric = real | st.lists(real, min_size=1, max_size=2) | st.tuples(real, real)
+    junk = (st.none() | st.booleans() | st.text(max_size=2) | st.complex_numbers(max_magnitude=64)
+            | st.builds(range, st.integers(0, 20)))
+    flat = st.lists(real | junk, max_size=3)
+    other = (junk | flat | flat.map(tuple) | st.lists(flat, max_size=2)
+             | st.dictionaries(st.integers(8, 32), numbers, max_size=2)
+             | st.sets(st.integers(8, 32), max_size=2)
+             | st.builds(np.ndarray.astype,
+                         hnp.arrays(int, hnp.array_shapes(min_dims=0, max_dims=2, max_side=3),
+                                    elements=st.integers(0, 64)),
+                         st.sampled_from([int, float, bool, complex])))
+    return st.booleans().flatmap(lambda plain: numeric if plain else other)
+
+
+_NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+_COUNTS = (st.integers(4, 32).map(lambda n: 2 * n) | st.sampled_from([16.0, np.int64(24)])
+           | st.integers(-8, 64) | st.floats(-64.0, 64.0) | _NON_FINITE)
+_LENGTHS = st.integers(-8, 64) | st.floats(allow_nan=True, allow_infinity=True)
+
+
+class TestPerAxisArguments:
+    @pytest.mark.parametrize("points, lengths", [(None, 1.0), (16, None), ({16: 1}, 1.0),
+                                                 (16, {2.0}), (16, True)],
+                             ids=["none-points", "none-lengths", "dict", "set", "bool"])
+    def test_malformed_argument_rejected(self, points, lengths):
+        # None raised a raw TypeError; a dict, a set and True built a grid
+        with pytest.raises(InvalidGrid):
+            PeriodicGrid(points, lengths)
+
+    @settings(max_examples=400, deadline=None)
+    @given(points=_argument(_COUNTS),
+           lengths=st.booleans().flatmap(lambda plain: st.just(1.0) if plain
+                                         else _argument(_LENGTHS)))
+    def test_builds_from_real_numbers_or_is_invalid(self, points, lengths):
+        """A grid builds, with int counts and float lengths equal to the numbers
+        given, only where each per-axis value is a real number; any other
+        argument raises InvalidGrid and nothing else."""
+        try:
+            grid = PeriodicGrid(points, lengths)
+        except InvalidGrid:
+            return
+        for arg, got, kind in ((points, grid.shape, int), (lengths, grid.lengths, float)):
+            per_axis = isinstance(arg, (tuple, list)) or getattr(arg, "ndim", 0) >= 1
+            values = list(arg) if per_axis else [arg] * grid.dim
+            assert all(np.ndim(v) == 0 and np.asarray(v).dtype.kind in "iuf" for v in values)
+            assert all(type(g) is kind for g in got)
+            assert [float(v) for v in values] == [float(g) for g in got]
+
+    @pytest.mark.parametrize("points, lengths", [(8, 1.0), (256, 1.0), (4096, 1.0),
+                                                 ((16, 16), 1.0), ((48, 48), 1.0),
+                                                 ((64, 32), 1.0), ((128, 128), 1.0),
+                                                 ((8, 18), (1e-3, 7.0))])
+    def test_ik_axes_are_views_of_ik(self, points, lengths):
+        grid = PeriodicGrid(points, lengths)
+        for a, (n, ka) in enumerate(zip(grid.shape, grid.wavenumbers, strict=True)):
+            expected = 1j * ka[: n // 2 + 1]
+            expected[-1] = 0.0  # the Nyquist mode
+            expected = expected.reshape((-1,) + (1,) * (grid.dim - 1 - a))
+            got = grid.ik_axes[a]
+            assert np.shares_memory(got, grid.ik)
+            assert (got.shape, got.dtype) == (expected.shape, expected.dtype)
+            assert got.tobytes() == expected.tobytes()
+
+    def test_field_of_another_shape_is_grid_mismatch(self):
+        grid = PeriodicGrid((16, 8))
+        for values in (np.zeros((8, 16)), np.zeros(128), np.zeros((1, 16, 8)), 0.0):
+            with pytest.raises(GridMismatch, match="does not match grid"):
+                ScalarField(grid, values)
+
+
 class TestPeriodicPrimitive:
     @settings(max_examples=60)
     @given(

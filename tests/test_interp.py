@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from densgeo import _interp, hsflow
+from densgeo.errors import InversionDiverged
 from densgeo.grid import PeriodicGrid, ScalarField, random_band_limited
 
 # lengths whose factor-4 fine nodes are exact floats, so the comparison with
@@ -184,6 +185,19 @@ def test_invert_monotone_solves_to_roundoff_and_keeps_order(n, length, frac, see
     w_at_x = _interp.trig_eval(grid, eta - grid.coordinate(0), x)
     assert np.max(np.abs(x + w_at_x - y)) <= 1e-14 * length
     assert np.all(np.diff(x) > 0.0)
+
+
+@pytest.mark.parametrize("n", [64, 2048], ids=["exact", "spline"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_invert_monotone_rejects_a_non_finite_node(n, bad):
+    # a NaN residual compared False with the bound, so 60 Newton steps ran
+    # and all-NaN labels came back
+    grid = PeriodicGrid(n)
+    x = grid.coordinate(0)
+    eta = x + 0.02 * np.sin(2 * np.pi * x)
+    eta[3] = bad
+    with np.errstate(all="ignore"), pytest.raises(InversionDiverged):
+        _interp.invert_monotone(grid, eta, x)
 
 
 def test_eulerian_rho_at_readme_data_makes_three_exact_evaluations(monkeypatch):
