@@ -250,31 +250,10 @@ def _cmd_hs(args) -> dict:
     _require_nontrivial(args, geo)
     horizon = _hs_horizon(args, geo)
     ts = np.linspace(0.0, horizon, args.samples)
-
-    # a row's sum adds its nodes in the order a lone snapshot's does, and the
-    # factors 2 of ρ = 2ḟ/f and 4 of ρ²·Jac = (2ḟ)² scale by powers of two
-    # after the reductions, which commutes with rounding, so each row has
-    # flow_energy's bits
-    series = []
-    for times, f, fdot in hsflow.great_circle_chunks(geo, ts, grid.node_count):
-        jac = f**2
-        series += [
-            {"t": t, "min_jacobian": low, "jacobian_mass": mass, "sup_rho": sup, "energy": e}
-            for t, low, mass, sup, e in zip(
-                times.tolist(),
-                np.min(jac, axis=1).tolist(),
-                (grid.node_weight * np.sum(jac, axis=1)).tolist(),
-                (2.0 * np.max(np.abs(fdot / f), axis=1)).tolist(),
-                (4.0 * grid.node_weight * np.sum(fdot**2, axis=1)).tolist(),
-            )
-        ]
-    energies = [row["energy"] for row in series]
-    diagnostics = {
-        "energy_drift": float(
-            np.max(np.abs(np.array(energies) - geo.conserved_energy))
-            / geo.conserved_energy
-        ),
-    }
+    columns = {"t": ts, **hsflow.great_circle_series(geo, ts)}
+    series = [dict(zip(columns, row)) for row in zip(*(c.tolist() for c in columns.values()))]
+    drift = np.max(np.abs(columns["energy"] - geo.conserved_energy)) / geo.conserved_energy
+    diagnostics = {"energy_drift": float(drift)}
     if grid.dim == 1:
         # a difference step of at most 1e-5 t_max, so t + dt_fd stays short
         # of the blowup and resolves ρ_t however early the blowup comes

@@ -27,6 +27,7 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
+import sys
 from contextlib import suppress
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -41,12 +42,14 @@ MAX_STEPS = 10**6
 
 def _as_tuple(value, dim: int | None = None) -> tuple:
     """Per-axis real numbers by ``PeriodicGrid``'s rule, one value serving all ``dim`` axes (one
-    if None); InvalidGrid for a value that is no real number, or for a wrong count."""
+    if None); InvalidGrid for a wrong count or a value that is no real number within the floats."""
     if not (isinstance(value, (tuple, list)) or getattr(value, "ndim", 0) >= 1):
         value = (value,) * (dim or 1)
     value = tuple(v[()] if isinstance(v, np.ndarray) else v for v in value)
     if not all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in value):
         raise InvalidGrid(f"per-axis values must be real numbers, got {value!r}")
+    if any(isinstance(v, numbers.Rational) and abs(v) > sys.float_info.max for v in value):
+        raise InvalidGrid("per-axis values must lie within the float range")  # no repr: too many digits
     if dim is not None and len(value) != dim:
         raise InvalidGrid(f"expected {dim} per-axis values, got {len(value)}")
     return value
@@ -160,7 +163,10 @@ class ScalarField:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
+        try:
+            values = np.asarray(self.values, dtype=float)
+        except ValueError as exc:  # ragged or non-numeric values make no float array
+            raise GridMismatch(f"values make no float array for grid {self.grid.shape}: {exc}")
         if values.shape != self.grid.shape:
             raise GridMismatch(f"values shape {values.shape} does not match grid {self.grid.shape}")
         object.__setattr__(self, "values", values)

@@ -12,10 +12,11 @@ kernel, ``great_circle``, evaluates (f alone by its first half,
 ρ²·Jac = 4ḟ².  It takes sin(κt)/κ as t·sinc(κt), so κ = 0 needs no branch:
 there the solution is the stationary one, ρ0 = 0, with f ≡ 1 and ρ ≡ 0
 exactly.  Given an array of times it evaluates them all in one call, time
-axis first.  ``great_circle_chunks`` cuts a long series of
-times into such calls of about ``_CHUNK_VALUES`` values each; it feeds the
-Jacobian's RK4 factors (``_rk4_factors``, for ``jacobian_by_ode`` and
-``integrate_flow``) and the CLI's ``hs`` and ``invariants`` series.
+axis first.  ``great_circle_chunks`` cuts a long series of times into such
+calls of about ``_CHUNK_VALUES`` values each; it feeds the Jacobian's RK4
+factors (``_rk4_factors``, for ``jacobian_by_ode`` and ``integrate_flow``) and
+the CLI's ``invariants`` series.  ``great_circle_series`` forms the ``hs``
+series with no pass over the nodes, from Σρ0, Σρ0² and ρ0's extremes.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from .grid import (
 KAPPA_EPS = 1e-13
 IDENTITY_TOL = 1e-10  # of a flow's start: |J - 1|, and |η - id| over the longest period
 # values (times × nodes) per chunk of ``great_circle_chunks``, the one chunk rule of
-# ``_rk4_factors`` and the CLI's hs and invariants series: a chunk's f and ḟ of 8·2¹⁴
+# ``_rk4_factors`` and the CLI's invariants series: a chunk's f and ḟ of 8·2¹⁴
 # bytes stay at glibc's default mmap and trim threshold (128 KiB, mallopt(3)), where
 # its heap keeps them.  At 2¹⁵ a process that has not yet freed a block above 256 KiB
 # (which raises both thresholds) returns each chunk's arrays to the kernel and faults
@@ -219,14 +220,28 @@ def energy(rho: ScalarField) -> float:
 
 
 def flow_energy(g: HsGeodesic, t: float) -> float:
-    """Energy of the exact solution at time t, ∫ ρ(t,·)² dμ.
+    """Energy of the exact solution at time t, ∫ ρ(t,·)² dμ, as ∫ ρ(t,η)² Jac dμ = 4∫ ḟ² dμ
+    in Lagrangian variables: ``great_circle_series``'s at [t], so the CLI's ``hs`` row at t
+    has its bits.  It is quadrature-exact for band-limited ρ0 at any t < t_max (the direct
+    Eulerian quadrature needs ever finer grids as the peak compresses)."""
+    return float(great_circle_series(g, np.array([float(t)]))["energy"][0])
 
-    Evaluated in Lagrangian variables as ∫ ρ(t,η)² Jac dμ = 4∫ ḟ² dμ, which is
-    quadrature-exact for band-limited ρ0 at any t < t_max (the direct
-    Eulerian quadrature needs ever finer grids as the peak compresses).
-    """
-    g.check_before_blowup(t)
-    return energy(ScalarField(g.grid, 2.0 * great_circle(g, t)[1]))  # ρ²·Jac = (2ḟ)²
+
+def great_circle_series(g: HsGeodesic, times: np.ndarray) -> dict:
+    """The ``hs`` series' arrays at increasing times in [0, t_max), each row in O(1): f = c +
+    ½S·ρ0 and ḟ = ½c·ρ0 - κ²S (c = cos κt) lie in the plane of 1 and ρ0, so with N nodes of
+    weight w, ∫Jac = w(Nc² + Sc·Σρ0 + ¼S²·Σρ0²) and ∫ρ²Jac = 4∫ḟ² = w(c²·Σρ0² - 4cκ²S·Σρ0 +
+    4Nκ⁴S²).  f > 0 and ḟ/f rise with ρ0 (S ≥ 0; ∂(ḟ/f)/∂ρ0 = ½(c² + κ²S²)/f²), so min Jac is
+    f² at min ρ0 and sup|ρ| is 2|ḟ/f| at min or max ρ0, from one ``great_circle`` call."""
+    g.check_before_blowup(times[-1])
+    rho0, n, w = g.rho0.values, g.grid.node_count, g.grid.node_weight
+    f, fdot = great_circle(g, times, np.array([rho0.min(), rho0.max()]))
+    c, s = np.cos(g.kappa * times), times * sinc(g.kappa * times)
+    total, squares, drift = np.sum(rho0), np.sum(rho0 * rho0), g.kappa**2 * s
+    return {"min_jacobian": f[:, 0] ** 2,
+            "jacobian_mass": w * (n * c * c + s * c * total + 0.25 * s * s * squares),
+            "sup_rho": 2.0 * np.max(np.abs(fdot / f), axis=1),
+            "energy": w * (c * c * squares - 4.0 * c * drift * total + 4.0 * n * drift * drift)}
 
 
 # ---------------------------------------------------------------------------

@@ -242,6 +242,14 @@ class TestPerAxisArguments:
         with pytest.raises(InvalidGrid):
             PeriodicGrid(points, lengths)
 
+    @pytest.mark.parametrize("points, lengths", [(10**400, 1.0), (16, 10**400),
+                                                 ((16, 10**400), 1.0), (16, (1.0, -(10**400)))],
+                             ids=["points", "lengths", "one-count", "one-length"])
+    def test_integer_beyond_the_floats_rejected(self, points, lengths):
+        # float() of such an integer raised a raw OverflowError
+        with pytest.raises(InvalidGrid, match="within the float range"):
+            PeriodicGrid(points, lengths)
+
     @settings(max_examples=400, deadline=None)
     @given(points=_argument(_COUNTS),
            lengths=st.booleans().flatmap(lambda plain: st.just(1.0) if plain
@@ -281,6 +289,14 @@ class TestPerAxisArguments:
         for values in (np.zeros((8, 16)), np.zeros(128), np.zeros((1, 16, 8)), 0.0):
             with pytest.raises(GridMismatch, match="does not match grid"):
                 ScalarField(grid, values)
+
+    @pytest.mark.parametrize("points, values", [(8, [[1.0], [1.0, 2.0]]),
+                                                ((8, 8), [[0.0] * 8] * 7 + [[0.0] * 7])],
+                             ids=["circle", "torus"])
+    def test_ragged_values_are_grid_mismatch(self, points, values):
+        # numpy's bare ValueError ("inhomogeneous shape") escaped before
+        with pytest.raises(GridMismatch, match="make no float array"):
+            ScalarField(PeriodicGrid(points), values)
 
 
 class TestPeriodicPrimitive:
